@@ -102,6 +102,22 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+# config keys (and, with "-" for "_", flags) that take numbers
+_FLOAT_KEYS = ("lw", "s_lo", "s_hi", "leg_length", "stroke_min", "stroke_max", "vmax", "amax")
+
+
+def _require_finite(flag: str, value) -> None:
+    """ConfigError unless `value` (a number or list of numbers) is finite."""
+    if value is None:
+        return
+    try:
+        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+    except (TypeError, ValueError):
+        raise ConfigError(f"{flag} must be a number, got {value!r}") from None
+    if not finite:
+        raise ConfigError(f"{flag} must be finite, got {value}")
+
+
 class RunConfig:
     """Flags merged over the config file, resolved to model objects."""
 
@@ -120,9 +136,14 @@ class RunConfig:
         self.stroke_max = pick("stroke_max")
         self.vmax_m_s = pick("vmax", 1.2)
         self.amax_m_s2 = pick("amax", 20.0)
-        self.grid = int(pick("grid", 21))
+        try:
+            self.grid = int(pick("grid", 21))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"--grid must be an integer, got {pick('grid')!r}") from None
         self.out = pick("out")
         self.cube_doc = cfg.get("cube")
+        for key in _FLOAT_KEYS:
+            _require_finite(f"--{key.replace('_', '-')}", pick(key))
         if self.grid < 2:
             raise ConfigError("--grid must be at least 2")
         if self.vmax_m_s <= 0 or self.amax_m_s2 <= 0:
@@ -268,11 +289,12 @@ def _report_doc(report: workspace.GridReport) -> dict:
 def cmd_analyze(x, y, z, **flags):
     """Full kinematic/conditioning report at pose X Y Z (mm)."""
     cfg = _run_config(flags)
+    pose = (x, y, z)
     try:
+        _require_finite("pose", pose)
         design, _ = cfg.design_and_cube()
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
-    pose = (x, y, z)
     try:
         rho = kinematics.inverse_kinematics(pose, design)
         states = kinematics.leg_states(pose, rho, design)

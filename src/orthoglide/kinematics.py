@@ -35,6 +35,14 @@ SERIAL_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 
 _EYE = np.eye(3)
+# the other two axes j, k of each leg i
+_J = np.array([1, 0, 0])
+_K = np.array([2, 2, 1])
+
+
+def _floats(v) -> tuple[float, ...]:
+    """Plain-float tuple of a vector, for error messages."""
+    return tuple(float(x) for x in v)
 
 
 def as_point(p) -> np.ndarray:
@@ -108,8 +116,10 @@ def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
     cross terms are summed pairwise so the result is exactly equivariant
     under coordinate permutations.
     """
-    sq = np.asarray(p, dtype=float) ** 2
-    cross = sq[..., (1, 0, 0)] + sq[..., (2, 2, 1)]
+    # a square that overflows is +inf and the radicand -inf: unreachable
+    with np.errstate(over="ignore"):
+        sq = np.asarray(p, dtype=float) ** 2
+        cross = sq[..., _J] + sq[..., _K]
     return leg_length**2 - cross
 
 
@@ -128,14 +138,14 @@ def inverse_kinematics(p, d: DesignParams, *, serial_tol: float = SERIAL_TOL) ->
     if bad.size:
         i = int(bad[0])
         raise Unreachable(
-            f"pose {tuple(p)} unreachable: leg {i} radicand {rad[i]:.6g} < 0", leg=i
+            f"pose {_floats(p)} unreachable: leg {i} radicand {rad[i]:.6g} < 0", leg=i
         )
     eta = np.sqrt(rad)
     low = np.where(eta <= serial_tol * L)[0]
     if low.size:
         i = int(low[0])
         raise SerialSingularity(
-            f"pose {tuple(p)} on workspace boundary: eta_{i + 1} = {eta[i]:.6g}", leg=i
+            f"pose {_floats(p)} on workspace boundary: eta_{i + 1} = {eta[i]:.6g}", leg=i
         )
     return p - eta
 
@@ -176,7 +186,7 @@ def forward_kinematics(rho, d: DesignParams, *, serial_tol: float = SERIAL_TOL) 
     c_coef = float(np.sum(rho**2) / 4.0 - L**2)
     disc = 0.25 - 4.0 * a_coef * c_coef
     if disc < 0.0:
-        raise NoAssemblyMode(f"joints {tuple(rho)}: leg spheres do not intersect")
+        raise NoAssemblyMode(f"joints {_floats(rho)}: leg spheres do not intersect")
     # cancellation-free pair of roots; q <= -1/4 so both divisions are safe
     q = -(0.5 + np.sqrt(disc)) / 2.0
     candidates = [(w + rho**2) / (2.0 * rho) for w in (q / a_coef, c_coef / q)]
@@ -191,7 +201,7 @@ def _fk_one_zero_slider(rho: np.ndarray, i: int, L: float) -> np.ndarray:
         p[k] = rho[k] / 2.0
     rad = L**2 - p[others[0]] ** 2 - p[others[1]] ** 2
     if rad < 0.0:
-        raise NoAssemblyMode(f"joints {tuple(rho)}: leg spheres do not intersect")
+        raise NoAssemblyMode(f"joints {_floats(rho)}: leg spheres do not intersect")
     p[i] = np.sqrt(rad)  # + branch: the working mode needs eta_i = p_i > 0
     return p
 
@@ -206,7 +216,7 @@ def _fk_accept(candidates, rho: np.ndarray, L: float, serial_tol: float) -> np.n
                 admissible.append((float(p @ p), p))
     if not admissible:
         raise NoAssemblyMode(
-            f"joints {tuple(rho)}: no assembly point in the working mode"
+            f"joints {_floats(rho)}: no assembly point in the working mode"
         )
     return min(admissible, key=lambda sp: sp[0])[1]
 

@@ -73,12 +73,24 @@ def forward_factors(jinv: np.ndarray) -> np.ndarray:
     """Ascending forward transmission factors, batched over (..., 3, 3).
 
     Reciprocals of the singular values of Jinv; +inf where a singular value
-    vanishes.
+    vanishes.  The single place where singular values become factors: the
+    pose report and the grid sweep both go through it.
     """
     s_inv = singular_values3(jinv)
     out = np.full_like(s_inv, np.inf)
     np.divide(1.0, s_inv, out=out, where=s_inv > 0.0)
     return out[..., ::-1]
+
+
+def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:
+    """kappa = sigma_fwd[0] / sigma_fwd[2] of ascending factors (batched).
+
+    0 where the largest factor is infinite (Jinv rank deficient).
+    """
+    lo, hi = sigma_fwd[..., 0], sigma_fwd[..., 2]
+    out = np.zeros_like(lo)
+    np.divide(lo, hi, out=out, where=np.isfinite(hi))
+    return out
 
 
 def transmission_factors(
@@ -96,9 +108,8 @@ def transmission_factors(
     if not np.all(np.isfinite(jinv)):
         raise ValueError("inverse Jacobian entries must be finite")
 
-    s_inv = singular_values3(jinv)
     sigma_fwd = forward_factors(jinv)
-    kappa = float(s_inv[0] / s_inv[2]) if s_inv[2] > 0.0 else 0.0
+    kappa = float(kappa_from_factors(sigma_fwd))
     det_inv = float(det3(jinv))
     row_norms = np.linalg.norm(jinv, axis=1)
     serial = tuple(bool(n >= 1.0 / serial_tol) for n in row_norms)
@@ -113,8 +124,7 @@ def transmission_factors(
 
 def condition_number(jinv) -> float:
     """sigma_min / sigma_max of the map, in [0, 1]; invariant under inversion."""
-    s = singular_values3(np.asarray(jinv, dtype=float))
-    return float(s[0] / s[2]) if s[2] > 0.0 else 0.0
+    return float(kappa_from_factors(forward_factors(jinv)))
 
 
 def isotropy_residual(p, d: DesignParams) -> IsotropyResidual:

@@ -1,10 +1,12 @@
 """Joint-space motion profiling and motor-capability checks.
 
 Tool velocities map to joint velocities through the inverse Jacobian.
-Joint accelerations along a sampled path are estimated by finite
-differences in time (the model has no analytic Jacobian derivative), with
-one-sided stencils at the path ends, and checked against the motor
-velocity/acceleration capability.
+Joint rates and accelerations along a sampled path are estimated by finite
+differences of the IK joint positions in time, with one-sided stencils at
+the path ends, and checked against the motor velocity/acceleration
+capability.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint
+rate is rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
+acceleration at each sample, which timed waypoints do not carry.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import RangeOutsideWorkspace
 from .kinematics import SERIAL_TOL, DesignParams, batch_inverse_jacobian, leg_radicands
-from .linalg3 import singular_values3
+from .performance import forward_factors, kappa_from_factors
 
 #: relative slack applied to bound checks so binding points do not count.
 BOUND_REL_TOL = 1e-9
@@ -41,6 +41,8 @@ class CubeSpec:
         self.q2 = np.asarray(self.q2, dtype=float)
         if self.q1.shape != (3,) or self.q2.shape != (3,):
             raise ValueError("cube corners must be length-3 points")
+        if not (np.all(np.isfinite(self.q1)) and np.all(np.isfinite(self.q2))):
+            raise ValueError(f"cube corners must be finite, got {self.q1} and {self.q2}")
         d = self.q2 - self.q1
         if d[0] < 0 or abs(d[0] - d[1]) > 1e-9 * max(1.0, abs(d[0])) or abs(
             d[0] - d[2]
@@ -200,8 +202,8 @@ def evaluate_grid(
     """Evaluate IK + forward factors on a closed grid over the cube.
 
     Vectorized over all nodes; matches the scalar operations bit for bit
-    because both share the same radicand/Jacobian kernels.  Order is
-    x-major, then y, then z, and is deterministic.
+    because both share the same radicand, Jacobian and factor kernels.
+    Order is x-major, then y, then z, and is deterministic.
     """
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
@@ -227,16 +229,10 @@ def evaluate_grid(
         hi = np.asarray(d.stroke_max)
         stroke_ok[reachable] = np.all((rho >= lo) & (rho <= hi), axis=1)
 
-        jinv = batch_inverse_jacobian(p_r, rho)
-        # mirror transmission_factors bit for bit: factors and kappa both
-        # from the singular values of Jinv
-        s_inv = singular_values3(jinv)
-        fwd = np.full_like(s_inv, np.inf)
-        np.divide(1.0, s_inv, out=fwd, where=s_inv > 0.0)
-        fwd = fwd[:, ::-1]
+        fwd = forward_factors(batch_inverse_jacobian(p_r, rho))
         sig_min[reachable] = fwd[:, 0]
         sig_max[reachable] = fwd[:, 2]
-        kappa[reachable] = np.where(s_inv[:, 2] > 0.0, s_inv[:, 0] / s_inv[:, 2], 0.0)
+        kappa[reachable] = kappa_from_factors(fwd)
 
     return [
         GridPoint(

@@ -242,3 +242,84 @@ class TestTrajCheck:
         wp.write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,280,280\n")
         res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
         assert res.exit_code == 3
+
+
+EXPLICIT = ["--leg-length", "310.58", "--stroke-min", "-383.8", "--stroke-max", "-126.8"]
+
+
+class TestNonFiniteInput:
+    """Non-finite numbers give a clean `error:` line and exit 1, no traceback."""
+
+    @staticmethod
+    def _assert_clean_exit_one(res, what):
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert f"error: {what} must be finite" in res.output
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_synthesize_lw(self, runner, value):
+        res = runner.invoke(main, ["synthesize", "--lw", value])
+        self._assert_clean_exit_one(res, "--lw")
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["synthesize", "--lw", "200", "--s-lo", "nan"], "--s-lo"),
+            (["synthesize", "--lw", "200", "--s-hi", "inf"], "--s-hi"),
+            (["synthesize", "--lw", "200", "--vmax", "nan"], "--vmax"),
+            (["synthesize", "--lw", "200", "--amax", "inf"], "--amax"),
+            (["analyze", "0", "0", "0", *EXPLICIT, "--leg-length", "nan"], "--leg-length"),
+            (["analyze", "0", "0", "0", *EXPLICIT, "--stroke-min", "-inf"], "--stroke-min"),
+            (["analyze", "0", "0", "0", *EXPLICIT, "--stroke-max", "nan"], "--stroke-max"),
+        ],
+    )
+    def test_float_flags(self, runner, args, flag):
+        self._assert_clean_exit_one(runner.invoke(main, args), flag)
+
+    @pytest.mark.parametrize(
+        "doc, flag",
+        [
+            ('{"lw": NaN}', "--lw"),
+            ('{"lw": 200, "s_hi": Infinity}', "--s-hi"),
+            (
+                '{"leg_length": 310.58, "stroke_min": [-383.8, NaN, -383.8],'
+                ' "stroke_max": -126.8}',
+                "--stroke-min",
+            ),
+        ],
+    )
+    def test_config_keys(self, runner, tmp_path, doc, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(doc)
+        res = runner.invoke(main, ["analyze", "0", "0", "0", "--config", str(cfg)])
+        self._assert_clean_exit_one(res, flag)
+
+    def test_config_cube(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"leg_length": 310.58, "stroke_min": -383.8, "stroke_max": -126.8,'
+            ' "cube": {"q1": [NaN, 0, 0], "q2": [NaN, 10, 10]}}'
+        )
+        res = runner.invoke(main, ["workspace-map", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error: bad cube in config: cube corners must be finite" in res.output
+
+    def test_config_grid_not_a_number(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lw": 200, "grid": NaN}')
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error: --grid must be an integer" in res.output
+
+    @pytest.mark.parametrize("pose", [["nan", "0", "0"], ["0", "inf", "0"], ["0", "0", "-inf"]])
+    def test_analyze_pose(self, runner, pose):
+        res = runner.invoke(main, ["analyze", "--lw", "200", "--", *pose])
+        self._assert_clean_exit_one(res, "pose")
+
+    def test_huge_pose_is_unreachable(self, runner):
+        res = runner.invoke(main, ["analyze", "--lw", "200", "--", "1e308", "0", "0"])
+        assert res.exit_code == 3
+        assert "Unreachable" in res.output
+        assert "np.float64" not in res.output

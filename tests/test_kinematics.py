@@ -1,6 +1,7 @@
 """Closed-form IK/FK and the inverse Jacobian of the zero-offset model."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from orthoglide.kinematics import (
     forward_kinematics,
     inverse_jacobian,
     inverse_kinematics,
+    leg_radicands,
     leg_states,
     within_stroke,
 )
@@ -131,6 +133,33 @@ class TestForwardKinematics:
         except (NoAssemblyMode, SerialSingularity):
             return
         assert np.allclose(back, rho, rtol=0, atol=1e-9 * L)
+
+
+class TestErrorMessages:
+    """Errors name poses and joints as plain floats, never numpy scalars."""
+
+    def test_huge_pose_is_unreachable_without_overflow_warning(self):
+        p = np.array([1e308, 0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rad = leg_radicands(p, L)
+            with pytest.raises(Unreachable) as e:
+                inverse_kinematics(p, D)
+        assert rad[1] == -math.inf and rad[2] == -math.inf
+        assert "pose (1e+308, 0.0, 0.0) unreachable" in str(e.value)
+        assert "np.float64" not in str(e.value)
+
+    def test_boundary_pose_message(self):
+        with pytest.raises(SerialSingularity) as e:
+            inverse_kinematics(np.array([0.0, 0.0, L]), D)
+        assert f"pose (0.0, 0.0, {L!r}) on workspace boundary" in str(e.value)
+
+    @pytest.mark.parametrize("rho", [(-3 * L, -3 * L, -3 * L), (-1e-3, 5.0, 7.0)])
+    def test_forward_kinematics_messages(self, rho):
+        with pytest.raises(NoAssemblyMode) as e:
+            forward_kinematics(np.array(rho), D)
+        assert f"joints {tuple(float(r) for r in rho)}" in str(e.value)
+        assert "np.float64" not in str(e.value)
 
 
 class TestDesignParams:

@@ -3,7 +3,20 @@
 import numpy as np
 import pytest
 
-from orthoglide.linalg3 import det3, eigh3, eigvalsh3, singular_values3
+from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
+from orthoglide.linalg3 import (
+    _MAX_SWEEPS,
+    _gram_entries,
+    _jacobi_eigenvalues,
+    det3,
+    eigh3,
+    eigvalsh3,
+    singular_values3,
+)
+from orthoglide.synthesis import synthesize
+from orthoglide.workspace import Bounds
+
+EPS = np.finfo(float).eps
 
 
 def random_symmetric(rng, n=1):
@@ -79,3 +92,92 @@ def test_batched_equals_scalar(rng):
 def test_rejects_wrong_shape():
     with pytest.raises(ValueError):
         eigh3(np.eye(4))
+
+
+def diag_pose_jinv(a):
+    """Inverse Jacobian at a diagonal pose with coupling ratio a."""
+    return np.full((3, 3), a) + np.eye(3) * (1 - a)
+
+
+def cube_jinv(lw, s_lo, s_hi, n=41):
+    """Inverse Jacobians at every node of an n^3 grid over a synthesized cube."""
+    res = synthesize(lw, Bounds(s_lo, s_hi))
+    axis = np.linspace(res.q1[0], res.q2[0], n)
+    pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    rho = pts - np.sqrt(leg_radicands(pts, res.leg_length))
+    return batch_inverse_jacobian(pts, rho)
+
+
+PROTOTYPE_AND_WIDE = [(200.0, 0.5, 2.0), (200.0, 1 / 3, 3.0)]
+
+
+def test_exact_double_root_at_diagonal_pose():
+    # a = 0.5: Jinv^T Jinv has the double root 0.25 and the simple root 4
+    jinv = diag_pose_jinv(0.5)
+    assert np.array_equal(eigvalsh3(jinv.T @ jinv), [0.25, 0.25, 4.0])
+    assert np.array_equal(singular_values3(jinv), [0.5, 0.5, 2.0])
+
+
+def test_exact_triple_root_at_identity():
+    assert np.array_equal(eigvalsh3(np.eye(3)), [1.0, 1.0, 1.0])
+    assert np.array_equal(singular_values3(np.eye(3)), [1.0, 1.0, 1.0])
+    _, sweeps = _jacobi_eigenvalues(*_gram_entries(np.eye(3)[None]))
+    assert sweeps == 0
+
+
+def test_result_does_not_depend_on_batch(rng):
+    # quick-converging matrices inside a batch of random ones, which need
+    # more sweeps: every extra sweep must leave them bit for bit unchanged
+    targets = np.stack(
+        [np.eye(3), diag_pose_jinv(0.5), diag_pose_jinv(-0.2), cube_jinv(200.0, 0.5, 2.0, 3)[7]]
+    )
+    noise = rng.standard_normal((300, 3, 3))
+    batch = np.concatenate([noise[:150], targets, noise[150:]])
+    _, alone = _jacobi_eigenvalues(*_gram_entries(targets[1:2]))
+    _, together = _jacobi_eigenvalues(*_gram_entries(batch))
+    assert alone < together
+    got = singular_values3(batch)[150 : 150 + len(targets)]
+    sym = np.swapaxes(batch, -1, -2) @ batch
+    got_sym = eigvalsh3(sym)[150 : 150 + len(targets)]
+    for k, m in enumerate(targets):
+        assert np.array_equal(got[k], singular_values3(m))
+        assert np.array_equal(got_sym[k], eigvalsh3(m.T @ m))
+
+
+@pytest.mark.parametrize("lw, s_lo, s_hi", PROTOTYPE_AND_WIDE)
+def test_cube_grid_matches_svd_to_4_eps(lw, s_lo, s_hi):
+    # the normal-matrix route's rounding error scales with the largest
+    # singular value, so the error is measured relative to it
+    jinv = cube_jinv(lw, s_lo, s_hi)
+    got = singular_values3(jinv)
+    want = np.sort(np.linalg.svd(jinv, compute_uv=False), axis=-1)
+    assert np.all(np.abs(got - want) <= 4 * EPS * want[:, 2:])
+
+
+@pytest.mark.parametrize("lw, s_lo, s_hi", PROTOTYPE_AND_WIDE)
+def test_sweep_cap_not_reached_on_cube_grids(lw, s_lo, s_hi):
+    _, sweeps = _jacobi_eigenvalues(*_gram_entries(cube_jinv(lw, s_lo, s_hi)))
+    assert sweeps < _MAX_SWEEPS
+
+
+def test_rank_deficient_input():
+    # a zero column makes row and column 2 of m^T m exactly zero: that
+    # eigenvalue stays exactly 0 and the others are those of the 2x2 block
+    m = np.array([[1.0, 2.0, 0.0], [3.0, 4.0, 0.0], [5.0, 6.0, 0.0]])
+    s = singular_values3(m)
+    assert s[0] == 0.0
+    want = np.linalg.svd(m, compute_uv=False)[::-1]
+    assert np.all(np.abs(s[1:] - want[1:]) <= 4 * EPS * want[2])
+    assert np.array_equal(singular_values3(np.zeros((3, 3))), np.zeros(3))
+    # rank one: converges before the cap, with one non-zero value
+    rank_one = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])[None]
+    _, sweeps = _jacobi_eigenvalues(*_gram_entries(rank_one))
+    assert sweeps < _MAX_SWEEPS
+
+
+def test_leading_shape_is_kept(rng):
+    mats = rng.standard_normal((4, 5, 3, 3))
+    assert singular_values3(mats).shape == (4, 5, 3)
+    assert eigvalsh3(mats + np.swapaxes(mats, -1, -2)).shape == (4, 5, 3)
+    with pytest.raises(ValueError):
+        singular_values3(np.eye(2))

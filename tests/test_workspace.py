@@ -77,11 +77,19 @@ class TestVerifyCube:
 
     def test_worst_case_binds_at_far_corner(self, design, proto):
         report = verify_cube(design, proto.cube, B, 21)
-        q2 = tuple(proto.q2)
+        q1, q2 = tuple(proto.q1), tuple(proto.q2)
         assert report.worst_sigma_min == pytest.approx(0.5, abs=1e-12)
         assert report.worst_sigma_max == pytest.approx(2.0, abs=1e-12)
         assert report.worst_sigma_min_at == pytest.approx(q2)
-        assert report.worst_sigma_max_at == pytest.approx(q2)
+        # sigma_max = 2 binds at both reference points; computed exactly from
+        # the rounded inputs the two values round to the same double, so the
+        # reported location may be either one
+        at = report.worst_sigma_max_at
+        assert at == pytest.approx(q1) or at == pytest.approx(q2)
+        corners = [p for p in report.points if (p.x, p.y, p.z) in (q1, q2)]
+        assert len(corners) == 2
+        for p in corners:
+            assert p.sigma_max == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_side_cube_is_single_isotropic_point(self, design):
         cube = CubeSpec.from_corner((0.0, 0.0, 0.0), 0.0)
@@ -196,6 +204,8 @@ class TestSpecTypes:
             CubeSpec((0, 0, 0), (1.0, 2.0, 1.0))
         with pytest.raises(ValueError):
             CubeSpec((0, 0, 0), (-1.0, -1.0, -1.0))
+        with pytest.raises(ValueError):
+            CubeSpec((np.nan, 0, 0), (np.nan, 1.0, 1.0))
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
