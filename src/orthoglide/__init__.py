@@ -53,11 +53,10 @@ from .trajectory import (
 from .workspace import (
     Bounds,
     CubeSpec,
-    GridPoint,
+    GridNodes,
     GridReport,
     diagonal_profile,
     verify_cube,
-    workspace_map,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +69,7 @@ __all__ = [
     "DesignParams",
     "DiagonalLimits",
     "Ellipsoid",
-    "GridPoint",
+    "GridNodes",
     "GridReport",
     "InconsistentPair",
     "IsotropyResidual",
@@ -104,5 +103,4 @@ __all__ = [
     "transmission_factors",
     "verify_cube",
     "within_stroke",
-    "workspace_map",
 ]

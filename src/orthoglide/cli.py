@@ -19,6 +19,7 @@ import click
 import numpy as np
 
 from . import kinematics, performance, synthesis, trajectory, workspace
+from ._table import open_out, write_table
 from .errors import (
     DegenerateBounds,
     NonMonotoneTime,
@@ -70,12 +71,8 @@ def _emit_json(doc: dict, out: str | None, exact_keys: frozenset = frozenset()) 
     payload = {
         k: (_plain(v) if k in exact_keys else _sig12(v)) for k, v in doc.items()
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+    with open_out(out) as f:
+        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _fail(code: int, message: str):
@@ -140,7 +137,7 @@ class RunConfig:
             self.grid = int(pick("grid", 21))
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"--grid must be an integer, got {pick('grid')!r}") from None
-        self.out = pick("out")
+        self.out = pick("out") or None
         self.cube_doc = cfg.get("cube")
         for key in _FLOAT_KEYS:
             _require_finite(f"--{key.replace('_', '-')}", pick(key))
@@ -238,7 +235,7 @@ def cmd_synthesize(**flags):
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
     design = result.design(cfg.vmax_m_s * 1000.0, cfg.amax_m_s2 * 1000.0)
-    report = workspace.verify_cube(design, result.cube, result.bounds, cfg.grid)
+    report = _verify_cube(design, result.cube, result.bounds, cfg.grid)
     doc = {
         "request": {"lw_mm": result.lw, "s_lo": result.bounds.s_lo, "s_hi": result.bounds.s_hi},
         "leg_length_mm": result.leg_length,
@@ -265,6 +262,15 @@ def cmd_synthesize(**flags):
     _emit_json(doc, cfg.out, exact_keys=frozenset({"design"}))
     if not report.ok:
         sys.exit(EXIT_VIOLATIONS)
+
+
+def _verify_cube(design, cube, bounds, grid: int) -> workspace.GridReport:
+    # a grid too large for memory (MemoryError) or for numpy's index range
+    # (ValueError) is a configuration error, not a crash
+    try:
+        return workspace.verify_cube(design, cube, bounds, grid)
+    except (MemoryError, ValueError) as e:
+        _fail(EXIT_CONFIG, f"cannot evaluate a {grid}^3 grid: {type(e).__name__}: {e}")
 
 
 def _report_doc(report: workspace.GridReport) -> dict:
@@ -331,11 +337,8 @@ def cmd_workspace_map(**flags):
         bounds = cfg.bounds()
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
-    report = workspace.verify_cube(design, cube, bounds, cfg.grid)
-    if cfg.out:
-        workspace.write_grid_csv(report.points, cfg.out)
-    else:
-        workspace.write_grid_csv(report.points, sys.stdout)
+    report = _verify_cube(design, cube, bounds, cfg.grid)
+    workspace.write_grid_csv(report.nodes, cfg.out)
     if not report.ok:
         sys.exit(EXIT_VIOLATIONS)
 
@@ -360,18 +363,8 @@ def cmd_diag_profile(u_min, u_max, **flags):
         samples = workspace.diagonal_profile(design, u_min, u_max, cfg.grid)
     except (RangeOutsideWorkspace, ValueError) as e:
         _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
-    fmt = "{:.12g}".format
-    lines = ["u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa"]
-    for s in samples:
-        lines.append(
-            ",".join([fmt(s.u), fmt(s.a)] + [fmt(v) for v in s.sigma_fwd] + [fmt(s.kappa)])
-        )
-    text = "\n".join(lines) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as f:
-            f.write(text)
-    else:
-        click.echo(text, nl=False)
+    rows = np.array([(s.u, s.a, *s.sigma_fwd, s.kappa) for s in samples])
+    write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", rows.T)
 
 
 @main.command("traj-check")
@@ -396,10 +389,7 @@ def cmd_traj_check(waypoints_path, **flags):
         _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
     except OrthoglideError as e:
         _fail(EXIT_KINEMATIC, f"{type(e).__name__}: {e}")
-    if cfg.out:
-        trajectory.write_profile_csv(profile, cfg.out)
-    else:
-        trajectory.write_profile_csv(profile, sys.stdout)
+    trajectory.write_profile_csv(profile, cfg.out)
     if profile.any_flags:
         sys.exit(EXIT_VIOLATIONS)
 

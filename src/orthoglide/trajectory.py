@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import write_table
 from .errors import NonMonotoneTime, Unreachable
 from .kinematics import DesignParams, as_point, inverse_jacobian, inverse_kinematics
 
@@ -167,7 +168,6 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
     )
 
 
-WAYPOINT_CSV_HEADER = "t_s,x_mm,y_mm,z_mm"
 PROFILE_CSV_HEADER = (
     "t_s,x_mm,y_mm,z_mm,rho1_mm,rho2_mm,rho3_mm,"
     "v1_mm_s,v2_mm_s,v3_mm_s,a1_mm_s2,a2_mm_s2,a3_mm_s2,"
@@ -200,22 +200,16 @@ def read_waypoints_csv(path) -> list[tuple[float, np.ndarray]]:
 
 def write_profile_csv(profile: PathProfile, out) -> None:
     """Write one row per sample with 12-significant-digit formatting."""
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    f = open(out, "w", newline="") if own else out
-    fmt = "{:.12g}".format
-    try:
-        f.write(PROFILE_CSV_HEADER + "\n")
-        for k in range(len(profile.times)):
-            cells = (
-                [fmt(profile.times[k])]
-                + [fmt(v) for v in profile.poses[k]]
-                + [fmt(v) for v in profile.joints[k]]
-                + [fmt(v) for v in profile.joint_velocities[k]]
-                + [fmt(v) for v in profile.joint_accelerations[k]]
-                + [str(int(v)) for v in profile.velocity_flags[k]]
-                + [str(int(v)) for v in profile.acceleration_flags[k]]
-            )
-            f.write(",".join(cells) + "\n")
-    finally:
-        if own:
-            f.close()
+    write_table(
+        out,
+        PROFILE_CSV_HEADER,
+        [
+            profile.times,
+            *profile.poses.T,
+            *profile.joints.T,
+            *profile.joint_velocities.T,
+            *profile.joint_accelerations.T,
+            *profile.velocity_flags.T,
+            *profile.acceleration_flags.T,
+        ],
+    )

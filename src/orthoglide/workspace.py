@@ -10,15 +10,21 @@ are reported as data rather than raised.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._table import write_table
 from .errors import RangeOutsideWorkspace
-from .kinematics import SERIAL_TOL, DesignParams, batch_inverse_jacobian, leg_radicands
+from .kinematics import (
+    SERIAL_TOL,
+    DesignParams,
+    batch_inverse_jacobian,
+    leg_radicands,
+    within_stroke,
+)
 from .performance import forward_factors, kappa_from_factors
 
 #: relative slack applied to bound checks so binding points do not count.
@@ -83,53 +89,52 @@ class DiagonalSample(NamedTuple):
 
 
 @dataclass
-class GridPoint:
-    """Evaluation record of one grid node (sigma/kappa are NaN if unreachable)."""
+class GridNodes:
+    """Per-node results of a grid sweep, in x-major, then y, then z order.
 
-    x: float
-    y: float
-    z: float
-    reachable: bool
-    within_stroke: bool
-    sigma_min: float
-    sigma_max: float
-    kappa: float
+    xyz is (N, 3); the other fields are (N,).  sigma_min, sigma_max and
+    kappa are NaN where a node is unreachable, and within_stroke is False
+    there.
+    """
+
+    xyz: np.ndarray
+    reachable: np.ndarray
+    within_stroke: np.ndarray
+    sigma_min: np.ndarray
+    sigma_max: np.ndarray
+    kappa: np.ndarray
+
+    @property
+    def n_points(self) -> int:
+        return len(self.xyz)
 
 
 @dataclass
 class GridReport:
-    """Summary of a cube grid sweep; `points` holds the per-node records."""
+    """Summary of a cube grid sweep; `nodes` holds the per-node arrays.
+
+    Violations count reachable nodes only; the worst values and their
+    locations (None when no node is reachable) are over reachable nodes.
+    """
 
     n_per_axis: int
     bounds: Bounds
-    points: list[GridPoint]
-    unreachable: list[GridPoint] = field(default_factory=list)
-    stroke_violations: list[GridPoint] = field(default_factory=list)
-    bound_violations: list[GridPoint] = field(default_factory=list)
-    worst_sigma_min: float = math.nan
-    worst_sigma_min_at: tuple[float, float, float] | None = None
-    worst_sigma_max: float = math.nan
-    worst_sigma_max_at: tuple[float, float, float] | None = None
+    nodes: GridNodes
+    n_unreachable: int
+    n_stroke_violations: int
+    n_bound_violations: int
+    worst_sigma_min: float
+    worst_sigma_min_at: tuple[float, float, float] | None
+    worst_sigma_max: float
+    worst_sigma_max_at: tuple[float, float, float] | None
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
-
-    @property
-    def n_unreachable(self) -> int:
-        return len(self.unreachable)
-
-    @property
-    def n_stroke_violations(self) -> int:
-        return len(self.stroke_violations)
-
-    @property
-    def n_bound_violations(self) -> int:
-        return len(self.bound_violations)
+        return self.nodes.n_points
 
     @property
     def ok(self) -> bool:
-        return not (self.unreachable or self.stroke_violations or self.bound_violations)
+        return not (self.n_unreachable or self.n_stroke_violations or self.n_bound_violations)
 
 
 def diagonal_coupling(u, leg_length: float):
@@ -158,7 +163,9 @@ def diagonal_profile(
     Samples n poses (u, u, u) for u in [u_min, u_max].  The spectrum of the
     inverse Jacobian there is {1+2a, 1-a, 1-a} with a = u/sqrt(L^2 - 2u^2),
     so no decomposition is needed; this is the independent reference the
-    generic grid path is checked against.
+    generic grid path is checked against.  The range must stay inside
+    -1/2 < a < 1: det Jinv = (1+2a)(1-a)^2 vanishes at both ends, a parallel
+    singularity, and since a grows with u only the endpoints need checking.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -170,22 +177,19 @@ def diagonal_profile(
         raise RangeOutsideWorkspace(
             f"diagonal range [{u_min}, {u_max}] leaves |u| < L/sqrt(2) = {lim:.6g}"
         )
+    if diagonal_coupling(u_min, L) <= -0.5 or diagonal_coupling(u_max, L) >= 1.0:
+        raise RangeOutsideWorkspace(
+            f"diagonal range [{u_min}, {u_max}] reaches a parallel singularity "
+            f"(a = -1/2 at u = {-L / math.sqrt(6.0):.6g}, a = 1 at u = {L / math.sqrt(3.0):.6g})"
+        )
     us = np.linspace(u_min, u_max, n)
     a = diagonal_coupling(us, L)
     fwd = diagonal_factors(a)
-    out = []
-    for k in range(n):
-        s = fwd[k]
-        kappa = float(s[0] / s[2]) if math.isfinite(s[2]) and s[2] > 0 else 0.0
-        out.append(
-            DiagonalSample(
-                u=float(us[k]),
-                a=float(a[k]),
-                sigma_fwd=(float(s[0]), float(s[1]), float(s[2])),
-                kappa=kappa,
-            )
-        )
-    return out
+    kappa = kappa_from_factors(fwd)
+    return [
+        DiagonalSample(u=u_k, a=a_k, sigma_fwd=tuple(s_k), kappa=kappa_k)
+        for u_k, a_k, s_k, kappa_k in zip(us.tolist(), a.tolist(), fwd.tolist(), kappa.tolist())
+    ]
 
 
 def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:
@@ -198,7 +202,7 @@ def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:
 
 def evaluate_grid(
     d: DesignParams, cube: CubeSpec, n_per_axis: int, *, serial_tol: float = SERIAL_TOL
-) -> list[GridPoint]:
+) -> GridNodes:
     """Evaluate IK + forward factors on a closed grid over the cube.
 
     Vectorized over all nodes; matches the scalar operations bit for bit
@@ -225,28 +229,14 @@ def evaluate_grid(
         p_r = pts[reachable]
         eta = np.sqrt(rad[reachable])
         rho = p_r - eta
-        lo = np.asarray(d.stroke_min)
-        hi = np.asarray(d.stroke_max)
-        stroke_ok[reachable] = np.all((rho >= lo) & (rho <= hi), axis=1)
+        stroke_ok[reachable] = np.all(within_stroke(rho, d), axis=1)
 
         fwd = forward_factors(batch_inverse_jacobian(p_r, rho))
         sig_min[reachable] = fwd[:, 0]
         sig_max[reachable] = fwd[:, 2]
         kappa[reachable] = kappa_from_factors(fwd)
 
-    return [
-        GridPoint(
-            x=float(pts[i, 0]),
-            y=float(pts[i, 1]),
-            z=float(pts[i, 2]),
-            reachable=bool(reachable[i]),
-            within_stroke=bool(stroke_ok[i]),
-            sigma_min=float(sig_min[i]),
-            sigma_max=float(sig_max[i]),
-            kappa=float(kappa[i]),
-        )
-        for i in range(n)
-    ]
+    return GridNodes(pts, reachable, stroke_ok, sig_min, sig_max, kappa)
 
 
 def verify_cube(
@@ -260,101 +250,64 @@ def verify_cube(
     """Check the prescribed cube against the transmission bounds on a grid.
 
     Failures (unreachable nodes, stroke-limit violations, factors outside
-    [s_lo, s_hi] beyond rel_tol) are collected in the report, never raised.
+    [s_lo, s_hi] beyond rel_tol) are counted in the report, never raised.
+    Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
     """
-    points = evaluate_grid(d, cube, n_per_axis)
-    report = GridReport(n_per_axis=n_per_axis, bounds=b, points=points)
-
-    lo_edge = b.s_lo * (1.0 - rel_tol)
-    hi_edge = b.s_hi * (1.0 + rel_tol)
-    for pt in points:
-        if not pt.reachable:
-            report.unreachable.append(pt)
-            continue
-        if not pt.within_stroke:
-            report.stroke_violations.append(pt)
-        if pt.sigma_min < lo_edge or pt.sigma_max > hi_edge:
-            report.bound_violations.append(pt)
-        if not (pt.sigma_min >= report.worst_sigma_min):  # also catches nan init
-            report.worst_sigma_min = pt.sigma_min
-            report.worst_sigma_min_at = (pt.x, pt.y, pt.z)
-        if not (pt.sigma_max <= report.worst_sigma_max):
-            report.worst_sigma_max = pt.sigma_max
-            report.worst_sigma_max_at = (pt.x, pt.y, pt.z)
-    return report
-
-
-def workspace_map(
-    d: DesignParams,
-    region: CubeSpec,
-    b: Bounds,
-    n_per_axis: int = 21,
-    *,
-    out=None,
-) -> GridReport:
-    """Gridded workspace map over `region`; optionally export records as CSV.
-
-    Same evaluation as verify_cube; the per-node records sit in
-    `report.points` and are written to `out` (path or file object) when
-    given.
-    """
-    report = verify_cube(d, region, b, n_per_axis)
-    if out is not None:
-        write_grid_csv(report.points, out)
-    return report
+    nodes = evaluate_grid(d, cube, n_per_axis)
+    reach = nodes.reachable
+    out_of_bounds = (nodes.sigma_min < b.s_lo * (1.0 - rel_tol)) | (
+        nodes.sigma_max > b.s_hi * (1.0 + rel_tol)
+    )
+    worst_min, worst_min_at = math.nan, None
+    worst_max, worst_max_at = math.nan, None
+    idx = np.flatnonzero(reach)
+    if idx.size:
+        i = idx[np.argmin(nodes.sigma_min[idx])]
+        j = idx[np.argmax(nodes.sigma_max[idx])]
+        worst_min, worst_min_at = float(nodes.sigma_min[i]), tuple(nodes.xyz[i].tolist())
+        worst_max, worst_max_at = float(nodes.sigma_max[j]), tuple(nodes.xyz[j].tolist())
+    return GridReport(
+        n_per_axis=n_per_axis,
+        bounds=b,
+        nodes=nodes,
+        n_unreachable=int(np.count_nonzero(~reach)),
+        n_stroke_violations=int(np.count_nonzero(reach & ~nodes.within_stroke)),
+        n_bound_violations=int(np.count_nonzero(reach & out_of_bounds)),
+        worst_sigma_min=worst_min,
+        worst_sigma_min_at=worst_min_at,
+        worst_sigma_max=worst_max,
+        worst_sigma_max_at=worst_max_at,
+    )
 
 
 GRID_CSV_HEADER = "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,kappa"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def write_grid_csv(nodes: GridNodes, out) -> None:
+    """Write grid nodes with 12-significant-digit, byte-stable formatting."""
+    write_table(
+        out,
+        GRID_CSV_HEADER,
+        [
+            *nodes.xyz.T,
+            nodes.reachable,
+            nodes.within_stroke,
+            nodes.sigma_min,
+            nodes.sigma_max,
+            nodes.kappa,
+        ],
+    )
 
 
-def write_grid_csv(points: list[GridPoint], out) -> None:
-    """Write grid records with 12-significant-digit, byte-stable formatting."""
-    own = isinstance(out, (str, bytes)) or hasattr(out, "__fspath__")
-    f = open(out, "w", newline="") if own else out
-    try:
-        f.write(GRID_CSV_HEADER + "\n")
-        for p in points:
-            f.write(
-                ",".join(
-                    [
-                        _fmt(p.x),
-                        _fmt(p.y),
-                        _fmt(p.z),
-                        str(int(p.reachable)),
-                        str(int(p.within_stroke)),
-                        _fmt(p.sigma_min),
-                        _fmt(p.sigma_max),
-                        _fmt(p.kappa),
-                    ]
-                )
-                + "\n"
-            )
-    finally:
-        if own:
-            f.close()
-
-
-def read_grid_csv(path) -> list[GridPoint]:
-    """Read back records produced by write_grid_csv."""
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(
-                GridPoint(
-                    x=float(row["x_mm"]),
-                    y=float(row["y_mm"]),
-                    z=float(row["z_mm"]),
-                    reachable=bool(int(row["reachable"])),
-                    within_stroke=bool(int(row["within_stroke"])),
-                    sigma_min=float(row["sigma_min"]),
-                    sigma_max=float(row["sigma_max"]),
-                    kappa=float(row["kappa"]),
-                )
-            )
-    return out
+def read_grid_csv(path) -> GridNodes:
+    """Read back nodes written by write_grid_csv."""
+    t = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    return GridNodes(
+        xyz=np.column_stack([t["x_mm"], t["y_mm"], t["z_mm"]]),
+        reachable=t["reachable"] != 0,
+        within_stroke=t["within_stroke"] != 0,
+        sigma_min=t["sigma_min"],
+        sigma_max=t["sigma_max"],
+        kappa=t["kappa"],
+    )

@@ -83,14 +83,17 @@ def test_criterion_4_cube_oracle(proto, design):
     rep = verify_cube(design, proto.cube, BOUNDS, 21)
     elapsed = time.perf_counter() - t0
 
-    diag = [p for p in rep.points if p.x == p.y == p.z]
-    diag_ok = all(
-        p.sigma_min >= 0.5 * (1 - 1e-9) and p.sigma_max <= 2.0 * (1 + 1e-9)
-        for p in diag
+    nodes = rep.nodes
+    x, y, z = nodes.xyz.T
+    diag = (x == y) & (y == z)
+    diag_ok = bool(
+        np.all(
+            (nodes.sigma_min[diag] >= 0.5 * (1 - 1e-9))
+            & (nodes.sigma_max[diag] <= 2.0 * (1 + 1e-9))
+        )
     )
-    off = [p for p in rep.points if not (p.x == p.y == p.z)]
-    off_min = min(p.sigma_min for p in off)
-    off_max = max(p.sigma_max for p in off)
+    off_min = float(nodes.sigma_min[~diag].min())
+    off_max = float(nodes.sigma_max[~diag].max())
     guard_ok = off_min >= 0.45 and off_max <= 2.1
     contained = off_min >= 0.5 * (1 - 1e-9) and off_max <= 2.0 * (1 + 1e-9)
     ok = (

@@ -190,6 +190,33 @@ class TestDiagProfile:
         assert float(rows[0][1]) == pytest.approx(-0.25, abs=1e-9)
         assert float(rows[-1][1]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_range_through_parallel_singularity_exit_one(self, runner):
+        # with L = 310.58 the range stays inside |u| < L/sqrt(2) but crosses
+        # det Jinv = 0 at u = -126.8 mm and u = 179.3 mm
+        res = runner.invoke(
+            main, ["diag-profile", "--lw", "200", "--u-min", "-200", "--u-max", "200"]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "error: RangeOutsideWorkspace" in res.output
+        assert "parallel singularity" in res.output
+
+
+class TestOversizedGrid:
+    """A grid that cannot be allocated or indexed gives exit 1, no traceback.
+
+    Both sizes fail on the grid's shape, before the grid itself is allocated."""
+
+    @pytest.mark.parametrize("command", ["synthesize", "workspace-map"])
+    @pytest.mark.parametrize(
+        "grid, cause", [("100000", "MemoryError"), ("3000000", "ValueError")]
+    )
+    def test_clean_exit_one(self, runner, command, grid, cause):
+        res = runner.invoke(main, [command, "--lw", "200", "--grid", grid])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert f"error: cannot evaluate a {grid}^3 grid: {cause}" in res.output
+
 
 class TestTrajCheck:
     def _write_line(self, path, q1, q2, speed, n):

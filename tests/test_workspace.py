@@ -11,17 +11,22 @@ from orthoglide.kinematics import DesignParams, inverse_kinematics
 from orthoglide.performance import transmission_factors
 from orthoglide.kinematics import inverse_jacobian
 from orthoglide.workspace import (
+    BOUND_REL_TOL,
     Bounds,
     CubeSpec,
     diagonal_profile,
     evaluate_grid,
     read_grid_csv,
     verify_cube,
-    workspace_map,
     write_grid_csv,
 )
 
 B = Bounds(0.5, 2.0)
+
+
+def on_diagonal(nodes):
+    x, y, z = nodes.xyz.T
+    return (x == y) & (y == z)
 
 
 class TestDiagonalProfile:
@@ -57,6 +62,17 @@ class TestDiagonalProfile:
         with pytest.raises(ValueError):
             diagonal_profile(design, 0.0, 10.0, 1)
 
+    def test_parallel_singularity_rejected(self, design):
+        # det Jinv = (1+2a)(1-a)^2 vanishes at a = -1/2 (u = -L/sqrt(6)) and
+        # a = 1 (u = L/sqrt(3)), both inside |u| < L/sqrt(2)
+        L = design.leg_length
+        lo, hi = -L / math.sqrt(6.0), L / math.sqrt(3.0)
+        for u_min, u_max in ((lo - 1.0, 0.0), (0.0, hi + 1.0), (lo - 1.0, hi + 1.0)):
+            with pytest.raises(RangeOutsideWorkspace, match="parallel singularity"):
+                diagonal_profile(design, u_min, u_max, 5)
+        samples = diagonal_profile(design, lo + 1.0, hi - 1.0, 5)
+        assert all(np.all(np.isfinite(s.sigma_fwd)) for s in samples)
+
 
 class TestVerifyCube:
     def test_synthesized_cube_is_clean(self, design, proto):
@@ -69,11 +85,10 @@ class TestVerifyCube:
 
     def test_diagonal_within_bounds(self, design, proto):
         report = verify_cube(design, proto.cube, B, 21)
-        diag = [p for p in report.points if p.x == p.y == p.z]
-        assert len(diag) == 21
-        for p in diag:
-            assert p.sigma_min >= B.s_lo * (1 - 1e-9)
-            assert p.sigma_max <= B.s_hi * (1 + 1e-9)
+        diag = on_diagonal(report.nodes)
+        assert np.count_nonzero(diag) == 21
+        assert np.all(report.nodes.sigma_min[diag] >= B.s_lo * (1 - 1e-9))
+        assert np.all(report.nodes.sigma_max[diag] <= B.s_hi * (1 + 1e-9))
 
     def test_worst_case_binds_at_far_corner(self, design, proto):
         report = verify_cube(design, proto.cube, B, 21)
@@ -86,17 +101,18 @@ class TestVerifyCube:
         # reported location may be either one
         at = report.worst_sigma_max_at
         assert at == pytest.approx(q1) or at == pytest.approx(q2)
-        corners = [p for p in report.points if (p.x, p.y, p.z) in (q1, q2)]
-        assert len(corners) == 2
-        for p in corners:
-            assert p.sigma_max == pytest.approx(2.0, abs=1e-12)
+        xyz = report.nodes.xyz
+        corners = np.all(xyz == q1, axis=1) | np.all(xyz == q2, axis=1)
+        assert np.count_nonzero(corners) == 2
+        for sigma_max in report.nodes.sigma_max[corners]:
+            assert sigma_max == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_side_cube_is_single_isotropic_point(self, design):
         cube = CubeSpec.from_corner((0.0, 0.0, 0.0), 0.0)
         report = verify_cube(design, cube, B, 5)
         assert report.n_points == 1
-        pt = report.points[0]
-        assert (pt.sigma_min, pt.sigma_max, pt.kappa) == (1.0, 1.0, 1.0)
+        nodes = report.nodes
+        assert (nodes.sigma_min[0], nodes.sigma_max[0], nodes.kappa[0]) == (1.0, 1.0, 1.0)
         assert report.ok
 
     def test_inflated_cube_violates(self, design, proto):
@@ -104,22 +120,24 @@ class TestVerifyCube:
         report = verify_cube(design, cube, B, 11)
         assert report.n_bound_violations + report.n_unreachable > 0
 
-    def test_grid_matches_scalar_route(self, design, proto, rng):
-        # vectorized node evaluation == scalar IK + factor computation
-        points = evaluate_grid(design, proto.cube, 5)
-        for pt in rng.choice(points, size=20, replace=False):
-            assert pt.reachable
-            rho = inverse_kinematics((pt.x, pt.y, pt.z), design)
-            tf = transmission_factors(inverse_jacobian((pt.x, pt.y, pt.z), rho, design))
-            assert pt.sigma_min == tf.sigma_fwd[0]
-            assert pt.sigma_max == tf.sigma_fwd[2]
-            assert pt.kappa == tf.kappa
+    def test_grid_matches_scalar_route(self, design, proto):
+        # vectorized node evaluation == scalar IK + factor computation, at
+        # every one of the 125 nodes
+        nodes = evaluate_grid(design, proto.cube, 5)
+        assert nodes.n_points == 125
+        for k, p in enumerate(nodes.xyz):
+            assert nodes.reachable[k]
+            rho = inverse_kinematics(p, design)
+            tf = transmission_factors(inverse_jacobian(p, rho, design))
+            assert nodes.sigma_min[k] == tf.sigma_fwd[0]
+            assert nodes.sigma_max[k] == tf.sigma_fwd[2]
+            assert nodes.kappa[k] == tf.kappa
 
     def test_reachable_points_close_the_legs(self, design, proto):
-        for pt in evaluate_grid(design, proto.cube, 5):
-            assert pt.reachable
-            rho = inverse_kinematics((pt.x, pt.y, pt.z), design)
-            p = np.array([pt.x, pt.y, pt.z])
+        nodes = evaluate_grid(design, proto.cube, 5)
+        for p, reachable in zip(nodes.xyz, nodes.reachable):
+            assert reachable
+            rho = inverse_kinematics(p, design)
             resid = [
                 abs(np.linalg.norm(p - rho[i] * np.eye(3)[i]) - design.leg_length)
                 for i in range(3)
@@ -130,15 +148,16 @@ class TestVerifyCube:
         # the closed-form profile and the generic grid sweep share the cube
         # diagonal nodes; they must agree to 1e-10 there
         n = 9
-        report = verify_cube(design, proto.cube, B, n)
-        diag = [p for p in report.points if p.x == p.y == p.z]
+        nodes = verify_cube(design, proto.cube, B, n).nodes
+        diag = np.flatnonzero(on_diagonal(nodes))
         profile = diagonal_profile(design, proto.q1[0], proto.q2[0], n)
         assert len(diag) == len(profile) == n
-        for pt, s in zip(sorted(diag, key=lambda p: p.x), profile):
-            assert pt.x == s.u
-            assert pt.sigma_min == pytest.approx(s.sigma_fwd[0], abs=1e-10)
-            assert pt.sigma_max == pytest.approx(s.sigma_fwd[2], abs=1e-10)
-            assert pt.kappa == pytest.approx(s.kappa, abs=1e-10)
+        by_x = diag[np.argsort(nodes.xyz[diag, 0], kind="stable")]
+        for k, s in zip(by_x, profile):
+            assert nodes.xyz[k, 0] == s.u
+            assert nodes.sigma_min[k] == pytest.approx(s.sigma_fwd[0], abs=1e-10)
+            assert nodes.sigma_max[k] == pytest.approx(s.sigma_fwd[2], abs=1e-10)
+            assert nodes.kappa[k] == pytest.approx(s.kappa, abs=1e-10)
 
     def test_monotone_refinement(self, design, proto):
         coarse = verify_cube(design, proto.cube, B, 6)
@@ -149,8 +168,9 @@ class TestVerifyCube:
     def test_octant_symmetry(self, design, proto):
         # the rotation sweep is not bitwise permutation-symmetric, so the
         # map is invariant to solver precision rather than exactly
-        points = evaluate_grid(design, proto.cube, 6)
-        table = {(p.x, p.y, p.z): (p.sigma_min, p.sigma_max, p.kappa) for p in points}
+        nodes = evaluate_grid(design, proto.cube, 6)
+        values = zip(nodes.sigma_min.tolist(), nodes.sigma_max.tolist(), nodes.kappa.tolist())
+        table = dict(zip(map(tuple, nodes.xyz.tolist()), values))
         for (x, y, z), vals in table.items():
             for perm in ((y, x, z), (z, y, x), (x, z, y), (y, z, x), (z, x, y)):
                 assert table[perm] == pytest.approx(vals, abs=1e-12)
@@ -159,32 +179,37 @@ class TestVerifyCube:
 class TestWorkspaceMap:
     def test_tiny_grid_record_count(self, design):
         cube = CubeSpec.from_corner((-5.0, -5.0, -5.0), 10.0)
-        report = workspace_map(design, cube, B, 2)
+        report = verify_cube(design, cube, B, 2)
         assert report.n_points == 8
-        assert all(p.reachable for p in report.points)
-        assert all(abs(p.kappa - 1.0) < 0.05 for p in report.points)
+        assert np.all(report.nodes.reachable)
+        assert np.all(np.abs(report.nodes.kappa - 1.0) < 0.05)
 
     def test_full_grid_record_count(self, design, proto):
-        report = workspace_map(design, proto.cube, B, 21)
+        report = verify_cube(design, proto.cube, B, 21)
         assert report.n_points == 9261
 
     def test_csv_round_trip(self, design, tmp_path):
         # region straddling the workspace edge so NaN columns are exercised;
-        # the 12-digit format is stable: read records re-serialize to the
+        # the 12-digit format is stable: read nodes re-serialize to the
         # identical file, and values agree to the written precision
         cube = CubeSpec.from_corner((100.0, 100.0, 100.0), 150.0)
         first = tmp_path / "map.csv"
-        report = workspace_map(design, cube, B, 4, out=first)
-        assert any(not p.reachable for p in report.points)
-        back = read_grid_csv(first)
-        assert len(back) == len(report.points)
+        a = verify_cube(design, cube, B, 4).nodes
+        write_grid_csv(a, first)
+        assert not np.all(a.reachable)
+        b = read_grid_csv(first)
+        assert b.n_points == a.n_points
         second = tmp_path / "again.csv"
-        write_grid_csv(back, second)
+        write_grid_csv(b, second)
         assert second.read_bytes() == first.read_bytes()
-        for a, b in zip(report.points, back):
-            assert (a.x, a.y, a.z) == pytest.approx((b.x, b.y, b.z), rel=1e-11)
-            assert (a.reachable, a.within_stroke) == (b.reachable, b.within_stroke)
-            for fa, fb in ((a.sigma_min, b.sigma_min), (a.sigma_max, b.sigma_max), (a.kappa, b.kappa)):
+        for k in range(a.n_points):
+            assert tuple(a.xyz[k]) == pytest.approx(tuple(b.xyz[k]), rel=1e-11)
+            assert (a.reachable[k], a.within_stroke[k]) == (b.reachable[k], b.within_stroke[k])
+            for fa, fb in (
+                (a.sigma_min[k], b.sigma_min[k]),
+                (a.sigma_max[k], b.sigma_max[k]),
+                (a.kappa[k], b.kappa[k]),
+            ):
                 assert fa == pytest.approx(fb, rel=1e-11) or (math.isnan(fa) and math.isnan(fb))
 
     def test_csv_bytes_deterministic(self, design, proto):
@@ -192,10 +217,79 @@ class TestWorkspaceMap:
         for _ in range(2):
             buf = io.StringIO()
             report = verify_cube(design, proto.cube, B, 4)
-            write_grid_csv(report.points, buf)
+            write_grid_csv(report.nodes, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
         assert bufs[0].splitlines()[0] == "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,kappa"
+
+
+def reference_loop(nodes, b, rel_tol=BOUND_REL_TOL):
+    """The per-node loop verify_cube once ran, as a plain Python oracle:
+    counts (unreachable, stroke, bound), then the worst sigma_min and
+    sigma_max with their first locations in grid order."""
+    counts = [0, 0, 0]
+    worst_min, worst_min_at = math.nan, None
+    worst_max, worst_max_at = math.nan, None
+    lo_edge = b.s_lo * (1.0 - rel_tol)
+    hi_edge = b.s_hi * (1.0 + rel_tol)
+    for xyz, reachable, within, s_min, s_max in zip(
+        nodes.xyz.tolist(),
+        nodes.reachable.tolist(),
+        nodes.within_stroke.tolist(),
+        nodes.sigma_min.tolist(),
+        nodes.sigma_max.tolist(),
+    ):
+        if not reachable:
+            counts[0] += 1
+            continue
+        if not within:
+            counts[1] += 1
+        if s_min < lo_edge or s_max > hi_edge:
+            counts[2] += 1
+        if not (s_min >= worst_min):  # also catches the nan start
+            worst_min, worst_min_at = s_min, tuple(xyz)
+        if not (s_max <= worst_max):
+            worst_max, worst_max_at = s_max, tuple(xyz)
+    return tuple(counts), worst_min, worst_min_at, worst_max, worst_max_at
+
+
+class TestReferenceLoop:
+    # (cube from the prototype synthesis, nodes per axis, counts measured
+    # with the per-node loop: unreachable, stroke, bound)
+    CASES = {
+        "inflated-1.5x": (lambda r: CubeSpec(1.5 * r.q1, 1.5 * r.q2), 11, (0, 681, 311)),
+        "oversized-1.8x": (lambda r: CubeSpec(1.8 * r.q1, 1.8 * r.q2), 15, (43, 2310, 1335)),
+        "edge-straddling": (
+            lambda r: CubeSpec.from_corner((100.0, 100.0, 100.0), 150.0),
+            4,
+            (25, 38, 35),
+        ),
+        "prototype-41": (lambda r: r.cube, 41, (0, 0, 0)),
+        "all-unreachable": (lambda r: CubeSpec.from_corner((400.0, 400.0, 400.0), 10.0), 3, (27, 0, 0)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_reductions_equal_the_loop(self, design, proto, case):
+        make_cube, n, expected = self.CASES[case]
+        report = verify_cube(design, make_cube(proto), B, n)
+        counts, worst_min, worst_min_at, worst_max, worst_max_at = reference_loop(report.nodes, B)
+        got = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
+        assert got == counts == expected
+        assert report.ok == (counts == (0, 0, 0))
+        # with no reachable node both sides keep nan and None
+        assert np.array_equal(
+            [report.worst_sigma_min, report.worst_sigma_max], [worst_min, worst_max], equal_nan=True
+        )
+        assert report.worst_sigma_min_at == worst_min_at
+        assert report.worst_sigma_max_at == worst_max_at
+
+    def test_sigma_max_tie_resolves_to_first_node(self, design, proto):
+        # at 41^3 sigma_max of the prototype ties at Q1 and Q2; the report
+        # names the first in x-major order, as the loop's strict > did
+        report = verify_cube(design, proto.cube, B, 41)
+        ties = np.flatnonzero(report.nodes.sigma_max == report.worst_sigma_max)
+        assert len(ties) >= 2
+        assert report.worst_sigma_max_at == tuple(report.nodes.xyz[ties[0]].tolist())
 
 
 class TestSpecTypes:
