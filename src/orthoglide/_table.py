@@ -33,9 +33,9 @@ def open_out(out):
 def write_table(out, header: str, columns) -> None:
     """Write equal-length 1-D columns as CSV rows under `header`."""
     cols = [np.asarray(c) for c in columns]
-    row = ",".join("{:d}" if c.dtype == bool else "{:.12g}" for c in cols) + "\n"
+    row = ",".join("%d" if c.dtype == bool else "%.12g" for c in cols) + "\n"
     with open_out(out) as f:
         f.write(header + "\n")
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
             chunk = [c[start : start + _CHUNK_ROWS].tolist() for c in cols]
-            f.write("".join(row.format(*cells) for cells in zip(*chunk)))
+            f.write("".join(map(row.__mod__, zip(*chunk))))

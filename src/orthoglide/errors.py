@@ -5,23 +5,23 @@ class OrthoglideError(Exception):
     """Base class for all machine-model errors."""
 
 
-class Unreachable(OrthoglideError):
-    """Pose outside the reachable workspace (a leg radicand is negative).
+class _PoseError(OrthoglideError):
+    """A pose the kinematics reject: `leg` is the 0-based index of the first
+    offending leg, `index` the flat index of the pose in a batch (else None)."""
 
-    `leg` is the 0-based index of the first offending leg.
-    """
+    index: int | None = None
 
     def __init__(self, message: str, leg: int | None = None):
         super().__init__(message)
         self.leg = leg
 
 
-class SerialSingularity(OrthoglideError):
+class Unreachable(_PoseError):
+    """Pose outside the reachable workspace (a leg radicand is negative)."""
+
+
+class SerialSingularity(_PoseError):
     """A leg's parallelogram is perpendicular to its slider (eta_i ~ 0)."""
-
-    def __init__(self, message: str, leg: int | None = None):
-        super().__init__(message)
-        self.leg = leg
 
 
 class ParallelSingularity(OrthoglideError):

@@ -47,8 +47,12 @@ def _floats(v) -> tuple[float, ...]:
 
 def as_point(p) -> np.ndarray:
     """Normalize a pose/vector argument to a float array of shape (3,)."""
+    return _as_points(p, batch=False)
+
+
+def _as_points(p, batch: bool = True) -> np.ndarray:
     v = np.asarray(p, dtype=float)
-    if v.shape != (3,):
+    if v.shape[-1:] != (3,) or (v.ndim != 1 and not batch):
         raise ValueError(f"expected a length-3 vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"vector components must be finite, got {v}")
@@ -124,29 +128,31 @@ def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
 
 
 def inverse_kinematics(p, d: DesignParams, *, serial_tol: float = SERIAL_TOL) -> np.ndarray:
-    """Slider coordinates reaching pose `p` in the working mode.
+    """Slider coordinates reaching pose `p`, shape (..., 3), in the working mode.
 
     Closed form rho_i = p_i - sqrt(L^2 - p_j^2 - p_k^2), the branch with
     eta_i > 0.  Stroke-limit violations never raise (see `within_stroke`);
     unreachable poses raise Unreachable, workspace-boundary poses raise
-    SerialSingularity.
+    SerialSingularity, for the first failing pose in C order (`index`).
     """
-    p = as_point(p)
+    p = _as_points(p)
     L = d.leg_length
     rad = leg_radicands(p, L)
-    bad = np.where(rad < 0.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise Unreachable(
-            f"pose {_floats(p)} unreachable: leg {i} radicand {rad[i]:.6g} < 0", leg=i
-        )
-    eta = np.sqrt(rad)
-    low = np.where(eta <= serial_tol * L)[0]
-    if low.size:
-        i = int(low[0])
-        raise SerialSingularity(
-            f"pose {_floats(p)} on workspace boundary: eta_{i + 1} = {eta[i]:.6g}", leg=i
-        )
+    eta = np.sqrt(np.maximum(rad, 0.0))
+    fail = ((rad < 0.0) | (eta <= serial_tol * L)).reshape(-1, 3)
+    if fail.any():
+        k = int(fail.any(axis=1).argmax())
+        pose = _floats(p.reshape(-1, 3)[k])
+        rad, eta = rad.reshape(-1, 3)[k], eta.reshape(-1, 3)[k]
+        if (rad < 0.0).any():
+            i = int((rad < 0.0).argmax())
+            err = Unreachable(f"pose {pose} unreachable: leg {i} radicand {rad[i]:.6g} < 0", leg=i)
+        else:
+            i = int(fail[k].argmax())
+            msg = f"pose {pose} on workspace boundary: eta_{i + 1} = {eta[i]:.6g}"
+            err = SerialSingularity(msg, leg=i)
+        err.index = k if p.ndim > 1 else None
+        raise err
     return p - eta
 
 

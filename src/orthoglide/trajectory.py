@@ -4,7 +4,8 @@ Tool velocities map to joint velocities through the inverse Jacobian.
 Joint rates and accelerations along a sampled path are estimated by finite
 differences of the IK joint positions in time, with one-sided stencils at
 the path ends, and checked against the motor velocity/acceleration
-capability.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint
+capability.  IK and the interior stencils each run once, batched over the
+whole path.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint
 rate is rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
 acceleration at each sample, which timed waypoints do not carry.
 """
@@ -70,17 +71,18 @@ class PathProfile:
         return bool(self.velocity_flags.any() or self.acceleration_flags.any())
 
 
-def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
+def fd_weights(nodes, x0, order: int) -> np.ndarray:
     """Finite-difference weights for the `order`-th derivative at x0.
 
     Fornberg's recursion on arbitrary (distinct) nodes; exact for
-    polynomials up to degree len(nodes) - 1.
+    polynomials up to degree len(nodes) - 1.  Nodes (..., n) and x0 (...)
+    broadcast to weights (..., n), bit for bit those of one call per set.
     """
-    x = np.asarray(nodes, dtype=float)
+    x = np.moveaxis(np.asarray(nodes, dtype=float), -1, 0)
     n = len(x)
     if order >= n:
         raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1))
+    c = np.zeros((n, order + 1, *np.broadcast_shapes(x.shape[1:], np.shape(x0))))
     c[0, 0] = 1.0
     c1 = 1.0
     c4 = x[0] - x0
@@ -91,7 +93,7 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
         c4 = x[i] - x0
         for j in range(i):
             c3 = x[i] - x[j]
-            c2 *= c3
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
                     c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
@@ -100,15 +102,15 @@ def fd_weights(nodes, x0: float, order: int) -> np.ndarray:
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return np.moveaxis(c[:, order], 0, -1)
 
 
 def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
     """Per-sample derivative of values (n, 3) by local FD stencils.
 
-    Interior samples use the 3-point centred stencil; endpoints use
-    one-sided stencils (3 points for velocity, 4 for acceleration, so both
-    stay second order where enough samples exist).
+    Interior samples use the 3-point centred stencil, all in one batch;
+    endpoints use one-sided stencils (3 points for velocity, 4 for
+    acceleration, so both stay second order where enough samples exist).
     """
     n = len(times)
     out = np.zeros_like(values)
@@ -116,16 +118,14 @@ def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray
         if order == 1:
             out[:] = (values[1] - values[0]) / (times[1] - times[0])
         return out  # curvature is indeterminate from two samples
+    sel = np.arange(n - 2)[:, None] + np.arange(3)
+    w = fd_weights(times[sel], times[1:-1], order)
+    # batched matmul rounds as the per-sample w @ values[sel] does; einsum or
+    # an explicit sum would change the last digits, which cancellation exposes
+    out[1:-1] = np.matmul(w[:, None, :], values[sel])[:, 0, :]
     end_w = 3 if order == 1 else min(4, n)
-    for i in range(n):
-        if 0 < i < n - 1:
-            sel = slice(i - 1, i + 2)
-        elif i == 0:
-            sel = slice(0, end_w)
-        else:
-            sel = slice(n - end_w, n)
-        w = fd_weights(times[sel], times[i], order)
-        out[i] = w @ values[sel]
+    for i, ends in ((0, slice(0, end_w)), (n - 1, slice(n - end_w, n))):
+        out[i] = fd_weights(times[ends], times[i], order) @ values[ends]
     return out
 
 
@@ -134,7 +134,7 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
 
     `waypoints` is a sequence of (time_s, pose) pairs with strictly
     increasing times; every pose must be reachable.  Joint positions come
-    from IK at each sample, derivatives from finite differences of those
+    from one batched IK call, derivatives from finite differences of those
     positions.
     """
     if len(waypoints) < 2:
@@ -146,14 +146,16 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
             f"waypoint times must increase strictly (t[{k}] = {times[k]:g}, "
             f"t[{k + 1}] = {times[k + 1]:g})"
         )
-    poses = np.array([as_point(p) for _, p in waypoints])
-
-    joints = np.zeros_like(poses)
-    for k, p in enumerate(poses):
-        try:
-            joints[k] = inverse_kinematics(p, d)
-        except Unreachable as e:
-            raise Unreachable(f"waypoint {k}: {e}", leg=e.leg) from e
+    try:
+        poses = np.array([p for _, p in waypoints], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        poses = np.empty(0)
+    if poses.shape[1:] != (3,) or not np.isfinite(poses).all():
+        poses = np.array([as_point(p) for _, p in waypoints])  # the first bad pose raises
+    try:
+        joints = inverse_kinematics(poses, d)
+    except Unreachable as e:
+        raise Unreachable(f"waypoint {e.index}: {e}", leg=e.leg) from e
 
     vel = _derivative(times, joints, 1)
     acc = _derivative(times, joints, 2)
@@ -176,25 +178,22 @@ PROFILE_CSV_HEADER = (
 
 
 def read_waypoints_csv(path) -> list[tuple[float, np.ndarray]]:
-    """Read timed waypoints (header t_s,x_mm,y_mm,z_mm)."""
+    """Read timed waypoints (header t_s,x_mm,y_mm,z_mm), row by row as csv.DictReader would."""
     out = []
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(reader.fieldnames or [])
+        reader = csv.reader(f)
+        col = {name: i for i, name in enumerate(next(reader, []))}
+        missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(col)
         if missing:
             raise ValueError(f"waypoint CSV missing columns: {sorted(missing)}")
-        for k, row in enumerate(reader):
+        it, ix, iy, iz = (col[c] for c in ("t_s", "x_mm", "y_mm", "z_mm"))
+        pad = [None] * (max(it, ix, iy, iz) + 1)  # a short row's missing cells read None
+        for k, row in enumerate(r + pad for r in reader if r):
             try:
-                out.append(
-                    (
-                        float(row["t_s"]),
-                        np.array(
-                            [float(row["x_mm"]), float(row["y_mm"]), float(row["z_mm"])]
-                        ),
-                    )
-                )
+                t, x, y, z = float(row[it]), float(row[ix]), float(row[iy]), float(row[iz])
             except (TypeError, ValueError) as e:
                 raise ValueError(f"bad waypoint row {k + 2}: {e}") from e
+            out.append((t, np.array([x, y, z])))
     return out
 
 

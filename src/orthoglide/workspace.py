@@ -163,9 +163,9 @@ def diagonal_profile(
     Samples n poses (u, u, u) for u in [u_min, u_max].  The spectrum of the
     inverse Jacobian there is {1+2a, 1-a, 1-a} with a = u/sqrt(L^2 - 2u^2),
     so no decomposition is needed; this is the independent reference the
-    generic grid path is checked against.  The range must stay inside
-    -1/2 < a < 1: det Jinv = (1+2a)(1-a)^2 vanishes at both ends, a parallel
-    singularity, and since a grows with u only the endpoints need checking.
+    generic grid path is checked against.  1 + 2a and 1 - a must exceed
+    SERIAL_TOL: det Jinv = (1+2a)(1-a)^2 is a parallel singularity at a =
+    -1/2 and a = 1, and since a grows with u only the endpoints need checking.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -177,7 +177,8 @@ def diagonal_profile(
         raise RangeOutsideWorkspace(
             f"diagonal range [{u_min}, {u_max}] leaves |u| < L/sqrt(2) = {lim:.6g}"
         )
-    if diagonal_coupling(u_min, L) <= -0.5 or diagonal_coupling(u_max, L) >= 1.0:
+    a_lo, a_hi = diagonal_coupling([u_min, u_max], L)
+    if 1.0 + 2.0 * a_lo <= SERIAL_TOL or 1.0 - a_hi <= SERIAL_TOL:
         raise RangeOutsideWorkspace(
             f"diagonal range [{u_min}, {u_max}] reaches a parallel singularity "
             f"(a = -1/2 at u = {-L / math.sqrt(6.0):.6g}, a = 1 at u = {L / math.sqrt(3.0):.6g})"

@@ -190,6 +190,19 @@ class TestDiagProfile:
         assert float(rows[0][1]) == pytest.approx(-0.25, abs=1e-9)
         assert float(rows[-1][1]) == pytest.approx(0.5, abs=1e-9)
 
+    def test_range_next_to_parallel_singularity_exit_one(self, runner):
+        # one ulp short of det Jinv = 0 at u = L/sqrt(3): 1 - a is ~1e-16
+        u_max = repr(float(np.nextafter(310.58 / math.sqrt(3.0), 0.0)))
+        res = runner.invoke(
+            main,
+            [
+                "diag-profile", "--u-min", "0", "--u-max", u_max, "--grid", "3",
+                "--leg-length", "310.58", "--stroke-min", "-400", "--stroke-max", "-100",
+            ],
+        )
+        assert res.exit_code == 1
+        assert "RangeOutsideWorkspace" in res.output
+
     def test_range_through_parallel_singularity_exit_one(self, runner):
         # with L = 310.58 the range stays inside |u| < L/sqrt(2) but crosses
         # det Jinv = 0 at u = -126.8 mm and u = 179.3 mm
@@ -269,6 +282,50 @@ class TestTrajCheck:
         wp.write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,280,280\n")
         res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize(
+        "rows, code, message",
+        [
+            (
+                "0,0,0,0\n0.1,1,2,3\n0.2,nan,0,0\n0.3,0,0,0\n",
+                1,
+                "ValueError: vector components must be finite, got [nan  0.  0.]",
+            ),
+            (
+                "0,0,0,0\n0.1,1,2,3\n0.1,2,0,0\n0.3,0,0,0\n",
+                1,
+                "NonMonotoneTime: waypoint times must increase strictly (t[1] = 0.1, t[2] = 0.1)",
+            ),
+            (
+                "0,0,0,0\n0.1,0,310.58,0\n0.2,0,400,400\n",
+                3,
+                "SerialSingularity: pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0",
+            ),
+            (
+                "".join(f"{k / 100},{k / 10},0,0\n" for k in range(500)) + "5,0,230,230\n6,0,0,0\n",
+                3,
+                "Unreachable: waypoint 500: pose (0.0, 230.0, 230.0) unreachable: "
+                "leg 0 radicand -9340.06 < 0",
+            ),
+            (
+                "\n0,0,0,0\n\n0.1,1,2\n",
+                1,
+                "cannot read waypoints: bad waypoint row 3: float() argument must be a "
+                "string or a real number, not 'NoneType'",
+            ),
+        ],
+        ids=["nan-pose", "non-monotone", "serial-boundary", "deep-unreachable", "short-row"],
+    )
+    def test_error_message_and_exit_code(self, runner, tmp_path, rows, code, message):
+        wp = tmp_path / "wp.csv"
+        wp.write_text("t_s,x_mm,y_mm,z_mm\n" + rows)
+        res = runner.invoke(
+            main,
+            ["traj-check", "--waypoints", str(wp), "--leg-length", "310.58",
+             "--stroke-min", "-383.8", "--stroke-max", "-126.8"],
+        )
+        assert res.exit_code == code
+        assert res.output == f"error: {message}\n"
 
 
 EXPLICIT = ["--leg-length", "310.58", "--stroke-min", "-383.8", "--stroke-max", "-126.8"]

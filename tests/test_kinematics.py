@@ -1,6 +1,7 @@
 """Closed-form IK/FK and the inverse Jacobian of the zero-offset model."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -70,6 +71,40 @@ class TestInverseKinematics:
         tight = DesignParams(leg_length=L, stroke_min=-300.0, stroke_max=-200.0)
         rho = inverse_kinematics((0, 0, 0), tight)  # rho = -310.58 each
         assert not within_stroke(rho, tight).any()
+
+    def test_batch_equals_single_poses(self, rng):
+        pts = rng.uniform(-70.0, 120.0, (2, 50, 3))
+        rho = inverse_kinematics(pts, D)
+        assert rho.shape == (2, 50, 3)
+        for idx in np.ndindex(2, 50):
+            assert np.array_equal(rho[idx], inverse_kinematics(pts[idx], D))
+
+    def test_batch_raises_for_first_failing_pose(self, rng):
+        pts = rng.uniform(-70.0, 120.0, (2, 50, 3))
+        pts[1, 7] = (0.0, 0.0, L)  # serial singularity, flat index 57
+        pts[1, 20] = (0.0, 0.9 * L, 0.9 * L)  # unreachable, later
+        with pytest.raises(SerialSingularity) as e:
+            inverse_kinematics(pts, D)
+        assert (e.value.index, e.value.leg) == (57, 0)
+        with pytest.raises(SerialSingularity) as single:
+            inverse_kinematics(pts[1, 7], D)
+        assert str(e.value) == str(single.value)
+        assert single.value.index is None
+        pts[0, 3] = (0.9 * L, 0.0, 0.9 * L)
+        with pytest.raises(Unreachable) as e:
+            inverse_kinematics(pts, D)
+        assert (e.value.index, e.value.leg) == (3, 1)
+
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            (np.zeros((4, 2)), "expected a length-3 vector, got shape (4, 2)"),
+            (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), "vector components must be finite"),
+        ],
+    )
+    def test_batch_input_validated(self, pts, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            inverse_kinematics(pts, D)
 
     @given(poses)
     @settings(max_examples=60, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoglide.errors import NonMonotoneTime, Unreachable
+from orthoglide.errors import NonMonotoneTime, SerialSingularity, Unreachable
 from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics
 from orthoglide.trajectory import (
     fd_weights,
@@ -49,6 +49,21 @@ class TestFdWeights:
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
             fd_weights([0.0, 1.0], 0.0, 2)
+
+    @pytest.mark.parametrize("n, order", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
+    def test_broadcast_equals_scalar_calls(self, rng, n, order):
+        nodes = np.cumsum(rng.uniform(0.01, 0.3, (2, 25, n)), axis=-1) - 0.4
+        x0 = rng.uniform(-0.4, 0.4, (2, 25))
+        x0[:, :5] = nodes[:, :5, 1]  # at a node, as the profile stencils are
+        w = fd_weights(nodes, x0, order)
+        assert w.shape == (2, 25, n)
+        for b in np.ndindex(2, 25):
+            assert np.array_equal(w[b], fd_weights(nodes[b], x0[b], order))
+            assert np.array_equal(w[b], fornberg(nodes[b], x0[b], order))
+        # one x0 for every node set
+        w0 = fd_weights(nodes[0], 0.0, order)
+        for b in range(25):
+            assert np.array_equal(w0[b], fd_weights(nodes[0, b], 0.0, order))
 
 
 class TestJointVelocity:
@@ -114,6 +129,74 @@ class TestMaxFeasibleToolSpeed:
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
             max_feasible_tool_speed((0, 0, 0), (1.0, 1.0, 0.0), D)
+
+
+def fornberg(nodes, x0, order):
+    """Fornberg's recursion for one node set in plain Python floats."""
+    x = [float(v) for v in nodes]
+    x0 = float(x0)
+    n = len(x)
+    c = [[0.0] * (order + 1) for _ in range(n)]
+    c[0][0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
+            for k in range(mn, 0, -1):
+                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
+        c1 = c2
+    # a column view, as the library returns: numpy's vector-matrix product
+    # rounds a strided vector differently from a contiguous one
+    return np.array(c)[:, order]
+
+
+def reference_derivative(times, values, order):
+    """The per-sample stencil loop: 3-point centred inside, one-sided
+    3-point (velocity) or 4-point (acceleration) stencils at the ends."""
+    n = len(times)
+    out = np.zeros_like(values)
+    if n == 2:
+        if order == 1:
+            out[:] = (values[1] - values[0]) / (times[1] - times[0])
+        return out
+    end_w = 3 if order == 1 else min(4, n)
+    for i in range(n):
+        if 0 < i < n - 1:
+            sel = slice(i - 1, i + 2)
+        elif i == 0:
+            sel = slice(0, end_w)
+        else:
+            sel = slice(n - end_w, n)
+        out[i] = fornberg(times[sel], times[i], order) @ values[sel]
+    return out
+
+
+def reference_joints(poses, leg_length):
+    """Per-waypoint IK: rho_i = p_i - sqrt(L^2 - (p_j^2 + p_k^2))."""
+    out = np.empty((len(poses), 3))
+    for k, (x, y, z) in enumerate(poses.tolist()):
+        for i, (pi, pj, pk) in enumerate(((x, y, z), (y, x, z), (z, x, y))):
+            out[k, i] = pi - math.sqrt(leg_length**2 - (pj * pj + pk * pk))
+    return out
+
+
+def sinusoid(t, center):
+    """Tool pose, velocity and acceleration of a closed curve about center."""
+    amp, mult, phase = np.array([60.0, 45.0, 70.0]), np.array([1.0, 2.0, 3.0]), np.array([0.3, 1.1, 2.0])
+    w = 2 * math.pi * mult
+    theta = np.asarray(t)[:, None] * w + phase
+    return center + amp * np.sin(theta), amp * w * np.cos(theta), -amp * w * w * np.sin(theta)
 
 
 def line_waypoints(p0, p1, speed, n):
@@ -219,6 +302,127 @@ class TestProfilePath:
         assert prof.joint_velocities[mid] == pytest.approx([0, 0, 0], abs=1e-6 * A * w)
 
 
+class TestReferenceLoop:
+    """The batched profile equals the per-sample loops bit for bit."""
+
+    def assert_matches_loop(self, wps, d):
+        prof = profile_path(wps, d)
+        times = np.array([t for t, _ in wps], dtype=float)
+        joints = reference_joints(np.array([p for _, p in wps], dtype=float), d.leg_length)
+        assert np.array_equal(prof.joints, joints)
+        assert np.array_equal(prof.joint_velocities, reference_derivative(times, joints, 1))
+        assert np.array_equal(prof.joint_accelerations, reference_derivative(times, joints, 2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_short_non_uniform_paths(self, proto, rng, n):
+        from conftest import random_cube_poses
+
+        times = np.cumsum(rng.uniform(0.001, 0.05, n))
+        poses = random_cube_poses(proto, rng, n)
+        self.assert_matches_loop(list(zip(times, poses)), proto.design())
+
+    def test_long_seeded_sinusoid(self, proto, rng):
+        times = np.linspace(0.0, 1.0, 2000) + rng.uniform(-1e-4, 1e-4, 2000)
+        poses, _, _ = sinusoid(times, (proto.q1 + proto.q2) / 2)
+        self.assert_matches_loop(list(zip(times, poses)), proto.design())
+
+    def test_q1_q2_line(self, proto):
+        self.assert_matches_loop(line_waypoints(proto.q1, proto.q2, 1200.0, 81), proto.design())
+
+
+class TestClosedForm:
+    def test_fd_converges_to_closed_form_at_second_order(self, proto):
+        # rho_dot_i = v_i + s_i / eta_i and rho_ddot_i = a_i + (v_j^2 + v_k^2
+        # + p_j a_j + p_k a_k) / eta_i + s_i^2 / eta_i^3, s_i = p_j v_j + p_k
+        # v_k, on a smoothly stretched time grid; at these steps the
+        # truncation error is orders of magnitude above rounding
+        d = proto.design()
+        j, k = [1, 0, 0], [2, 2, 1]
+        errs = []
+        for n in (201, 401, 801):
+            s = np.linspace(0.0, 1.0, n)
+            t = s + 0.05 * np.sin(2 * math.pi * s)
+            p, v, a = sinusoid(t, (proto.q1 + proto.q2) / 2)
+            eta = np.sqrt(d.leg_length**2 - p[:, j] ** 2 - p[:, k] ** 2)
+            sj = p[:, j] * v[:, j] + p[:, k] * v[:, k]
+            rate = v + sj / eta
+            acc = a + (v[:, j] ** 2 + v[:, k] ** 2 + p[:, j] * a[:, j] + p[:, k] * a[:, k]) / eta
+            acc += sj**2 / eta**3
+            prof = profile_path(list(zip(t, p)), d)
+            errs.append(
+                (
+                    np.abs(prof.joint_velocities - rate)[1:-1].max(),
+                    np.abs(prof.joint_accelerations - acc)[1:-1].max(),
+                )
+            )
+        for coarse, fine in zip(errs, errs[1:]):
+            assert fine[0] <= coarse[0] / 3.5
+            assert fine[1] <= coarse[1] / 3.5
+
+
+class TestErrorParity:
+    """Bad paths give the messages the per-waypoint loop gave."""
+
+    @staticmethod
+    def long_path(n=3000):
+        ts = np.linspace(0.0, 3.0, n)
+        return [
+            (t, (40.0 * math.sin(t), 30.0 * math.cos(2 * t), -20.0 * math.sin(3 * t))) for t in ts
+        ]
+
+    def test_first_unreachable_waypoint_deep_in_path(self):
+        wps = self.long_path()
+        wps[1234] = (wps[1234][0], (0.9 * L, 0.0, 0.9 * L))
+        wps[2000] = (wps[2000][0], (0.0, L, 0.0))
+        wps[2500] = (wps[2500][0], (0.0, 0.9 * L, 0.9 * L))
+        with pytest.raises(Unreachable) as e:
+            profile_path(wps, D)
+        assert str(e.value) == (
+            "waypoint 1234: pose (279.522, 0.0, 279.522) unreachable: leg 1 radicand -59805.2 < 0"
+        )
+        assert e.value.leg == 1
+
+    def test_overflowing_pose_is_unreachable(self):
+        wps = self.long_path(50)
+        wps[7] = (wps[7][0], (1e200, 0.0, 0.0))
+        with pytest.raises(Unreachable, match=r"^waypoint 7: pose \(1e\+200, 0.0, 0.0\) "
+                           r"unreachable: leg 1 radicand -inf < 0$"):
+            profile_path(wps, D)
+
+    def test_serial_singularity_before_unreachable(self):
+        wps = self.long_path()
+        wps[800] = (wps[800][0], (0.0, L, 0.0))
+        wps[1234] = (wps[1234][0], (0.9 * L, 0.0, 0.9 * L))
+        with pytest.raises(SerialSingularity) as e:
+            profile_path(wps, D)
+        assert str(e.value) == "pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0"
+        assert e.value.leg == 0
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({5: (1.0, 2.0), 9: (np.nan, 0.0, 0.0)}, "expected a length-3 vector, got shape (2,)"),
+            ({9: (1.0, np.inf, 0.0), 12: (1.0, 2.0)}, "vector components must be finite, got [ 1. inf  0.]"),
+            ({9: "abc"}, "could not convert string to float: 'abc'"),
+            ({9: [[1.0, 2.0, 3.0]]}, "expected a length-3 vector, got shape (1, 3)"),
+        ],
+    )
+    def test_first_bad_pose(self, bad, message):
+        wps = self.long_path(50)
+        for k, p in bad.items():
+            wps[k] = (wps[k][0], p)
+        with pytest.raises(ValueError) as e:
+            profile_path(wps, D)
+        assert str(e.value) == message
+
+    def test_time_checked_before_poses(self):
+        wps = self.long_path(50)
+        wps[5] = (wps[5][0], (1.0, 2.0))
+        wps[20] = (wps[19][0], wps[20][1])
+        with pytest.raises(NonMonotoneTime, match=r"^waypoint times must increase strictly \(t\[19\]"):
+            profile_path(wps, D)
+
+
 class TestCsv:
     def test_waypoint_reader(self, tmp_path):
         f = tmp_path / "wp.csv"
@@ -226,6 +430,31 @@ class TestCsv:
         wps = read_waypoints_csv(f)
         assert wps[0][0] == 0.0
         assert np.array_equal(wps[1][1], [10.0, 20.0, 30.0])
+
+    def test_waypoint_reader_skips_blank_lines(self, tmp_path):
+        f = tmp_path / "wp.csv"
+        f.write_text("z_mm,t_s,y_mm,x_mm,x_mm\n\n3,0.5,2,9,1\n\n\n6,1.5,5,9,4,extra\n")
+        wps = read_waypoints_csv(f)
+        assert [t for t, _ in wps] == [0.5, 1.5]
+        assert np.array_equal(wps[1][1], [4.0, 5.0, 6.0])  # the last x_mm column
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t_s,x_mm,y_mm,z_mm\n\n0,0,0,0\n\n0.1,1,2\n", "bad waypoint row 3: float() argument "
+             "must be a string or a real number, not 'NoneType'"),
+            ("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n\n0.1,1,2,x\n", "bad waypoint row 3: could not convert "
+             "string to float: 'x'"),
+            ("t_s,x_mm,y_mm\n0,0,0\n", "waypoint CSV missing columns: ['z_mm']"),
+            ("", "waypoint CSV missing columns: ['t_s', 'x_mm', 'y_mm', 'z_mm']"),
+        ],
+    )
+    def test_waypoint_reader_messages(self, tmp_path, text, message):
+        f = tmp_path / "wp.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError) as e:
+            read_waypoints_csv(f)
+        assert str(e.value) == message
 
     def test_waypoint_reader_rejects_bad_header(self, tmp_path):
         f = tmp_path / "wp.csv"

@@ -73,6 +73,17 @@ class TestDiagonalProfile:
         samples = diagonal_profile(design, lo + 1.0, hi - 1.0, 5)
         assert all(np.all(np.isfinite(s.sigma_fwd)) for s in samples)
 
+    def test_near_parallel_singularity_rejected(self, design):
+        # a range ending one ulp short of 1 + 2a = 0 or 1 - a = 0 would report
+        # factors near 1e15; within SERIAL_TOL of either counts as singular
+        L = design.leg_length
+        lo, hi = -L / math.sqrt(6.0), L / math.sqrt(3.0)
+        for u_min, u_max in ((np.nextafter(lo, 0.0), 0.0), (0.0, np.nextafter(hi, 0.0))):
+            with pytest.raises(RangeOutsideWorkspace, match="parallel singularity"):
+                diagonal_profile(design, u_min, u_max, 3)
+        samples = diagonal_profile(design, lo + 1e-3, hi - 1e-3, 3)
+        assert max(max(s.sigma_fwd) for s in samples) < 1e6
+
 
 class TestVerifyCube:
     def test_synthesized_cube_is_clean(self, design, proto):
