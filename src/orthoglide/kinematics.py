@@ -283,4 +283,5 @@ def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=float)
     eta = points - rho
     rows = points[..., None, :] - rho[..., :, None] * _EYE
-    return rows / eta[..., :, None]
+    rows /= eta[..., :, None]
+    return rows

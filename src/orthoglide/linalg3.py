@@ -7,14 +7,19 @@ cubic formulas lose accuracy.  All routines broadcast over leading batch
 dimensions.
 
 `eigvalsh3` and `singular_values3` share one eigenvalue-only kernel.  It
-works on the six unique entries of each matrix as (N,) arrays, stops as
-soon as the whole batch is exactly diagonal, and gives every matrix the
-same bits whatever batch it is in, so the grid sweep and the single-pose
-report agree exactly.  `eigh3` also rotates the eigenvectors; only the
+works on the six unique entries of each matrix as (N,) arrays, drops the
+matrices that are exactly diagonal from the sweeps once they are at least
+half the batch, and gives every matrix the same bits whatever batch it is
+in, so the grid sweep and the single-pose report agree exactly.
+`singular_values3` first reorders each matrix to a canonical one of its six
+simultaneous row/column permutations, which makes it exactly
+permutation-invariant.  `eigh3` also rotates the eigenvectors; only the
 manipulability ellipsoid needs them.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -29,6 +34,18 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 # for the k-th pair (p, q) with remaining index r: the positions of a_rp and
 # a_rq in the off-diagonal list (a01, a02, a12)
 _OTHERS = ((1, 2), (0, 2), (0, 1))
+# one row per simultaneous row/column permutation s, identity first: entry
+# (a, b) of the candidate P M P^T for s is M[s_a, s_b], at row-major
+# position _FLAT[s, 3a + b] of M
+_FLAT = np.array(
+    [
+        [3 * s[a] + s[b] for a in range(3) for b in range(3)]
+        for s in itertools.permutations(range(3))
+    ]
+)
+# the row-major positions in the order candidates are compared: the
+# off-diagonal entries, (0, 1) leading, then the diagonal
+_ORDER = (1, 2, 3, 5, 6, 7, 0, 4, 8)
 
 
 def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
@@ -102,20 +119,44 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     Each rotation uses the classic updates a_pp -= t a_pq, a_qq += t a_pq,
     a_pq = 0, then rotates a_rp and a_rq.  It is skipped, and a_pq zeroed,
     once a_pq is negligible next to both a_pp and a_qq.  Every step is
-    elementwise, and a converged matrix (all off-diagonal entries zero) is
-    left bit for bit unchanged by the sweeps the rest of its batch still
-    needs, so no matrix's result depends on its batch.  The loop ends as
-    soon as every off-diagonal entry of the batch is exactly zero, or after
-    _MAX_SWEEPS sweeps.
+    elementwise, and a sweep leaves a converged matrix (all off-diagonal
+    entries zero) bit for bit unchanged, so no matrix's result depends on
+    its batch, and once at most half the batch is not yet converged the
+    sweeps run on those matrices only.  The loop ends as soon as every
+    off-diagonal entry of the batch is exactly zero, or after _MAX_SWEEPS
+    sweeps.
     """
     # +0.0 turns any -0.0 into +0.0, so a rotation with a_pq = 0 is an
     # exact no-op (x - 0.0 * y and x + 0.0 * y give back x for x != -0.0)
     diag = [d + 0.0 for d in diag]
     off = [o + 0.0 for o in off]
+    # the full-size diagonal; once the batch is compacted, only its entries
+    # idx are still being swept, and `diag` and `off` hold just those
+    out, idx = diag, None
     sweeps = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while sweeps < _MAX_SWEEPS and any(o.any() for o in off):
+        while True:
+            live = (off[0] != 0.0) | (off[1] != 0.0) | (off[2] != 0.0)
+            n_live = np.count_nonzero(live)
+            if not n_live or sweeps == _MAX_SWEEPS:
+                break
+            # compacting copies the six working arrays: once at least half
+            # the batch is diagonal that costs less than the sweep saves
+            if 2 * n_live <= len(live):
+                keep = np.flatnonzero(live)
+                if idx is None:
+                    idx = keep
+                else:
+                    done = np.flatnonzero(~live)
+                    for full, d in zip(out, diag):
+                        full[idx[done]] = d[done]
+                    idx = idx[keep]
+                diag = [d[keep] for d in diag]
+                off = [o[keep] for o in off]
             sweeps += 1
+            # one zero array for the annihilated entries of the sweep; no
+            # step writes into an entry array, so they may share it
+            zero = np.zeros(len(diag[0]))
             for k, (p, q) in enumerate(_PAIRS):
                 app, aqq, apq = diag[p], diag[q], off[k]
                 # a_pq is negligible when it cannot change the smaller of
@@ -132,13 +173,16 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
                 z = t * apq
                 diag[p] = app - z
                 diag[q] = aqq + z
-                off[k] = np.zeros_like(apq)
+                off[k] = zero
                 # the other two off-diagonal entries, a_rp and a_rq
                 i, j = _OTHERS[k]
                 arp, arq = off[i], off[j]
                 off[i] = c * arp - s * arq
                 off[j] = s * arp + c * arq
-    return np.sort(np.stack(diag, axis=-1), axis=-1), sweeps
+    if idx is not None:
+        for full, d in zip(out, diag):
+            full[idx] = d
+    return np.sort(np.stack(out, axis=-1), axis=-1), sweeps
 
 
 def _batched(mat) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -149,16 +193,58 @@ def _batched(mat) -> tuple[np.ndarray, tuple[int, ...]]:
     return m.reshape(-1, 3, 3), m.shape[:-2]
 
 
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[:, 0] * v[:, 0] + u[:, 1] * v[:, 1] + u[:, 2] * v[:, 2]
+def _canonical(m: np.ndarray) -> np.ndarray:
+    """The lexicographically smallest P m P^T of each (N, 3, 3) matrix.
+
+    Candidates are compared entry by entry in _ORDER.  Every P m P^T has
+    the same six candidates, so all of them map to the same representative.
+    Comparisons treat -0.0 and +0.0 as equal, so the representatives of two
+    permutations may differ in the signs of zero entries, but no more: the
+    Gram entries then differ at most in the sign of a zero, which the Jacobi
+    kernel drops, so the singular values agree bit for bit.
+
+    The (0, 1) entry of the candidate for permutation s is m[s0, s1], so the
+    candidate that puts the smallest off-diagonal entry there wins unless
+    that value occurs more than once; only such rows compare further
+    entries.  A row whose comparisons reach a NaN keeps its order.  The
+    result is an (N, 3, 3) view whose entries are contiguous across the
+    batch, which is how `_gram_entries` reads them.
+    """
+    e = m.reshape(-1, 9)
+    choice = _smallest_candidate(e)
+    start = 9 * np.arange(len(e))
+    index = np.empty_like(start)
+    out = np.empty((9, len(e)))
+    for f, source in enumerate(_FLAT.T):
+        np.add(source.take(choice), start, out=index)
+        e.take(index, out=out[f])
+    return out.reshape(3, 3, -1).transpose(2, 0, 1)
+
+
+def _smallest_candidate(e: np.ndarray) -> np.ndarray:
+    """For each row-major (N, 9) matrix, the row of _FLAT of its smallest
+    candidate (see `_canonical`)."""
+    keys = e[:, _FLAT[:, _ORDER[0]]]
+    best = keys == keys.min(axis=1, keepdims=True)
+    tied = np.flatnonzero(np.count_nonzero(best, axis=1) > 1)
+    if tied.size:
+        sub, alive = e[tied], best[tied]
+        for f in _ORDER[1:]:
+            keys = sub[:, _FLAT[:, f]]
+            alive &= keys == np.where(alive, keys, np.inf).min(axis=1, keepdims=True)
+        best[tied] = alive
+    return best.argmax(axis=1)
 
 
 def _gram_entries(m: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Diagonal and off-diagonal entries of m^T m for (N, 3, 3) `m`: the dot
     products of its columns."""
-    cols = np.moveaxis(m, -1, 0)
-    diag = [_dot(cols[k], cols[k]) for k in range(3)]
-    return diag, [_dot(cols[p], cols[q]) for p, q in _PAIRS]
+    c = m.transpose(1, 2, 0)  # c[k, p]: entry (k, p) of every matrix
+
+    def dot(p: int, q: int) -> np.ndarray:
+        return c[0, p] * c[0, q] + c[1, p] * c[1, q] + c[2, p] * c[2, q]
+
+    return [dot(k, k) for k in range(3)], [dot(p, q) for p, q in _PAIRS]
 
 
 def eigvalsh3(mat: np.ndarray) -> np.ndarray:
@@ -174,9 +260,15 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
 
     Square roots of the eigenvalues of mat^T mat; negatives from rounding
     are clipped before the square root.  Batched over leading axes.
+
+    Exactly invariant under simultaneous row/column permutation: every
+    P mat P^T gives the same bits, because each matrix is first reordered
+    to the canonical one of its six permutations (`_canonical`).  The
+    machine's Jacobian at a permuted pose is P Jinv P^T, so poses that
+    differ by a permutation of x, y and z get identical factors.
     """
     m, lead = _batched(mat)
-    w = _jacobi_eigenvalues(*_gram_entries(m))[0]
+    w = _jacobi_eigenvalues(*_gram_entries(_canonical(m)))[0]
     return np.sqrt(np.clip(w, 0.0, None)).reshape(lead + (3,))
 
 

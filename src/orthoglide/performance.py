@@ -74,7 +74,9 @@ def forward_factors(jinv: np.ndarray) -> np.ndarray:
 
     Reciprocals of the singular values of Jinv; +inf where a singular value
     vanishes.  The single place where singular values become factors: the
-    pose report and the grid sweep both go through it.
+    pose report and the grid sweep both go through it.  Exactly invariant
+    under P Jinv P^T for a permutation P (see `singular_values3`), so poses
+    whose coordinates are permutations of each other get the same bits.
     """
     s_inv = singular_values3(jinv)
     out = np.full_like(s_inv, np.inf)

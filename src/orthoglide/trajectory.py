@@ -132,7 +132,7 @@ def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray
 def profile_path(waypoints, d: DesignParams) -> PathProfile:
     """Joint positions, rates and accelerations along timed waypoints.
 
-    `waypoints` is a sequence of (time_s, pose) pairs with strictly
+    `waypoints` is a sequence of (time_s, pose) pairs with finite, strictly
     increasing times; every pose must be reachable.  Joint positions come
     from one batched IK call, derivatives from finite differences of those
     positions.
@@ -140,6 +140,9 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
     if len(waypoints) < 2:
         raise ValueError("need at least 2 waypoints")
     times = np.array([float(t) for t, _ in waypoints])
+    if not np.isfinite(times).all():
+        k = int(np.argmin(np.isfinite(times)))
+        raise ValueError(f"waypoint times must be finite (t[{k}] = {times[k]:g})")
     if np.any(np.diff(times) <= 0.0):
         k = int(np.where(np.diff(times) <= 0.0)[0][0])
         raise NonMonotoneTime(

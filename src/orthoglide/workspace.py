@@ -201,6 +201,32 @@ def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:
     ]
 
 
+def _wedge(axes: list[np.ndarray], d: DesignParams) -> tuple[np.ndarray, np.ndarray] | None:
+    """The nodes that fix the results of a grid symmetric in x, y and z.
+
+    When the three axes are equal element for element and the strokes are
+    equal on the three axes, returns the flat indices of the nodes with grid
+    indices i <= j <= k, in grid order, and for every node the position in
+    that list of its sorted index triple.  Returns None otherwise.
+    """
+    ax = axes[0]
+    if not (
+        all(np.array_equal(ax, other) for other in axes[1:])
+        and len(set(d.stroke_min)) == 1
+        and len(set(d.stroke_max)) == 1
+    ):
+        return None
+    m = len(ax)
+    i, j, k = np.indices((m, m, m)).reshape(3, -1)
+    lo = np.minimum(np.minimum(i, j), k)
+    hi = np.maximum(np.maximum(i, j), k)
+    sorted_flat = (lo * m + (i + j + k - lo - hi)) * m + hi
+    wedge = np.flatnonzero(sorted_flat == np.arange(m**3))
+    slot = np.empty(m**3, dtype=np.intp)
+    slot[wedge] = np.arange(len(wedge))
+    return wedge, slot[sorted_flat]
+
+
 def evaluate_grid(
     d: DesignParams, cube: CubeSpec, n_per_axis: int, *, serial_tol: float = SERIAL_TOL
 ) -> GridNodes:
@@ -209,25 +235,42 @@ def evaluate_grid(
     Vectorized over all nodes; matches the scalar operations bit for bit
     because both share the same radicand, Jacobian and factor kernels.
     Order is x-major, then y, then z, and is deterministic.
+
+    Permuting a pose's coordinates permutes its radicands and the rows and
+    columns of its inverse Jacobian exactly, and `forward_factors` is exactly
+    invariant under that, so when the three grid axes are equal element for
+    element and the strokes are equal on the three axes (every synthesized
+    cube) only the nodes i <= j <= k, about a sixth, are evaluated, and
+    every other node takes the results of its sorted index triple: the same
+    bits as evaluating it.  Any other grid is evaluated node by node.
+
+    Raises ValueError, before building anything, when n_per_axis^3 exceeds
+    numpy's index range.
     """
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
-    ax, ay, az = _grid_axes(cube, n_per_axis)
-    gx, gy, gz = np.meshgrid(ax, ay, az, indexing="ij")
+    if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
+        )
+    axes = _grid_axes(cube, n_per_axis)
+    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    wedge = _wedge(axes, d)
+    nodes = pts if wedge is None else pts[wedge[0]]
 
     L = d.leg_length
-    rad = leg_radicands(pts, L)
+    rad = leg_radicands(nodes, L)
     reachable = np.all(rad > (serial_tol * L) ** 2, axis=1)
 
-    n = len(pts)
+    n = len(nodes)
     sig_min = np.full(n, np.nan)
     sig_max = np.full(n, np.nan)
     kappa = np.full(n, np.nan)
     stroke_ok = np.zeros(n, dtype=bool)
 
     if np.any(reachable):
-        p_r = pts[reachable]
+        p_r = nodes[reachable]
         eta = np.sqrt(rad[reachable])
         rho = p_r - eta
         stroke_ok[reachable] = np.all(within_stroke(rho, d), axis=1)
@@ -237,7 +280,10 @@ def evaluate_grid(
         sig_max[reachable] = fwd[:, 2]
         kappa[reachable] = kappa_from_factors(fwd)
 
-    return GridNodes(pts, reachable, stroke_ok, sig_min, sig_max, kappa)
+    results = (reachable, stroke_ok, sig_min, sig_max, kappa)
+    if wedge is not None:
+        results = tuple(r[wedge[1]] for r in results)
+    return GridNodes(pts, *results)
 
 
 def verify_cube(

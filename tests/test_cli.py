@@ -313,8 +313,21 @@ class TestTrajCheck:
                 "cannot read waypoints: bad waypoint row 3: float() argument must be a "
                 "string or a real number, not 'NoneType'",
             ),
+            (
+                "0,0,0,0\nnan,1,2,3\n0.2,0,0,0\n",
+                1,
+                "ValueError: waypoint times must be finite (t[1] = nan)",
+            ),
+            (
+                "0,0,0,0\ninf,1,2,3\n0.2,0,0,0\n",
+                1,
+                "ValueError: waypoint times must be finite (t[1] = inf)",
+            ),
         ],
-        ids=["nan-pose", "non-monotone", "serial-boundary", "deep-unreachable", "short-row"],
+        ids=[
+            "nan-pose", "non-monotone", "serial-boundary", "deep-unreachable", "short-row",
+            "nan-time", "inf-time",
+        ],
     )
     def test_error_message_and_exit_code(self, runner, tmp_path, rows, code, message):
         wp = tmp_path / "wp.csv"

@@ -1,5 +1,7 @@
 """Jacobi 3x3 eigensolver against the dense numpy decompositions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -181,3 +183,33 @@ def test_leading_shape_is_kept(rng):
     assert eigvalsh3(mats + np.swapaxes(mats, -1, -2)).shape == (4, 5, 3)
     with pytest.raises(ValueError):
         singular_values3(np.eye(2))
+
+
+def _invariance_batch(rng, kind, n=400):
+    if kind == "random":
+        return rng.standard_normal((n, 3, 3))
+    if kind == "integer-ties":
+        # few distinct values, so candidate permutations tie on many entries;
+        # zeros of both signs
+        mats = rng.integers(-2, 3, (n, 3, 3)).astype(float)
+        return np.where(mats == 0.0, rng.choice([0.0, -0.0], mats.shape), mats)
+    # rank 0, 1 and 2: products of random or integer factors, and matrices
+    # with a zero row and column
+    rank_one = np.einsum("ni,nj->nij", rng.integers(-2, 3, (n, 3)), rng.integers(-2, 3, (n, 3)))
+    rank_two = rng.standard_normal((n, 3, 2)) @ rng.standard_normal((n, 2, 3))
+    zero_cross = rng.standard_normal((n, 3, 3))
+    zero_cross[:, 1, :] = 0.0
+    zero_cross[:, :, 1] = 0.0
+    return np.concatenate([rank_one.astype(float), rank_two, zero_cross, np.zeros((1, 3, 3))])
+
+
+@pytest.mark.parametrize("kind", ["random", "integer-ties", "rank-deficient"])
+def test_singular_values_exactly_permutation_invariant(rng, kind):
+    # every simultaneous row/column permutation P m P^T gives the same bits
+    mats = _invariance_batch(rng, kind)
+    want = singular_values3(mats).view(np.uint64)
+    for perm in itertools.permutations(range(3)):
+        p = list(perm)
+        got = singular_values3(mats[:, p][:, :, p])
+        assert np.array_equal(got.view(np.uint64), want), perm
+        assert np.array_equal(singular_values3(mats[7][p][:, p]).view(np.uint64), want[7])

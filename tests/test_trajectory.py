@@ -415,6 +415,17 @@ class TestErrorParity:
             profile_path(wps, D)
         assert str(e.value) == message
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time(self, t):
+        # NaN compares False, so without its own check a NaN time passes the
+        # strict-increase test and gives NaN rates with no flag
+        wps = self.long_path(50)
+        wps[20] = (t, wps[20][1])
+        wps[30] = (wps[30][0], (1.0, 2.0))
+        message = rf"^waypoint times must be finite \(t\[20\] = {t:g}\)$"
+        with pytest.raises(ValueError, match=message):
+            profile_path(wps, D)
+
     def test_time_checked_before_poses(self):
         wps = self.long_path(50)
         wps[5] = (wps[5][0], (1.0, 2.0))

@@ -6,10 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from orthoglide import workspace
 from orthoglide.errors import RangeOutsideWorkspace
-from orthoglide.kinematics import DesignParams, inverse_kinematics
-from orthoglide.performance import transmission_factors
-from orthoglide.kinematics import inverse_jacobian
+from orthoglide.kinematics import (
+    SERIAL_TOL,
+    DesignParams,
+    batch_inverse_jacobian,
+    inverse_jacobian,
+    inverse_kinematics,
+    leg_radicands,
+    within_stroke,
+)
+from orthoglide.performance import forward_factors, kappa_from_factors, transmission_factors
+from orthoglide.synthesis import synthesize
 from orthoglide.workspace import (
     BOUND_REL_TOL,
     Bounds,
@@ -177,14 +186,15 @@ class TestVerifyCube:
         assert fine.worst_sigma_max >= coarse.worst_sigma_max
 
     def test_octant_symmetry(self, design, proto):
-        # the rotation sweep is not bitwise permutation-symmetric, so the
-        # map is invariant to solver precision rather than exactly
+        # permuting a pose permutes the rows and columns of its inverse
+        # Jacobian exactly, and the factor kernel is exactly invariant under
+        # that, so the map is symmetric bit for bit
         nodes = evaluate_grid(design, proto.cube, 6)
         values = zip(nodes.sigma_min.tolist(), nodes.sigma_max.tolist(), nodes.kappa.tolist())
         table = dict(zip(map(tuple, nodes.xyz.tolist()), values))
         for (x, y, z), vals in table.items():
             for perm in ((y, x, z), (z, y, x), (x, z, y), (y, z, x), (z, x, y)):
-                assert table[perm] == pytest.approx(vals, abs=1e-12)
+                assert table[perm] == vals
 
 
 class TestWorkspaceMap:
@@ -301,6 +311,119 @@ class TestReferenceLoop:
         ties = np.flatnonzero(report.nodes.sigma_max == report.worst_sigma_max)
         assert len(ties) >= 2
         assert report.worst_sigma_max_at == tuple(report.nodes.xyz[ties[0]].tolist())
+
+
+def full_evaluation(d, cube, n):
+    """Reference sweep: every node of the grid evaluated, no use of symmetry.
+
+    Returns (xyz, reachable, within_stroke, sigma_min, sigma_max, kappa)."""
+    axes = [np.unique(np.linspace(cube.q1[k], cube.q2[k], n)) for k in range(3)]
+    xyz = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    L = d.leg_length
+    rad = leg_radicands(xyz, L)
+    reachable = np.all(rad > (SERIAL_TOL * L) ** 2, axis=1)
+    within = np.zeros(len(xyz), dtype=bool)
+    fwd = np.full((len(xyz), 3), np.nan)
+    kappa = np.full(len(xyz), np.nan)
+    rho = xyz[reachable] - np.sqrt(rad[reachable])
+    within[reachable] = np.all(within_stroke(rho, d), axis=1)
+    fwd[reachable] = forward_factors(batch_inverse_jacobian(xyz[reachable], rho))
+    kappa[reachable] = kappa_from_factors(fwd[reachable])
+    return xyz, reachable, within, fwd[:, 0], fwd[:, 2], kappa
+
+
+def _synthesized(lw, s_lo, s_hi):
+    res = synthesize(lw, Bounds(s_lo, s_hi))
+    return res.design(), res.cube
+
+
+def _scaled_1_8(d, cube):
+    # the oversized cube of TestReferenceLoop: some nodes are unreachable
+    return d, CubeSpec(1.8 * cube.q1, 1.8 * cube.q2)
+
+
+def _one_ulp_off(d, cube):
+    q2 = cube.q2.copy()
+    q2[1] = np.nextafter(q2[1], np.inf)
+    return d, CubeSpec(cube.q1, q2)
+
+
+def _unequal_strokes(d, cube):
+    # y travel starts later and z travel ends sooner: some nodes break them
+    lo, hi = d.stroke_min[0], d.stroke_max[0]
+    return DesignParams(d.leg_length, (lo, lo + 5.0, lo), (hi, hi, hi - 5.0)), cube
+
+
+class TestSymmetricWedge:
+    """A grid symmetric in x, y and z is evaluated on its i <= j <= k wedge
+    only; the results equal a full evaluation bit for bit."""
+
+    # (design and cube, nodes per axis, whether the wedge is used)
+    CASES = {
+        "prototype-41": (lambda: _synthesized(200.0, 0.5, 2.0), 41, True),
+        "wide-bounds-41": (lambda: _synthesized(200.0, 1 / 3, 3.0), 41, True),
+        "narrow-bounds-41": (lambda: _synthesized(120.0, 0.7, 1.5), 41, True),
+        "unreachable-nodes": (lambda: _scaled_1_8(*_synthesized(200.0, 0.5, 2.0)), 15, True),
+        "corner-one-ulp-off": (lambda: _one_ulp_off(*_synthesized(200.0, 0.5, 2.0)), 21, False),
+        "unequal-strokes": (lambda: _unequal_strokes(*_synthesized(200.0, 0.5, 2.0)), 21, False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_full_evaluation(self, monkeypatch, case):
+        make, n, uses_wedge = self.CASES[case]
+        d, cube = make()
+        evaluated = []
+
+        def counting_radicands(p, leg_length):
+            evaluated.append(len(p))
+            return leg_radicands(p, leg_length)
+
+        monkeypatch.setattr(workspace, "leg_radicands", counting_radicands)
+        nodes = evaluate_grid(d, cube, n)
+        assert evaluated == [n * (n + 1) * (n + 2) // 6 if uses_wedge else n**3]
+
+        xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
+        assert np.array_equal(nodes.xyz, xyz)
+        assert np.array_equal(nodes.reachable, reachable)
+        assert np.array_equal(nodes.within_stroke, within)
+        for got, want in (
+            (nodes.sigma_min, sigma_min),
+            (nodes.sigma_max, sigma_max),
+            (nodes.kappa, kappa),
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+        if case == "unreachable-nodes":
+            assert 0 < np.count_nonzero(~reachable) < len(xyz)
+        if case == "unequal-strokes":
+            assert 0 < np.count_nonzero(~within) < len(xyz)
+
+
+class TestOversizedGrid:
+    """A grid with more nodes than numpy can index is refused before any of
+    it is built."""
+
+    @staticmethod
+    def _forbid_building(monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("grid construction started")
+
+        monkeypatch.setattr(workspace, "_grid_axes", forbidden)
+        monkeypatch.setattr(np, "linspace", forbidden)
+
+    @pytest.mark.parametrize("n", [2**21, 3_000_000])
+    def test_refused_before_building(self, design, proto, monkeypatch, n):
+        self._forbid_building(monkeypatch)
+        message = rf"^{n}\^3 nodes exceed numpy's index range"
+        with pytest.raises(ValueError, match=message):
+            evaluate_grid(design, proto.cube, n)
+        with pytest.raises(ValueError, match=message):
+            verify_cube(design, proto.cube, B, n)
+
+    def test_largest_indexable_size_is_attempted(self, design, proto, monkeypatch):
+        # (2^21 - 1)^3 < 2^63 - 1: the check lets it through to the build
+        self._forbid_building(monkeypatch)
+        with pytest.raises(AssertionError, match="grid construction started"):
+            evaluate_grid(design, proto.cube, 2**21 - 1)
 
 
 class TestSpecTypes:
