@@ -38,29 +38,20 @@ class ConfigError(Exception):
     """Invalid combination or values of flags/config keys (exit 1)."""
 
 
-def _sig12(value):
-    """Round floats to 12 significant digits, recursively, for stable JSON."""
-    if isinstance(value, float):
+def _jsonable(value, rounded: bool):
+    """JSON-serializable copy of `value`: arrays become lists of floats and
+    numpy scalars Python ones; with `rounded`, every float is rounded to 12
+    significant digits, recursively, for stable JSON."""
+    if isinstance(value, np.ndarray):
+        value = value.astype(float).tolist()
+    elif isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, dict):
+        return {k: _jsonable(v, rounded) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v, rounded) for v in value]
+    if rounded and isinstance(value, float):
         return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _sig12(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sig12(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_sig12(float(v)) for v in value]
-    return value
-
-
-def _plain(value):
-    """JSON-serializable copy without rounding (repr stays deterministic)."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
     return value
 
 
@@ -68,9 +59,7 @@ def _emit_json(doc: dict, out: str | None, exact_keys: frozenset = frozenset()) 
     # keys in exact_keys keep full float precision (machine-consumable
     # blocks that round-trip through --config); everything else is rounded
     # to 12 significant digits
-    payload = {
-        k: (_plain(v) if k in exact_keys else _sig12(v)) for k, v in doc.items()
-    }
+    payload = {k: _jsonable(v, k not in exact_keys) for k, v in doc.items()}
     with open_out(out) as f:
         f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
@@ -195,6 +184,8 @@ class RunConfig:
             return synthesis.synthesize(self.lw, self.bounds())
         except DegenerateBounds as e:
             raise ConfigError(f"DegenerateBounds: {e}") from e
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
 
 
 def _common_options(f):
@@ -361,7 +352,7 @@ def cmd_diag_profile(u_min, u_max, **flags):
         _fail(EXIT_CONFIG, str(e))
     try:
         samples = workspace.diagonal_profile(design, u_min, u_max, cfg.grid)
-    except (RangeOutsideWorkspace, ValueError) as e:
+    except (RangeOutsideWorkspace, ValueError, MemoryError) as e:
         _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
     rows = np.array([(s.u, s.a, *s.sigma_fwd, s.kappa) for s in samples])
     write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", rows.T)

@@ -80,6 +80,11 @@ class DesignParams:
         self.stroke_max = _per_axis(self.stroke_max)
         if not self.leg_length > 0:
             raise ValueError("leg_length must be positive")
+        # L*L enters every IK radicand, so it must be a finite normal float
+        if not np.finfo(float).tiny <= self.leg_length * self.leg_length < np.inf:
+            raise ValueError(
+                f"leg_length {self.leg_length:g} out of range: L*L over- or underflows"
+            )
         for lo, hi in zip(self.stroke_min, self.stroke_max):
             if not lo < hi:
                 raise ValueError("stroke_min must be below stroke_max on each axis")
@@ -127,7 +132,7 @@ def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
     return leg_length**2 - cross
 
 
-def inverse_kinematics(p, d: DesignParams, *, serial_tol: float = SERIAL_TOL) -> np.ndarray:
+def inverse_kinematics(p, d: DesignParams) -> np.ndarray:
     """Slider coordinates reaching pose `p`, shape (..., 3), in the working mode.
 
     Closed form rho_i = p_i - sqrt(L^2 - p_j^2 - p_k^2), the branch with
@@ -139,7 +144,7 @@ def inverse_kinematics(p, d: DesignParams, *, serial_tol: float = SERIAL_TOL) ->
     L = d.leg_length
     rad = leg_radicands(p, L)
     eta = np.sqrt(np.maximum(rad, 0.0))
-    fail = ((rad < 0.0) | (eta <= serial_tol * L)).reshape(-1, 3)
+    fail = ((rad < 0.0) | (eta <= SERIAL_TOL * L)).reshape(-1, 3)
     if fail.any():
         k = int(fail.any(axis=1).argmax())
         pose = _floats(p.reshape(-1, 3)[k])
@@ -164,7 +169,7 @@ def within_stroke(rho, d: DesignParams) -> np.ndarray:
     return (rho >= lo) & (rho <= hi)
 
 
-def forward_kinematics(rho, d: DesignParams, *, serial_tol: float = SERIAL_TOL) -> np.ndarray:
+def forward_kinematics(rho, d: DesignParams) -> np.ndarray:
     """Tool pose from slider coordinates (working-mode assembly).
 
     Solves the sphere system through the scalar w = ||p||^2 - L^2, which the
@@ -185,7 +190,7 @@ def forward_kinematics(rho, d: DesignParams, *, serial_tol: float = SERIAL_TOL) 
         )
     if n_zero == 1:
         p = _fk_one_zero_slider(rho, int(np.where(zero)[0][0]), L)
-        return _fk_accept([p], rho, L, serial_tol)
+        return _fk_accept([p], rho, L)
 
     # quadratic A w^2 + B w + C = 0; A > 0 and B = 1/2 always
     a_coef = float(np.sum(1.0 / (4.0 * rho**2)))
@@ -196,7 +201,7 @@ def forward_kinematics(rho, d: DesignParams, *, serial_tol: float = SERIAL_TOL) 
     # cancellation-free pair of roots; q <= -1/4 so both divisions are safe
     q = -(0.5 + np.sqrt(disc)) / 2.0
     candidates = [(w + rho**2) / (2.0 * rho) for w in (q / a_coef, c_coef / q)]
-    return _fk_accept(candidates, rho, L, serial_tol)
+    return _fk_accept(candidates, rho, L)
 
 
 def _fk_one_zero_slider(rho: np.ndarray, i: int, L: float) -> np.ndarray:
@@ -212,11 +217,11 @@ def _fk_one_zero_slider(rho: np.ndarray, i: int, L: float) -> np.ndarray:
     return p
 
 
-def _fk_accept(candidates, rho: np.ndarray, L: float, serial_tol: float) -> np.ndarray:
+def _fk_accept(candidates, rho: np.ndarray, L: float) -> np.ndarray:
     admissible = []
     for p in candidates:
         eta = p - rho
-        if np.all(eta > -serial_tol * L):
+        if np.all(eta > -SERIAL_TOL * L):
             resid = np.abs(np.linalg.norm(p[None, :] - rho[:, None] * _EYE, axis=1) - L)
             if np.max(resid) <= 1e-9 * L:
                 admissible.append((float(p @ p), p))
@@ -227,13 +232,11 @@ def _fk_accept(candidates, rho: np.ndarray, L: float, serial_tol: float) -> np.n
     return min(admissible, key=lambda sp: sp[0])[1]
 
 
-def leg_states(
-    p, rho, d: DesignParams, *, closure_tol: float = CLOSURE_TOL
-) -> tuple[LegState, LegState, LegState]:
+def leg_states(p, rho, d: DesignParams) -> tuple[LegState, LegState, LegState]:
     """Per-leg points a_i, b_i, c_i and transmission scalar eta_i.
 
     Raises InconsistentPair when the pose/joint pair violates leg closure
-    by more than closure_tol * L.
+    by more than CLOSURE_TOL * L.
     """
     p = as_point(p)
     rho = as_point(rho)
@@ -243,10 +246,10 @@ def leg_states(
         b = rho[i] * _EYE[i]
         leg = p - b
         resid = abs(float(np.linalg.norm(leg)) - L)
-        if resid > closure_tol * L:
+        if resid > CLOSURE_TOL * L:
             raise InconsistentPair(
                 f"leg {i}: closure residual {resid:.6g} mm exceeds "
-                f"{closure_tol * L:.6g} mm"
+                f"{CLOSURE_TOL * L:.6g} mm"
             )
         states.append(
             LegState(a=np.zeros(3), b=b, c=p.copy(), eta=float(leg[i]), closure_residual=resid)
@@ -254,19 +257,17 @@ def leg_states(
     return tuple(states)
 
 
-def inverse_jacobian(
-    p, rho, d: DesignParams, *, serial_tol: float = SERIAL_TOL
-) -> np.ndarray:
+def inverse_jacobian(p, rho, d: DesignParams) -> np.ndarray:
     """3x3 inverse Jacobian: row i = (c_i - b_i)^T / eta_i.
 
     Maps tool velocity to joint velocity.  Diagonal entries are exactly 1
     in the working mode.  Raises SerialSingularity when some eta_i falls
-    below serial_tol * L.
+    below SERIAL_TOL * L.
     """
     p = as_point(p)
     rho = as_point(rho)
     eta = p - rho
-    low = np.where(eta <= serial_tol * d.leg_length)[0]
+    low = np.where(eta <= SERIAL_TOL * d.leg_length)[0]
     if low.size:
         i = int(low[0])
         raise SerialSingularity(f"eta_{i + 1} = {eta[i]:.6g} mm too small", leg=i)

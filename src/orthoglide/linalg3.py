@@ -6,15 +6,16 @@ machine precision, including for clustered eigenvalues where closed-form
 cubic formulas lose accuracy.  All routines broadcast over leading batch
 dimensions.
 
-`eigvalsh3` and `singular_values3` share one eigenvalue-only kernel.  It
+`eigvalsh3` and `singular_values3` share one eigenvalue-only Jacobi kernel.  It
 works on the six unique entries of each matrix as (N,) arrays, drops the
 matrices that are exactly diagonal from the sweeps once they are at least
 half the batch, and gives every matrix the same bits whatever batch it is
 in, so the grid sweep and the single-pose report agree exactly.
 `singular_values3` first reorders each matrix to a canonical one of its six
 simultaneous row/column permutations, which makes it exactly
-permutation-invariant.  `eigh3` also rotates the eigenvectors; only the
-manipulability ellipsoid needs them.
+permutation-invariant.  No routine here computes eigenvectors: the
+manipulability ellipsoid, the one place that needs them, takes them from
+`np.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ import itertools
 
 import numpy as np
 
-# eigh3 runs a fixed number of sweeps: convergence is quadratic, and on the
-# prototype cube the off-diagonal residual is ~1e-21 relative after 4.
-_SWEEPS = 6
-# The eigenvalue-only kernel stops once its batch is exactly diagonal, which
+# The kernel stops once its batch is exactly diagonal, which
 # takes 5 sweeps on the synthesized cube grids and on random matrices; the
 # cap only bounds non-finite or pathological input.
 _MAX_SWEEPS = 10
@@ -46,67 +44,6 @@ _FLAT = np.array(
 # the row-major positions in the order candidates are compared: the
 # off-diagonal entries, (0, 1) leading, then the diagonal
 _ORDER = (1, 2, 3, 5, 6, 7, 0, 4, 8)
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one batched Jacobi rotation zeroing a[..., p, q] in place."""
-    apq = a[..., p, q]
-    app = a[..., p, p]
-    aqq = a[..., q, q]
-
-    active = np.abs(apq) > 0.0
-    # tan(2*theta) = 2*apq / (aqq - app); smaller-angle root for stability.
-    # Huge tau overflows to an infinite denominator and t collapses to 0,
-    # the correct negligible-rotation limit, so overflow is benign.
-    with np.errstate(over="ignore", invalid="ignore"):
-        tau = np.where(active, (aqq - app) / np.where(active, 2.0 * apq, 1.0), 0.0)
-        t = np.where(
-            active,
-            np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-            0.0,
-        )
-    t = np.where(active & (tau == 0.0), 1.0, t)
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    rows_p = a[..., p, :].copy()
-    rows_q = a[..., q, :].copy()
-    a[..., p, :] = c[..., None] * rows_p - s[..., None] * rows_q
-    a[..., q, :] = s[..., None] * rows_p + c[..., None] * rows_q
-    cols_p = a[..., :, p].copy()
-    cols_q = a[..., :, q].copy()
-    a[..., :, p] = c[..., None] * cols_p - s[..., None] * cols_q
-    a[..., :, q] = s[..., None] * cols_p + c[..., None] * cols_q
-    # force exact symmetry of the annihilated pair
-    a[..., p, q] = 0.0
-    a[..., q, p] = 0.0
-
-    vcols_p = v[..., :, p].copy()
-    vcols_q = v[..., :, q].copy()
-    v[..., :, p] = c[..., None] * vcols_p - s[..., None] * vcols_q
-    v[..., :, q] = s[..., None] * vcols_p + c[..., None] * vcols_q
-
-
-def eigh3(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of symmetric 3x3.
-
-    `mat` has shape (..., 3, 3); returns (..., 3) eigenvalues and (..., 3, 3)
-    eigenvectors as columns, paired with the sorted eigenvalues.
-    """
-    a = np.array(mat, dtype=float, copy=True)
-    if a.shape[-2:] != (3, 3):
-        raise ValueError(f"expected (..., 3, 3) matrix, got {a.shape}")
-    v = np.broadcast_to(np.eye(3), a.shape).copy()
-
-    for _ in range(_SWEEPS):
-        for p, q in _PAIRS:
-            _rotate(a, v, p, q)
-
-    w = np.diagonal(a, axis1=-2, axis2=-1).copy()
-    order = np.argsort(w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    return w, v
 
 
 def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:

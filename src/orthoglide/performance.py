@@ -19,7 +19,7 @@ import numpy as np
 from . import kinematics
 from .errors import ParallelSingularity
 from .kinematics import SERIAL_TOL, DesignParams
-from .linalg3 import det3, eigh3, singular_values3
+from .linalg3 import det3, singular_values3
 
 #: |det(Jinv)| at or below this is treated as a parallel singularity.
 DET_TOL = 1e-9
@@ -95,14 +95,13 @@ def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:
     return out
 
 
-def transmission_factors(
-    jinv, *, det_tol: float = DET_TOL, serial_tol: float = SERIAL_TOL
-) -> TransmissionReport:
+def transmission_factors(jinv) -> TransmissionReport:
     """Full conditioning report for one inverse Jacobian.
 
     Singular input never raises: rank deficiency shows up as +inf entries
-    in sigma_fwd and the parallel flag.  Serial flags fire when a row norm
-    reaches 1/serial_tol (row i norm is L/eta_i for this machine).
+    in sigma_fwd and the parallel flag (|det| at or below DET_TOL).  Serial
+    flags fire when a row norm reaches 1/SERIAL_TOL (row i norm is L/eta_i
+    for this machine).
     """
     jinv = np.asarray(jinv, dtype=float)
     if jinv.shape != (3, 3):
@@ -114,13 +113,13 @@ def transmission_factors(
     kappa = float(kappa_from_factors(sigma_fwd))
     det_inv = float(det3(jinv))
     row_norms = np.linalg.norm(jinv, axis=1)
-    serial = tuple(bool(n >= 1.0 / serial_tol) for n in row_norms)
+    serial = tuple(bool(n >= 1.0 / SERIAL_TOL) for n in row_norms)
     return TransmissionReport(
         sigma_fwd=sigma_fwd,
         kappa=kappa,
         det_inv=det_inv,
         serial_flags=serial,
-        parallel_flag=bool(abs(det_inv) <= det_tol),
+        parallel_flag=bool(abs(det_inv) <= DET_TOL),
     )
 
 
@@ -148,17 +147,18 @@ def isotropy_residual(p, d: DesignParams) -> IsotropyResidual:
     return IsotropyResidual(ratio_dev=ratio_dev, ortho_dev=float(max(ortho)))
 
 
-def manipulability_ellipsoid(jinv, *, det_tol: float = DET_TOL) -> Ellipsoid:
+def manipulability_ellipsoid(jinv) -> Ellipsoid:
     """Semi-axes and principal directions of the velocity ellipsoid.
 
-    Directions are the eigenvectors of Jinv^T Jinv (the forward map's output
-    principal axes); the semi-axis along eigenvector k is 1/sqrt(lambda_k).
-    Raises ParallelSingularity on (near-)singular input.
+    The semi-axes are the forward transmission factors (`forward_factors`).
+    Direction column k is the eigenvector of Jinv^T Jinv (the forward map's
+    output principal axes), from `np.linalg.eigh`, with eigenvalue
+    1/semi_axes[k]^2.  Raises ParallelSingularity when |det(Jinv)| is at or
+    below DET_TOL.
     """
     jinv = np.asarray(jinv, dtype=float)
     det_inv = float(det3(jinv))
-    if abs(det_inv) <= det_tol:
-        raise ParallelSingularity(f"|det(Jinv)| = {abs(det_inv):.3g} <= {det_tol:.3g}")
-    w, v = eigh3(jinv.T @ jinv)
-    semi = 1.0 / np.sqrt(w[::-1])
-    return Ellipsoid(semi_axes=semi, directions=v[:, ::-1])
+    if abs(det_inv) <= DET_TOL:
+        raise ParallelSingularity(f"|det(Jinv)| = {abs(det_inv):.3g} <= {DET_TOL:.3g}")
+    directions = np.linalg.eigh(jinv.T @ jinv)[1][:, ::-1]
+    return Ellipsoid(semi_axes=forward_factors(jinv), directions=directions)

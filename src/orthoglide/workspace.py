@@ -227,9 +227,7 @@ def _wedge(axes: list[np.ndarray], d: DesignParams) -> tuple[np.ndarray, np.ndar
     return wedge, slot[sorted_flat]
 
 
-def evaluate_grid(
-    d: DesignParams, cube: CubeSpec, n_per_axis: int, *, serial_tol: float = SERIAL_TOL
-) -> GridNodes:
+def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes:
     """Evaluate IK + forward factors on a closed grid over the cube.
 
     Vectorized over all nodes; matches the scalar operations bit for bit
@@ -261,7 +259,7 @@ def evaluate_grid(
 
     L = d.leg_length
     rad = leg_radicands(nodes, L)
-    reachable = np.all(rad > (serial_tol * L) ** 2, axis=1)
+    reachable = np.all(rad > (SERIAL_TOL * L) ** 2, axis=1)
 
     n = len(nodes)
     sig_min = np.full(n, np.nan)
@@ -286,25 +284,18 @@ def evaluate_grid(
     return GridNodes(pts, *results)
 
 
-def verify_cube(
-    d: DesignParams,
-    cube: CubeSpec,
-    b: Bounds,
-    n_per_axis: int = 21,
-    *,
-    rel_tol: float = BOUND_REL_TOL,
-) -> GridReport:
+def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
     """Check the prescribed cube against the transmission bounds on a grid.
 
     Failures (unreachable nodes, stroke-limit violations, factors outside
-    [s_lo, s_hi] beyond rel_tol) are counted in the report, never raised.
+    [s_lo, s_hi] beyond BOUND_REL_TOL) are counted in the report, never raised.
     Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
     """
     nodes = evaluate_grid(d, cube, n_per_axis)
     reach = nodes.reachable
-    out_of_bounds = (nodes.sigma_min < b.s_lo * (1.0 - rel_tol)) | (
-        nodes.sigma_max > b.s_hi * (1.0 + rel_tol)
+    out_of_bounds = (nodes.sigma_min < b.s_lo * (1.0 - BOUND_REL_TOL)) | (
+        nodes.sigma_max > b.s_hi * (1.0 + BOUND_REL_TOL)
     )
     worst_min, worst_min_at = math.nan, None
     worst_max, worst_max_at = math.nan, None

@@ -230,6 +230,13 @@ class TestOversizedGrid:
         assert isinstance(res.exception, SystemExit), res.exception
         assert f"error: cannot evaluate a {grid}^3 grid: {cause}" in res.output
 
+    def test_diag_profile_clean_exit_one(self, runner):
+        # 728 TiB of samples: more than any 64-bit address space can map
+        res = runner.invoke(main, ["diag-profile", "--lw", "200", "--grid", "100000000000000"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "error: MemoryError" in res.output
+
 
 class TestTrajCheck:
     def _write_line(self, path, q1, q2, speed, n):
@@ -420,3 +427,23 @@ class TestNonFiniteInput:
         assert res.exit_code == 3
         assert "Unreachable" in res.output
         assert "np.float64" not in res.output
+
+
+class TestLegLengthOutOfRange:
+    """A leg length whose square over- or underflows gives exit 1, no traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synthesize", "--lw", "1e200", "--grid", "3"],
+            ["synthesize", "--lw", "1e-300", "--grid", "3"],
+            ["workspace-map", "--lw", "1e200", "--grid", "3"],
+            ["analyze", "0", "0", "0", "--leg-length", "1e200", *EXPLICIT[2:]],
+            ["analyze", "0", "0", "0", "--leg-length", "1e-200", *EXPLICIT[2:]],
+        ],
+    )
+    def test_clean_exit_one(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "out of range: L*L over- or underflows" in res.output

@@ -208,6 +208,9 @@ class TestDesignParams:
         [
             {"leg_length": 0.0},
             {"leg_length": -10.0},
+            # L*L overflows, or underflows below the normal range
+            {"leg_length": 1e200},
+            {"leg_length": 1e-160},
             {"leg_length": 100.0, "stroke_min": 5.0, "stroke_max": 5.0},
             {"leg_length": 100.0, "stroke_min": 10.0, "stroke_max": -10.0},
             {"leg_length": 100.0, "motor_vmax": 0.0},
@@ -217,6 +220,13 @@ class TestDesignParams:
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DesignParams(**kwargs)
+
+    def test_leg_length_at_the_ends_of_the_square_range(self):
+        # the largest and smallest L whose square is a finite normal float
+        big = np.sqrt(np.finfo(float).max)
+        small = np.sqrt(np.finfo(float).tiny)
+        assert DesignParams(leg_length=big).leg_length == big
+        assert DesignParams(leg_length=small).leg_length == small
 
 
 class TestLegStates:

@@ -11,7 +11,6 @@ from orthoglide.linalg3 import (
     _gram_entries,
     _jacobi_eigenvalues,
     det3,
-    eigh3,
     eigvalsh3,
     singular_values3,
 )
@@ -31,20 +30,6 @@ def test_eigvals_match_numpy_on_random_batch(rng):
     got = eigvalsh3(mats)
     want = np.linalg.eigvalsh(mats)
     assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_eigenvectors_diagonalize(rng):
-    mats = random_symmetric(rng, 100)
-    w, v = eigh3(mats)
-    for a, wi, vi in zip(mats, w, v):
-        assert np.allclose(a @ vi, vi * wi, atol=1e-12)
-        assert np.allclose(vi.T @ vi, np.eye(3), atol=1e-12)
-
-
-def test_identity_is_exact():
-    w, v = eigh3(np.eye(3))
-    assert np.array_equal(w, np.ones(3))
-    assert np.array_equal(v @ v.T, np.eye(3))
 
 
 def test_diagonal_matrix():
@@ -93,7 +78,7 @@ def test_batched_equals_scalar(rng):
 
 def test_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        eigh3(np.eye(4))
+        eigvalsh3(np.eye(4))
 
 
 def diag_pose_jinv(a):

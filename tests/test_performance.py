@@ -209,6 +209,15 @@ class TestManipulabilityEllipsoid:
                 gain = np.linalg.norm(m @ ell.directions[:, k])
                 assert gain == pytest.approx(1.0 / ell.semi_axes[k], rel=1e-9)
 
+    def test_semi_axes_are_the_transmission_factors_exactly(self, rng):
+        # both come from forward_factors, so they agree bit for bit
+        mats = np.eye(3) + 0.4 * rng.standard_normal((200, 3, 3))
+        mats = mats[np.abs(np.linalg.det(mats)) > 1e-2]
+        assert len(mats) > 150
+        for m in mats:
+            want = transmission_factors(m).sigma_fwd
+            assert np.array_equal(manipulability_ellipsoid(m).semi_axes, want)
+
     def test_singular_raises(self):
         with pytest.raises(ParallelSingularity):
             manipulability_ellipsoid(diag_pose_matrix(-0.5))
