@@ -1,20 +1,51 @@
 """The library's one output-file rule and one CSV format.
 
 `out` is a path, an open text file or None (standard output); `open_out` is
-the only place that decides how it is opened.  CSV cells hold floats with 12
-significant digits and bools as 0/1, so identical inputs give identical
+the only place that decides how it is opened.  CSV cells hold floats as
+Python's `'%.12g' % v` and bools as 0/1, so identical inputs give identical
 bytes.
+
+`write_table` formats a chunk of rows at a time in numpy, byte for byte equal
+to `%.12g`.  A float cell is a row of 4-byte words: the separator and sign,
+the integer part as three 4-digit groups with leading blanks, the dot with
+the first 3 fraction digits, and 3 more fraction groups with trailing blanks.
+The two higher integer groups are left out of a chunk whose integer parts
+are all below 10^4.  A blank is a zero byte, and the chunk's zero bytes are
+dropped at the end, so no cell needs a layout of its own.  The digits come
+from a 12-digit mantissa m and the exponent e of each cell:
+
+* A cell with 1e-5 <= |v| < 1e12 takes e = floor(log10|v|) and y =
+  |v| 10^(11-e), which must lie in [1e11, 1e12) (it does unless log10
+  rounded across a power of ten).  10^(11-e) is an exact double and
+  y < 2^40, so the one rounding of the product leaves |y - exact| <= 2^-14,
+  and m = rint(y) is the correctly rounded mantissa unless y is within 1e-3
+  of a tie m +- 1/2 (the tie guard).  m = 10^12 stands for 10^(e+1) and
+  prints correctly as it is.  Every later step divides float integers below
+  2^53 by exact powers of ten, so each floor is exact.
+* +-0 takes the same route as an integer part of 0; NaN and +-inf are
+  constant strings.
+* The rest -- cells near a tie, cells whose y left [1e11, 1e12), and cells
+  printed in exponent notation (exponent outside [-4, 11] after rounding)
+  -- are formatted one by one with `'%.12g' % v` itself.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import sys
 
 import numpy as np
 
-# rows formatted per write: bounds the temporary strings on large grids
-_CHUNK_ROWS = 4096
+# rows formatted per write: few enough that the working arrays stay in the
+# CPU cache, which makes the formatter fastest
+_CHUNK_ROWS = 2048
+# offsets of the pairs of word tables in _digit_words
+_LEAD, _LEAD0, _DOT, _TRAIL = 20000.0 * np.arange(4)
+# the sign word: "-" in its last byte
+_MINUS = np.frombuffer(b"\0\0\0-", dtype=np.uint32)[0]
+# exact powers of ten, 10^0 .. 10^16
+_P10 = np.array([float(10**k) for k in range(17)])
 
 
 @contextlib.contextmanager
@@ -33,9 +64,122 @@ def open_out(out):
 def write_table(out, header: str, columns) -> None:
     """Write equal-length 1-D columns as CSV rows under `header`."""
     cols = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype == bool else "%.12g" for c in cols) + "\n"
+    cols = [c if c.dtype == bool else c.astype(float, copy=False) for c in cols]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     with open_out(out) as f:
-        f.write(header + "\n")
+        f.write(header)
         for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            chunk = [c[start : start + _CHUNK_ROWS].tolist() for c in cols]
-            f.write("".join(map(row.__mod__, zip(*chunk))))
+            f.write(_format_rows([c[start : start + _CHUNK_ROWS] for c in cols]))
+        f.write("\n")
+
+
+def _format_rows(cols: list[np.ndarray]) -> str:
+    """CSV text of the rows of the bool and float64 columns `cols`, each
+    row led by its newline."""
+    n = len(cols[0])
+    floats = [k for k, c in enumerate(cols) if c.dtype != bool]
+    cells = _cell_words(np.concatenate([cols[k] for k in floats] or [np.zeros(0)]))
+    width = [1 if c.dtype == bool else cells.shape[-1] for c in cols]
+    first = np.cumsum([0] + width[:-1]).tolist()
+    words = np.zeros((n, sum(width)), dtype=np.uint32)
+    for j, k in enumerate(floats):
+        words[:, first[k] : first[k] + width[k]] = cells[j * n : (j + 1) * n]
+    # a bool cell is one word: its separator and digit
+    text = words.view(np.uint8)
+    for k, c in enumerate(cols):
+        if c.dtype == bool:
+            text[:, 4 * first[k] + 3] = c + ord("0")
+        text[:, 4 * first[k]] = ord(",") if k else ord("\n")
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _cell_words(x: np.ndarray) -> np.ndarray:
+    """(n, w) words of the n floats `x`, one row per cell (w = 6, or 8 when
+    an integer part reaches 10^4); the first byte of each row is left for
+    the cell's separator."""
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= 1e-5) & (a < 1e12)  # False for NaN
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)), -5.0, 11.0)
+    y = a * _P10[(11.0 - e).astype(np.intp)]
+    m = np.rint(y)
+    # the mantissa range, the tie guard, and the exponent of the rounded
+    # value in [-4, 11]
+    fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - m) < 0.499)
+    fast &= (e >= -4.0) & ((m < 1e12) | (e < 11.0))
+    # +-0 is an integer part of 0 with no fraction
+    m[zero] = 0.0
+    e[zero] = 11.0
+    fast |= zero
+    # fixed notation with f = 11 - e fraction digits: m = i 10^f + r, and
+    # r 10^(15 - f) is the fraction's 15 digits, the first 3 of them in d
+    # and the other 12 in t
+    f = np.clip(11.0 - e, 0.0, 15.0).astype(np.intp)
+    p = _P10[f]
+    i = np.floor(m / p)
+    r = (m - i * p) * _P10[15 - f]
+    d = np.floor(r / 1e12)
+    t = r - d * 1e12
+    t0 = np.floor(t / 1e8)
+    i1, t1 = np.floor(i / 1e4), np.floor(t / 1e4)
+    i2, t2 = i - i1 * 1e4, t - t1 * 1e4
+    t1 -= t0 * 1e4
+    # each word's table + entry; the second table of a pair is zero-padded,
+    # for an integer group once a higher one is nonzero, for a fraction
+    # group once a lower one is
+    index = [
+        i2 + _LEAD0 + 1e4 * (i1 > 0),
+        d + _DOT + 1e4 * (t > 0),
+        t0 + _TRAIL + 1e4 * (t1 + t2 > 0),
+        t1 + _TRAIL + 1e4 * (t2 > 0),
+        t2 + _TRAIL,
+    ]
+    # the two higher integer groups, unless every integer part is below 10^4
+    if i1.any():
+        i0 = np.floor(i / 1e8)
+        i1 -= i0 * 1e4
+        index[:0] = [i0 + _LEAD, i1 + _LEAD + 1e4 * (i0 > 0)]
+    lut = _digit_words()
+    cells = np.empty(x.shape + (1 + len(index),), dtype=np.uint32)
+    cells[..., 0] = np.signbit(x) * _MINUS
+    for w, entry in enumerate(index, 1):
+        cells[..., w] = lut[entry.astype(np.intp)]
+    slow = np.nonzero(~fast)
+    if slow[0].size:
+        v = x[slow]
+        s = np.empty(v.shape, dtype=f"S{4 * len(index)}")
+        s[np.isnan(v)] = b"nan"
+        s[v == np.inf] = b"inf"
+        s[v == -np.inf] = b"-inf"
+        rest = np.flatnonzero(np.isfinite(v))
+        s[rest] = _fallback(v[rest])
+        cells[slow + (0,)] = 0
+        cells[slow + (slice(1, None),)] = s.view(np.uint32).reshape(len(v), -1)
+    return cells
+
+
+def _fallback(v: np.ndarray) -> list[bytes]:
+    """`'%.12g' % t` for each float t of `v`, one by one."""
+    return [b"%.12g" % t for t in v.tolist()]
+
+
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The word tables, indexed by table offset + entry, zero bytes for
+    blanks: 4-digit groups with leading blanks (0 is blank), zero-padded,
+    with leading blanks (0 is "0"), zero-padded; a dot and 3 digits with
+    trailing blanks (0 is blank, no dot), zero-padded; 4-digit groups with
+    trailing blanks (0 is blank), zero-padded."""
+    n = np.arange(10000)[:, None]
+    chars = (ord("0") + n // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
+    nonzero = chars != ord("0")
+    lead = np.cumsum(nonzero, axis=1) > 0
+    trail = np.cumsum(nonzero[:, ::-1], axis=1)[:, ::-1] > 0
+    lead0 = lead.copy()
+    lead0[0, 3] = True
+    dot = chars.copy()
+    dot[:, 0] = ord(".")  # '.' and the last 3 digits
+    tables = [chars * lead, chars, chars * lead0, chars, dot * trail, dot, chars * trail, chars]
+    return np.stack(tables).view(np.uint32).reshape(-1)

@@ -351,11 +351,10 @@ def cmd_diag_profile(u_min, u_max, **flags):
     except ConfigError as e:
         _fail(EXIT_CONFIG, str(e))
     try:
-        samples = workspace.diagonal_profile(design, u_min, u_max, cfg.grid)
+        u, a, fwd, kappa = workspace._diagonal_arrays(design, u_min, u_max, cfg.grid)
     except (RangeOutsideWorkspace, ValueError, MemoryError) as e:
         _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
-    rows = np.array([(s.u, s.a, *s.sigma_fwd, s.kappa) for s in samples])
-    write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", rows.T)
+    write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", [u, a, *fwd.T, kappa])
 
 
 @main.command("traj-check")

@@ -119,7 +119,19 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     if idx is not None:
         for full, d in zip(out, diag):
             full[idx] = d
-    return np.sort(np.stack(out, axis=-1), axis=-1), sweeps
+    return _sort3(*out), sweeps
+
+
+def _sort3(a, b, c) -> np.ndarray:
+    """(N, 3) ascending rows of three (N,) arrays by a compare-exchange
+    network, NaN last: `np.fmin` drops a NaN and `np.maximum` keeps it, so
+    every exchange moves a NaN to its upper side.  The bits are those of
+    `np.sort` unless a row holds -0.0 or NaNs of different bit patterns,
+    whose order may differ; the kernel makes no -0.0."""
+    a, b = np.fmin(a, b), np.maximum(a, b)
+    b, c = np.fmin(b, c), np.maximum(b, c)
+    a, b = np.fmin(a, b), np.maximum(a, b)
+    return np.stack([a, b, c], axis=-1)
 
 
 def _batched(mat) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -167,6 +167,18 @@ def diagonal_profile(
     SERIAL_TOL: det Jinv = (1+2a)(1-a)^2 is a parallel singularity at a =
     -1/2 and a = 1, and since a grows with u only the endpoints need checking.
     """
+    us, a, fwd, kappa = _diagonal_arrays(d, u_min, u_max, n)
+    return [
+        DiagonalSample(u=u_k, a=a_k, sigma_fwd=tuple(s_k), kappa=kappa_k)
+        for u_k, a_k, s_k, kappa_k in zip(us.tolist(), a.tolist(), fwd.tolist(), kappa.tolist())
+    ]
+
+
+def _diagonal_arrays(
+    d: DesignParams, u_min: float, u_max: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The samples of `diagonal_profile` as arrays, with its errors: u, a
+    and kappa (n,), and the ascending forward factors (n, 3)."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if u_min > u_max:
@@ -186,11 +198,7 @@ def diagonal_profile(
     us = np.linspace(u_min, u_max, n)
     a = diagonal_coupling(us, L)
     fwd = diagonal_factors(a)
-    kappa = kappa_from_factors(fwd)
-    return [
-        DiagonalSample(u=u_k, a=a_k, sigma_fwd=tuple(s_k), kappa=kappa_k)
-        for u_k, a_k, s_k, kappa_k in zip(us.tolist(), a.tolist(), fwd.tolist(), kappa.tolist())
-    ]
+    return us, a, fwd, kappa_from_factors(fwd)
 
 
 def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:

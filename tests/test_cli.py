@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, round trips."""
 
+import hashlib
 import json
 import math
 
@@ -238,22 +239,24 @@ class TestOversizedGrid:
         assert "error: MemoryError" in res.output
 
 
-class TestTrajCheck:
-    def _write_line(self, path, q1, q2, speed, n):
-        q1, q2 = np.asarray(q1), np.asarray(q2)
-        duration = float(np.linalg.norm(q2 - q1)) / speed
-        rows = ["t_s,x_mm,y_mm,z_mm"]
-        for t in np.linspace(0.0, duration, n):
-            p = q1 + (q2 - q1) * (t / duration)
-            rows.append(f"{t},{p[0]},{p[1]},{p[2]}")
-        path.write_text("\n".join(rows) + "\n")
+def write_line_waypoints(path, q1, q2, speed, n):
+    """n waypoints of a straight line from q1 to q2 at constant speed."""
+    q1, q2 = np.asarray(q1), np.asarray(q2)
+    duration = float(np.linalg.norm(q2 - q1)) / speed
+    rows = ["t_s,x_mm,y_mm,z_mm"]
+    for t in np.linspace(0.0, duration, n):
+        p = q1 + (q2 - q1) * (t / duration)
+        rows.append(f"{t},{p[0]},{p[1]},{p[2]}")
+    path.write_text("\n".join(rows) + "\n")
 
+
+class TestTrajCheck:
     def test_fast_line_flags_and_exit_two(self, runner, tmp_path):
         from orthoglide.synthesis import prototype_synthesis
 
         proto = prototype_synthesis()
         wp = tmp_path / "wp.csv"
-        self._write_line(wp, proto.q1, proto.q2, 1200.0, 41)
+        write_line_waypoints(wp, proto.q1, proto.q2, 1200.0, 41)
         out = tmp_path / "profile.csv"
         res = runner.invoke(
             main,
@@ -270,7 +273,7 @@ class TestTrajCheck:
 
         proto = prototype_synthesis()
         wp = tmp_path / "wp.csv"
-        self._write_line(wp, proto.q1, proto.q2, 200.0, 21)
+        write_line_waypoints(wp, proto.q1, proto.q2, 200.0, 21)
         res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
         assert res.exit_code == 0, res.output
 
@@ -447,3 +450,58 @@ class TestLegLengthOutOfRange:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit), res.exception
         assert "out of range: L*L over- or underflows" in res.output
+
+
+class TestGoldenBytes:
+    """SHA-256 of CSV outputs recorded before the numpy formatter replaced
+    the row-by-row `%.12g` writer: every byte must stay the same."""
+
+    @staticmethod
+    def _digest(runner, args, out, code=0):
+        res = runner.invoke(main, args + ["--out", str(out)])
+        assert res.exit_code == code, res.output
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_workspace_map(self, runner, tmp_path):
+        digest = self._digest(
+            runner, ["workspace-map", "--lw", "200", "--grid", "21"], tmp_path / "m.csv"
+        )
+        assert digest == "23bbe4d86854e6265cabfaabb86c6fe86f840410ee7b1360d389effc94defec0"
+
+    def test_oversized_cube_with_nan_rows(self, runner, tmp_path, design, proto):
+        # demo 04's oversized region: 1.8x the prototype cube, partly unreachable
+        cfg = tmp_path / "big.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "leg_length": design.leg_length,
+                    "stroke_min": list(design.stroke_min),
+                    "stroke_max": list(design.stroke_max),
+                    "s_lo": 0.5,
+                    "s_hi": 2.0,
+                    "grid": 15,
+                    "cube": {"q1": (1.8 * proto.q1).tolist(), "q2": (1.8 * proto.q2).tolist()},
+                }
+            )
+        )
+        out = tmp_path / "big.csv"
+        digest = self._digest(runner, ["workspace-map", "--config", str(cfg)], out, code=2)
+        assert "nan" in out.read_text()
+        assert digest == "fb8aeea72b9dda6b6253e070255f7485eab066c8e7521c62bf2a4612aa6e1bf9"
+
+    def test_diag_profile(self, runner, tmp_path):
+        digest = self._digest(
+            runner, ["diag-profile", "--lw", "200", "--grid", "41"], tmp_path / "d.csv"
+        )
+        assert digest == "f62b39d2bbdfa3ab1ea3d98fc9d73ca65ce4531a09dbe5f6f8851f0318adbb6e"
+
+    def test_flagged_traj_check(self, runner, tmp_path, proto):
+        wp = tmp_path / "wp.csv"
+        write_line_waypoints(wp, proto.q1, proto.q2, 1200.0, 41)
+        digest = self._digest(
+            runner,
+            ["traj-check", "--waypoints", str(wp), "--lw", "200"],
+            tmp_path / "p.csv",
+            code=2,
+        )
+        assert digest == "142000d98114fac336402a62b7da7dbd3c36fca1595b914b77a726ab34e596dc"

@@ -10,6 +10,7 @@ from orthoglide.linalg3 import (
     _MAX_SWEEPS,
     _gram_entries,
     _jacobi_eigenvalues,
+    _sort3,
     det3,
     eigvalsh3,
     singular_values3,
@@ -198,3 +199,46 @@ def test_singular_values_exactly_permutation_invariant(rng, kind):
         got = singular_values3(mats[:, p][:, :, p])
         assert np.array_equal(got.view(np.uint64), want), perm
         assert np.array_equal(singular_values3(mats[7][p][:, p]).view(np.uint64), want[7])
+
+
+def _nan_rows(rng, n=400):
+    mats = rng.standard_normal((n, 3, 3))
+    mats[::5, 1, 2] = np.nan
+    mats[::7] = np.nan
+    return mats
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        lambda rng: cube_jinv(*PROTOTYPE_AND_WIDE[0]),
+        lambda rng: cube_jinv(*PROTOTYPE_AND_WIDE[1]),
+        lambda rng: _invariance_batch(rng, "random"),
+        lambda rng: _invariance_batch(rng, "integer-ties"),
+        lambda rng: _invariance_batch(rng, "rank-deficient"),
+        _nan_rows,
+    ],
+    ids=["prototype-grid", "wide-grid", "random", "integer-ties", "rank-deficient", "nan-rows"],
+)
+def test_sort_network_equals_np_sort(rng, batch):
+    # the kernel's values in every order, sorted by the network and by
+    # np.sort: the same bits, NaN last
+    mats = batch(rng)
+    w = _jacobi_eigenvalues(*_gram_entries(mats))[0]
+    if np.isnan(mats).any():
+        assert np.isnan(w).any()
+    for perm in itertools.permutations(range(3)):
+        x = w[:, list(perm)]
+        got = _sort3(*x.T)
+        assert np.array_equal(got.view(np.uint64), np.sort(x, axis=-1).view(np.uint64)), perm
+
+
+def test_sort_network_puts_nan_last():
+    nan, inf = np.nan, np.inf
+    rows = np.array(
+        [[nan, 1.0, -2.0], [3.0, nan, nan], [nan, nan, nan], [inf, nan, -inf], [0.0, 5.0, nan]]
+    )
+    for perm in itertools.permutations(range(3)):
+        x = rows[:, list(perm)]
+        got = _sort3(*x.T)
+        assert np.array_equal(got.view(np.uint64), np.sort(x, axis=-1).view(np.uint64)), perm
