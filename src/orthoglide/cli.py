@@ -7,7 +7,8 @@ gridded/sampled data CSV, both with 12 significant digits so identical
 configurations produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid configuration, 2 limit/bound violations
-found (reports are still written), 3 kinematic failure.
+found (reports are still written), 3 kinematic failure.  Each command takes
+only the options it reads, and raises; `_Cli` maps failures to exit codes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 import click
 import numpy as np
 
-from . import kinematics, performance, synthesis, trajectory, workspace
+from . import __version__, kinematics, performance, synthesis, trajectory, workspace
 from ._table import open_out, write_table
 from .errors import (
     DegenerateBounds,
@@ -75,7 +76,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path) as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
@@ -122,10 +123,13 @@ class RunConfig:
         self.stroke_max = pick("stroke_max")
         self.vmax_m_s = pick("vmax", 1.2)
         self.amax_m_s2 = pick("amax", 20.0)
+        grid = pick("grid", 21)
         try:
-            self.grid = int(pick("grid", 21))
+            if isinstance(grid, bool) or (isinstance(grid, float) and not grid.is_integer()):
+                raise ValueError(grid)
+            self.grid = int(grid)
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"--grid must be an integer, got {pick('grid')!r}") from None
+            raise ConfigError(f"--grid must be an integer, got {grid!r}") from None
         self.out = pick("out") or None
         self.cube_doc = cfg.get("cube")
         for key in _FLOAT_KEYS:
@@ -182,49 +186,68 @@ class RunConfig:
             raise ConfigError(f"--lw must be a positive cube side, got {self.lw}")
         try:
             return synthesis.synthesize(self.lw, self.bounds())
-        except DegenerateBounds as e:
-            raise ConfigError(f"DegenerateBounds: {e}") from e
         except ValueError as e:
             raise ConfigError(str(e)) from e
 
 
-def _common_options(f):
-    f = click.option("--config", type=click.Path(), help="JSON file mirroring the flags.")(f)
-    f = click.option("--out", type=click.Path(), help="Output file (default: stdout).")(f)
-    f = click.option("--grid", type=int, default=None, help="Grid nodes per axis / samples.")(f)
-    f = click.option("--amax", type=float, default=None, help="Motor acceleration limit, m/s^2.")(f)
-    f = click.option("--vmax", type=float, default=None, help="Motor speed limit, m/s.")(f)
-    f = click.option("--stroke-max", type=float, default=None, help="Upper slider limit, mm.")(f)
-    f = click.option("--stroke-min", type=float, default=None, help="Lower slider limit, mm.")(f)
-    f = click.option("--leg-length", type=float, default=None, help="Explicit leg length, mm.")(f)
-    f = click.option("--s-hi", type=float, default=None, help="Upper transmission bound.")(f)
-    f = click.option("--s-lo", type=float, default=None, help="Lower transmission bound.")(f)
-    f = click.option("--lw", type=float, default=None, help="Prescribed cube side, mm.")(f)
-    return f
+# every option a command may read, in help order (config files take all keys)
+_OPTIONS = {
+    "lw": click.option("--lw", type=float, help="Prescribed cube side, mm."),
+    "s-lo": click.option("--s-lo", type=float, help="Lower transmission bound."),
+    "s-hi": click.option("--s-hi", type=float, help="Upper transmission bound."),
+    "leg-length": click.option("--leg-length", type=float, help="Explicit leg length, mm."),
+    "stroke-min": click.option("--stroke-min", type=float, help="Lower slider limit, mm."),
+    "stroke-max": click.option("--stroke-max", type=float, help="Upper slider limit, mm."),
+    "vmax": click.option("--vmax", type=float, help="Motor speed limit, m/s."),
+    "amax": click.option("--amax", type=float, help="Motor acceleration limit, m/s^2."),
+    "grid": click.option("--grid", type=int, help="Grid nodes per axis / samples."),
+    "out": click.option("--out", type=click.Path(), help="Output file (default: stdout)."),
+    "config": click.option("--config", type=click.Path(), help="JSON file mirroring the flags."),
+}
 
 
-def _run_config(flags: dict) -> RunConfig:
-    try:
-        return RunConfig(flags)
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
+def _options(*names):
+    def decorate(f):
+        for name in reversed((*names, "out", "config")):
+            f = _OPTIONS[name](f)
+        return f
+
+    return decorate
 
 
-@click.group()
-@click.version_option()
+class _Cli(click.Group):
+    """The one failure boundary: command bodies raise, and each failure
+    becomes an exit code and one `error:` line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as e:  # click's message, but exit 2 means violations
+            e.show()
+            sys.exit(EXIT_CONFIG)
+        except ConfigError as e:
+            _fail(EXIT_CONFIG, str(e))
+        except BrokenPipeError:  # stdout closed early: click exits 1 quietly
+            raise
+        except (DegenerateBounds, RangeOutsideWorkspace, NonMonotoneTime,
+                ValueError, MemoryError, OSError) as e:
+            _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
+        except OrthoglideError as e:
+            _fail(EXIT_KINEMATIC, f"{type(e).__name__}: {e}")
+
+
+@click.group(cls=_Cli)
+@click.version_option(version=__version__)
 def main():
     """Analysis and synthesis toolkit for the orthogonal-slider parallel machine."""
 
 
 @main.command("synthesize")
-@_common_options
+@_options("lw", "s-lo", "s-hi", "vmax", "amax", "grid")
 def cmd_synthesize(**flags):
     """Dimension the machine for a prescribed cube, then verify it on a grid."""
-    cfg = _run_config(flags)
-    try:
-        result = cfg.synthesis_result()
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
+    cfg = RunConfig(flags)
+    result = cfg.synthesis_result()
     design = result.design(cfg.vmax_m_s * 1000.0, cfg.amax_m_s2 * 1000.0)
     report = _verify_cube(design, result.cube, result.bounds, cfg.grid)
     doc = {
@@ -261,7 +284,7 @@ def _verify_cube(design, cube, bounds, grid: int) -> workspace.GridReport:
     try:
         return workspace.verify_cube(design, cube, bounds, grid)
     except (MemoryError, ValueError) as e:
-        _fail(EXIT_CONFIG, f"cannot evaluate a {grid}^3 grid: {type(e).__name__}: {e}")
+        raise ConfigError(f"cannot evaluate a {grid}^3 grid: {type(e).__name__}: {e}") from e
 
 
 def _report_doc(report: workspace.GridReport) -> dict:
@@ -282,24 +305,18 @@ def _report_doc(report: workspace.GridReport) -> dict:
 @click.argument("x", type=float)
 @click.argument("y", type=float)
 @click.argument("z", type=float)
-@_common_options
+@_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max")
 def cmd_analyze(x, y, z, **flags):
     """Full kinematic/conditioning report at pose X Y Z (mm)."""
-    cfg = _run_config(flags)
+    cfg = RunConfig(flags)
     pose = (x, y, z)
-    try:
-        _require_finite("pose", pose)
-        design, _ = cfg.design_and_cube()
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        rho = kinematics.inverse_kinematics(pose, design)
-        states = kinematics.leg_states(pose, rho, design)
-        jinv = kinematics.inverse_jacobian(pose, rho, design)
-        tf = performance.transmission_factors(jinv)
-        iso = performance.isotropy_residual(pose, design)
-    except OrthoglideError as e:
-        _fail(EXIT_KINEMATIC, f"{type(e).__name__}: {e}")
+    _require_finite("pose", pose)
+    design, _ = cfg.design_and_cube()
+    rho = kinematics.inverse_kinematics(pose, design)
+    states = kinematics.leg_states(pose, rho, design)
+    jinv = kinematics.inverse_jacobian(pose, rho, design)
+    tf = performance.transmission_factors(jinv)
+    iso = performance.isotropy_residual(pose, design)
     doc = {
         "pose_mm": list(pose),
         "rho_mm": rho,
@@ -317,18 +334,14 @@ def cmd_analyze(x, y, z, **flags):
 
 
 @main.command("workspace-map")
-@_common_options
+@_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "grid")
 def cmd_workspace_map(**flags):
     """Evaluate a cube grid and export per-node records as CSV."""
-    cfg = _run_config(flags)
-    try:
-        design, cube = cfg.design_and_cube()
-        if cube is None:
-            raise ConfigError("workspace-map needs a cube (synthesis request or config cube)")
-        bounds = cfg.bounds()
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    report = _verify_cube(design, cube, bounds, cfg.grid)
+    cfg = RunConfig(flags)
+    design, cube = cfg.design_and_cube()
+    if cube is None:
+        raise ConfigError("workspace-map needs a cube (synthesis request or config cube)")
+    report = _verify_cube(design, cube, cfg.bounds(), cfg.grid)
     workspace.write_grid_csv(report.nodes, cfg.out)
     if not report.ok:
         sys.exit(EXIT_VIOLATIONS)
@@ -337,48 +350,34 @@ def cmd_workspace_map(**flags):
 @main.command("diag-profile")
 @click.option("--u-min", type=float, default=None, help="Diagonal start, mm.")
 @click.option("--u-max", type=float, default=None, help="Diagonal end, mm.")
-@_common_options
+@_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "grid")
 def cmd_diag_profile(u_min, u_max, **flags):
     """Closed-form transmission profile along the cube diagonal, as CSV."""
-    cfg = _run_config(flags)
-    try:
-        design, cube = cfg.design_and_cube()
-        if u_min is None or u_max is None:
-            if cube is None:
-                raise ConfigError("give --u-min/--u-max or a synthesis request")
-            u_min = cube.q1[0] if u_min is None else u_min
-            u_max = cube.q2[0] if u_max is None else u_max
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        u, a, fwd, kappa = workspace._diagonal_arrays(design, u_min, u_max, cfg.grid)
-    except (RangeOutsideWorkspace, ValueError, MemoryError) as e:
-        _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
+    cfg = RunConfig(flags)
+    design, cube = cfg.design_and_cube()
+    if u_min is None or u_max is None:
+        if cube is None:
+            raise ConfigError("give --u-min/--u-max or a synthesis request")
+        u_min = cube.q1[0] if u_min is None else u_min
+        u_max = cube.q2[0] if u_max is None else u_max
+    u, a, fwd, kappa = workspace._diagonal_arrays(design, u_min, u_max, cfg.grid)
     write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", [u, a, *fwd.T, kappa])
 
 
 @main.command("traj-check")
 @click.option("--waypoints", "waypoints_path", type=click.Path(), required=False)
-@_common_options
+@_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "vmax", "amax")
 def cmd_traj_check(waypoints_path, **flags):
     """Profile a waypoint CSV (t_s,x_mm,y_mm,z_mm) and flag motor-limit hits."""
-    cfg = _run_config(flags)
+    cfg = RunConfig(flags)
+    design, _ = cfg.design_and_cube()
+    if not waypoints_path:
+        raise ConfigError("traj-check needs --waypoints")
     try:
-        design, _ = cfg.design_and_cube()
-        if not waypoints_path:
-            raise ConfigError("traj-check needs --waypoints")
-        try:
-            waypoints = trajectory.read_waypoints_csv(waypoints_path)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"cannot read waypoints: {e}") from e
-    except ConfigError as e:
-        _fail(EXIT_CONFIG, str(e))
-    try:
-        profile = trajectory.profile_path(waypoints, design)
-    except (NonMonotoneTime, ValueError) as e:
-        _fail(EXIT_CONFIG, f"{type(e).__name__}: {e}")
-    except OrthoglideError as e:
-        _fail(EXIT_KINEMATIC, f"{type(e).__name__}: {e}")
+        waypoints = trajectory.read_waypoints_csv(waypoints_path)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read waypoints: {e}") from e
+    profile = trajectory.profile_path(waypoints, design)
     trajectory.write_profile_csv(profile, cfg.out)
     if profile.any_flags:
         sys.exit(EXIT_VIOLATIONS)

@@ -3,11 +3,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import orthoglide
 from orthoglide.cli import main
 
 SYNTH = ["synthesize", "--lw", "200", "--s-lo", "0.5", "--s-hi", "2"]
@@ -505,3 +511,134 @@ class TestGoldenBytes:
             code=2,
         )
         assert digest == "142000d98114fac336402a62b7da7dbd3c36fca1595b914b77a726ab34e596dc"
+
+
+DESIGN_OPTIONS = {"--lw", "--s-lo", "--s-hi", "--leg-length", "--stroke-min", "--stroke-max"}
+
+
+class TestOptions:
+    """Each command takes only the options it reads, plus --out and --config."""
+
+    EXPECTED = {
+        "synthesize": {"--lw", "--s-lo", "--s-hi", "--vmax", "--amax", "--grid"},
+        "analyze": DESIGN_OPTIONS,
+        "workspace-map": DESIGN_OPTIONS | {"--grid"},
+        "diag-profile": DESIGN_OPTIONS | {"--grid", "--u-min", "--u-max"},
+        "traj-check": DESIGN_OPTIONS | {"--vmax", "--amax", "--waypoints"},
+    }
+
+    def test_option_sets(self):
+        found = {
+            name: {o for p in cmd.params if isinstance(p, click.Option) for o in p.opts}
+            for name, cmd in main.commands.items()
+        }
+        assert found == {name: opts | {"--out", "--config"} for name, opts in self.EXPECTED.items()}
+        assert sum(len(opts) for opts in found.values()) == 47
+
+    def test_version(self, runner):
+        res = runner.invoke(main, ["--version"])
+        assert res.exit_code == 0, res.output
+        assert res.output.endswith(f", version {orthoglide.__version__}\n")
+
+
+class TestUsageErrors:
+    """Usage errors keep click's message and exit 1: exit 2 means violations."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["synthesize", "--lw", "200", "--leg-length", "5"], "No such option '--leg-length'"),
+            (["analyze", "0", "0", "0", "--lw", "200", "--grid", "3"], "No such option '--grid'"),
+            (["workspace-map", "--lw", "200", "--vmax", "2"], "No such option '--vmax'"),
+            (["diag-profile", "--lw", "200", "--amax", "3"], "No such option '--amax'"),
+            (["traj-check", "--lw", "200", "--grid", "5"], "No such option '--grid'"),
+            (["synthesize", "--lw", "abc"], "Invalid value for '--lw'"),
+            (["frobnicate"], "No such command 'frobnicate'"),
+        ],
+    )
+    def test_exit_one(self, runner, args, message):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert f"Error: {message}" in res.output
+
+
+class TestUnreadableFiles:
+    """An --out that cannot be opened, or a config that is not UTF-8 JSON,
+    gives one `error:` line and exit 1."""
+
+    def test_out_is_a_directory(self, runner, tmp_path):
+        res = runner.invoke(main, ["analyze", "0", "0", "0", "--lw", "200", "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == f"error: IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_out_in_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "m.csv"
+        res = runner.invoke(
+            main, ["workspace-map", "--lw", "200", "--grid", "3", "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: FileNotFoundError: ")
+        assert res.output.count("\n") == 1
+
+    def test_config_not_utf8(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"lw": 200}\xff')
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
+
+    @pytest.mark.parametrize("grid, shown", [("5.7", "5.7"), ("true", "True")])
+    def test_config_grid_not_an_integer(self, runner, tmp_path, grid, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"lw": 200, "grid": {grid}}}')
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert res.output == f"error: --grid must be an integer, got {shown}\n"
+
+    @pytest.mark.parametrize("grid", ["3", "3.0"])
+    def test_config_grid_integer(self, runner, tmp_path, grid):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"lw": 200, "grid": {grid}}}')
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["verification"]["n_per_axis"] == 3
+
+
+class TestEntryPoints:
+    """The console script (`CliRunner`), the in-process call the benchmark
+    makes and `python -m orthoglide.cli` give the same code and stderr."""
+
+    @staticmethod
+    def _cases(tmp_path, proto):
+        wp = tmp_path / "wp.csv"
+        write_line_waypoints(wp, proto.q1, proto.q2, 1200.0, 41)
+        out = str(tmp_path / "out")
+        return [
+            (["analyze", "0", "0", "0", "--out", out], 1, "error: no design: give --leg-length"),
+            (["traj-check", "--waypoints", str(wp), "--lw", "200", "--out", out], 2, ""),
+            (
+                ["analyze", "--lw", "200", "--out", out, "--", "0", "0", "400"],
+                3,
+                "error: Unreachable",
+            ),
+        ]
+
+    def test_same_code_and_stderr(self, runner, tmp_path, proto, capsys):
+        src = str(Path(orthoglide.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        for args, code, prefix in self._cases(tmp_path, proto):
+            res = runner.invoke(main, args)
+            with pytest.raises(SystemExit) as exc:
+                main.main(args, standalone_mode=False)
+            proc = subprocess.run(
+                [sys.executable, "-m", "orthoglide.cli", *args],
+                capture_output=True, text=True, env=env, cwd=tmp_path,
+            )
+            stderr = capsys.readouterr().err
+            assert (res.exit_code, exc.value.code, proc.returncode) == (code, code, code)
+            assert res.output == stderr == proc.stderr
+            assert stderr.startswith(prefix) and stderr.count("\n") == int(code != 2)
