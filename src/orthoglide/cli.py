@@ -121,8 +121,8 @@ class RunConfig:
         self.leg_length = pick("leg_length")
         self.stroke_min = pick("stroke_min")
         self.stroke_max = pick("stroke_max")
-        self.vmax_m_s = pick("vmax", 1.2)
-        self.amax_m_s2 = pick("amax", 20.0)
+        self.vmax_m_s = pick("vmax", DesignParams.motor_vmax / 1000.0)
+        self.amax_m_s2 = pick("amax", DesignParams.motor_amax / 1000.0)
         grid = pick("grid", 21)
         try:
             if isinstance(grid, bool) or (isinstance(grid, float) and not grid.is_integer()):
@@ -138,6 +138,7 @@ class RunConfig:
             raise ConfigError("--grid must be at least 2")
         if self.vmax_m_s <= 0 or self.amax_m_s2 <= 0:
             raise ConfigError("--vmax and --amax must be positive")
+        self.motors = dict(motor_vmax=self.vmax_m_s * 1000.0, motor_amax=self.amax_m_s2 * 1000.0)
 
     def bounds(self) -> Bounds:
         s_lo = 0.5 if self.s_lo is None else self.s_lo
@@ -161,8 +162,7 @@ class RunConfig:
                     leg_length=self.leg_length,
                     stroke_min=self.stroke_min,
                     stroke_max=self.stroke_max,
-                    motor_vmax=self.vmax_m_s * 1000.0,
-                    motor_amax=self.amax_m_s2 * 1000.0,
+                    **self.motors,
                 )
             except ValueError as e:
                 raise ConfigError(str(e)) from e
@@ -175,10 +175,7 @@ class RunConfig:
             return d, cube
         if requested:
             result = self.synthesis_result()
-            return (
-                result.design(self.vmax_m_s * 1000.0, self.amax_m_s2 * 1000.0),
-                result.cube,
-            )
+            return result.design(**self.motors), result.cube
         raise ConfigError("no design: give --leg-length ... or a --lw synthesis request")
 
     def synthesis_result(self) -> synthesis.SynthesisResult:
@@ -219,6 +216,13 @@ class _Cli(click.Group):
     """The one failure boundary: command bodies raise, and each failure
     becomes an exit code and one `error:` line."""
 
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as e:  # the group's own options, or no command
+            e.show()
+            sys.exit(EXIT_CONFIG)
+
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
@@ -248,7 +252,7 @@ def cmd_synthesize(**flags):
     """Dimension the machine for a prescribed cube, then verify it on a grid."""
     cfg = RunConfig(flags)
     result = cfg.synthesis_result()
-    design = result.design(cfg.vmax_m_s * 1000.0, cfg.amax_m_s2 * 1000.0)
+    design = result.design(**cfg.motors)
     report = _verify_cube(design, result.cube, result.bounds, cfg.grid)
     doc = {
         "request": {"lw_mm": result.lw, "s_lo": result.bounds.s_lo, "s_hi": result.bounds.s_hi},
@@ -313,14 +317,13 @@ def cmd_analyze(x, y, z, **flags):
     _require_finite("pose", pose)
     design, _ = cfg.design_and_cube()
     rho = kinematics.inverse_kinematics(pose, design)
-    states = kinematics.leg_states(pose, rho, design)
     jinv = kinematics.inverse_jacobian(pose, rho, design)
     tf = performance.transmission_factors(jinv)
     iso = performance.isotropy_residual(pose, design)
     doc = {
         "pose_mm": list(pose),
         "rho_mm": rho,
-        "eta_mm": [s.eta for s in states],
+        "eta_mm": np.subtract(pose, rho),
         "within_stroke": [bool(f) for f in kinematics.within_stroke(rho, design)],
         "jacobian_inverse": [list(row) for row in jinv],
         "sigma_fwd": tf.sigma_fwd,

@@ -141,10 +141,9 @@ def inverse_kinematics(p, d: DesignParams) -> np.ndarray:
     SerialSingularity, for the first failing pose in C order (`index`).
     """
     p = _as_points(p)
-    L = d.leg_length
-    rad = leg_radicands(p, L)
-    eta = np.sqrt(np.maximum(rad, 0.0))
-    fail = ((rad < 0.0) | (eta <= SERIAL_TOL * L)).reshape(-1, 3)
+    rad = leg_radicands(p, d.leg_length)
+    rho, eta, fail = _working_mode(p, rad, d.leg_length)
+    fail = fail.reshape(-1, 3)
     if fail.any():
         k = int(fail.any(axis=1).argmax())
         pose = _floats(p.reshape(-1, 3)[k])
@@ -158,7 +157,15 @@ def inverse_kinematics(p, d: DesignParams) -> np.ndarray:
             err = SerialSingularity(msg, leg=i)
         err.index = k if p.ndim > 1 else None
         raise err
-    return p - eta
+    return rho
+
+
+def _working_mode(p: np.ndarray, rad: np.ndarray, leg_length: float):
+    """rho = p - eta, eta = sqrt(max(rad, 0)) and the mask of failing legs,
+    eta not above SERIAL_TOL * L (rad < 0, the workspace boundary or a
+    non-finite rad): the solve of `inverse_kinematics`, without raising."""
+    eta = np.sqrt(np.maximum(rad, 0.0))
+    return p - eta, eta, ~((eta > SERIAL_TOL * leg_length) & np.isfinite(rad))
 
 
 def within_stroke(rho, d: DesignParams) -> np.ndarray:

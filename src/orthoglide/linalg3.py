@@ -8,9 +8,9 @@ dimensions.
 
 `eigvalsh3` and `singular_values3` share one eigenvalue-only Jacobi kernel.  It
 works on the six unique entries of each matrix as (N,) arrays, drops the
-matrices that are exactly diagonal from the sweeps once they are at least
-half the batch, and gives every matrix the same bits whatever batch it is
-in, so the grid sweep and the single-pose report agree exactly.
+matrices that are exactly diagonal from the sweeps, once, when they are at
+least half the batch, and gives every matrix the same bits whatever batch
+it is in, so the grid sweep and the single-pose report agree exactly.
 `singular_values3` first reorders each matrix to a canonical one of its six
 simultaneous row/column permutations, which makes it exactly
 permutation-invariant.  No routine here computes eigenvectors: the
@@ -58,10 +58,11 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     once a_pq is negligible next to both a_pp and a_qq.  Every step is
     elementwise, and a sweep leaves a converged matrix (all off-diagonal
     entries zero) bit for bit unchanged, so no matrix's result depends on
-    its batch, and once at most half the batch is not yet converged the
-    sweeps run on those matrices only.  The loop ends as soon as every
-    off-diagonal entry of the batch is exactly zero, or after _MAX_SWEEPS
-    sweeps.
+    its batch.  The batch is compacted once: from the first sweep that
+    starts with at most half of it not yet converged, the sweeps run on
+    those matrices only, and the ones among them that converge later stay
+    in.  The loop ends as soon as every off-diagonal entry of the batch is
+    exactly zero, or after _MAX_SWEEPS sweeps.
     """
     # +0.0 turns any -0.0 into +0.0, so a rotation with a_pq = 0 is an
     # exact no-op (x - 0.0 * y and x + 0.0 * y give back x for x != -0.0)
@@ -79,17 +80,10 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
                 break
             # compacting copies the six working arrays: once at least half
             # the batch is diagonal that costs less than the sweep saves
-            if 2 * n_live <= len(live):
-                keep = np.flatnonzero(live)
-                if idx is None:
-                    idx = keep
-                else:
-                    done = np.flatnonzero(~live)
-                    for full, d in zip(out, diag):
-                        full[idx[done]] = d[done]
-                    idx = idx[keep]
-                diag = [d[keep] for d in diag]
-                off = [o[keep] for o in off]
+            if idx is None and 2 * n_live <= len(live):
+                idx = np.flatnonzero(live)
+                diag = [d[idx] for d in diag]
+                off = [o[idx] for o in off]
             sweeps += 1
             # one zero array for the annihilated entries of the sweep; no
             # step writes into an entry array, so they may share it

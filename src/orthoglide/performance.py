@@ -134,12 +134,12 @@ def isotropy_residual(p, d: DesignParams) -> IsotropyResidual:
     Reachability/singularity errors propagate from inverse_kinematics.
     Both residuals are zero exactly at the isotropic configuration.
     """
+    p = kinematics.as_point(p)
     rho = kinematics.inverse_kinematics(p, d)
-    states = kinematics.leg_states(p, rho, d)
-    legs = np.stack([s.c - s.b for s in states])
+    # leg i is c_i - b_i = p - rho_i e_i, and eta_i its i-th component
+    legs = p - rho[:, None] * np.eye(3)
     norms = np.linalg.norm(legs, axis=1)
-    etas = np.array([s.eta for s in states])
-    ratio_dev = float(np.max(np.abs(norms / etas - 1.0)))
+    ratio_dev = float(np.max(np.abs(norms / np.diagonal(legs) - 1.0)))
     ortho = [
         abs(float(legs[i] @ legs[j])) / (norms[i] * norms[j])
         for i, j in ((0, 1), (1, 2), (2, 0))

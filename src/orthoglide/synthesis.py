@@ -56,16 +56,15 @@ class SynthesisResult:
     ratio: float
     cube_to_leg: float
 
-    def design(
-        self, motor_vmax: float = 1200.0, motor_amax: float = 20000.0
-    ) -> DesignParams:
-        """Complete machine parameters with strokes set to the synthesized extremes."""
+    def design(self, **motors: float) -> DesignParams:
+        """Complete machine parameters with strokes set to the synthesized
+        extremes; `motors` are DesignParams' motor_vmax and motor_amax, which
+        default to the prototype motor sizing."""
         return DesignParams(
             leg_length=self.leg_length,
             stroke_min=self.stroke_lo,
             stroke_max=self.stroke_hi,
-            motor_vmax=motor_vmax,
-            motor_amax=motor_amax,
+            **motors,
         )
 
 

@@ -21,6 +21,7 @@ from .errors import RangeOutsideWorkspace
 from .kinematics import (
     SERIAL_TOL,
     DesignParams,
+    _working_mode,
     batch_inverse_jacobian,
     leg_radicands,
     within_stroke,
@@ -49,7 +50,10 @@ class CubeSpec:
             raise ValueError("cube corners must be length-3 points")
         if not (np.all(np.isfinite(self.q1)) and np.all(np.isfinite(self.q2))):
             raise ValueError(f"cube corners must be finite, got {self.q1} and {self.q2}")
-        d = self.q2 - self.q1
+        with np.errstate(over="ignore"):
+            d = self.q2 - self.q1
+        if not np.all(np.isfinite(d)):
+            raise ValueError(f"cube edges overflow: {d}")
         if d[0] < 0 or abs(d[0] - d[1]) > 1e-9 * max(1.0, abs(d[0])) or abs(
             d[0] - d[2]
         ) > 1e-9 * max(1.0, abs(d[0])):
@@ -181,6 +185,8 @@ def _diagonal_arrays(
     and kappa (n,), and the ascending forward factors (n, 3)."""
     if n < 2:
         raise ValueError("need at least 2 samples")
+    if not (math.isfinite(u_min) and math.isfinite(u_max)):
+        raise ValueError(f"diagonal range must be finite, got [{u_min}, {u_max}]")
     if u_min > u_max:
         raise ValueError("u_min must not exceed u_max")
     L = d.leg_length
@@ -239,8 +245,10 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     """Evaluate IK + forward factors on a closed grid over the cube.
 
     Vectorized over all nodes; matches the scalar operations bit for bit
-    because both share the same radicand, Jacobian and factor kernels.
-    Order is x-major, then y, then z, and is deterministic.
+    because both share the same radicand, working-mode solve, Jacobian and
+    factor kernels: a node is reachable exactly when `inverse_kinematics`
+    would not raise there.  Order is x-major, then y, then z, and is
+    deterministic.
 
     Permuting a pose's coordinates permutes its radicands and the rows and
     columns of its inverse Jacobian exactly, and `forward_factors` is exactly
@@ -265,9 +273,8 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     wedge = _wedge(axes, d)
     nodes = pts if wedge is None else pts[wedge[0]]
 
-    L = d.leg_length
-    rad = leg_radicands(nodes, L)
-    reachable = np.all(rad > (SERIAL_TOL * L) ** 2, axis=1)
+    rho, _, fail = _working_mode(nodes, leg_radicands(nodes, d.leg_length), d.leg_length)
+    reachable = ~fail.any(axis=1)
 
     n = len(nodes)
     sig_min = np.full(n, np.nan)
@@ -276,12 +283,10 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     stroke_ok = np.zeros(n, dtype=bool)
 
     if np.any(reachable):
-        p_r = nodes[reachable]
-        eta = np.sqrt(rad[reachable])
-        rho = p_r - eta
+        rho = rho[reachable]
         stroke_ok[reachable] = np.all(within_stroke(rho, d), axis=1)
 
-        fwd = forward_factors(batch_inverse_jacobian(p_r, rho))
+        fwd = forward_factors(batch_inverse_jacobian(nodes[reachable], rho))
         sig_min[reachable] = fwd[:, 0]
         sig_max[reachable] = fwd[:, 2]
         kappa[reachable] = kappa_from_factors(fwd)
@@ -347,13 +352,35 @@ def write_grid_csv(nodes: GridNodes, out) -> None:
 
 
 def read_grid_csv(path) -> GridNodes:
-    """Read back nodes written by write_grid_csv."""
-    t = np.genfromtxt(path, delimiter=",", names=True, ndmin=1)
+    """Read back nodes written by write_grid_csv.
+
+    Strict: raises ValueError naming the columns of GRID_CSV_HEADER the
+    header lacks, or the first line that is not one number per column
+    (nan and inf are numbers).
+    """
+    with open(path) as f:
+        lines = f.read().splitlines()
+    names = lines[0].split(",") if lines else []
+    missing = [c for c in GRID_CSV_HEADER.split(",") if c not in names]
+    if missing:
+        raise ValueError(f"grid CSV {path} lacks the column(s) {', '.join(missing)}")
+    rows = [line.split(",") for line in lines[1:]]
+    try:
+        t = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    except ValueError:
+        for k, row in enumerate(rows):
+            try:
+                np.array(row, dtype=float).reshape(len(names))
+            except ValueError:
+                raise ValueError(
+                    f"grid CSV {path} line {k + 2} is not {len(names)} numbers: {lines[k + 1]!r}"
+                ) from None
+    col = dict(zip(names, t.T))
     return GridNodes(
-        xyz=np.column_stack([t["x_mm"], t["y_mm"], t["z_mm"]]),
-        reachable=t["reachable"] != 0,
-        within_stroke=t["within_stroke"] != 0,
-        sigma_min=t["sigma_min"],
-        sigma_max=t["sigma_max"],
-        kappa=t["kappa"],
+        xyz=np.column_stack([col["x_mm"], col["y_mm"], col["z_mm"]]),
+        reachable=col["reachable"] != 0,
+        within_stroke=col["within_stroke"] != 0,
+        sigma_min=col["sigma_min"],
+        sigma_max=col["sigma_max"],
+        kappa=col["kappa"],
     )

@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import orthoglide
-from orthoglide.cli import main
+from orthoglide.cli import RunConfig, main
+from orthoglide.kinematics import DesignParams
 
 SYNTH = ["synthesize", "--lw", "200", "--s-lo", "0.5", "--s-hi", "2"]
 
@@ -46,6 +47,16 @@ class TestSynthesize:
     def test_negative_cube_side_exit_one(self, runner):
         res = runner.invoke(main, ["synthesize", "--lw", "-5", "--s-lo", "0.5", "--s-hi", "2"])
         assert res.exit_code == 1
+
+    def test_default_motor_limits(self, runner):
+        # the defaults are DesignParams', shown in m/s and m/s^2
+        res = runner.invoke(main, SYNTH + ["--grid", "3"])
+        assert res.exit_code == 0, res.output
+        design = json.loads(res.output)["design"]
+        assert (design["vmax"], design["amax"]) == (1.2, 20.0)
+        cfg = RunConfig({"lw": 200.0})
+        assert cfg.motors == {"motor_vmax": 1200.0, "motor_amax": 20000.0}
+        assert cfg.design_and_cube()[0].motor_vmax == DesignParams.motor_vmax
 
     def test_byte_identical_reruns(self, runner, tmp_path):
         files = []
@@ -418,6 +429,28 @@ class TestNonFiniteInput:
         assert isinstance(res.exception, SystemExit)
         assert "error: bad cube in config: cube corners must be finite" in res.output
 
+    def test_config_cube_edges_overflow(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            '{"leg_length": 310.58, "stroke_min": -383.8, "stroke_max": -126.8,'
+            ' "cube": {"q1": [-1e308, -1e308, -1e308], "q2": [1e308, 1e308, 1e308]}}'
+        )
+        res = runner.invoke(main, ["workspace-map", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output.startswith("error: bad cube in config: cube edges overflow")
+
+    @pytest.mark.parametrize("u_min, u_max", [("nan", "10"), ("0", "nan"), ("-inf", "0")])
+    def test_diag_profile_range(self, runner, u_min, u_max):
+        res = runner.invoke(
+            main, ["diag-profile", "--lw", "200", "--u-min", u_min, "--u-max", u_max]
+        )
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == (
+            f"error: ValueError: diagonal range must be finite, got [{float(u_min)}, {float(u_max)}]\n"
+        )
+
     def test_config_grid_not_a_number(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"lw": 200, "grid": NaN}')
@@ -561,6 +594,24 @@ class TestUsageErrors:
         assert res.exit_code == 1, res.output
         assert isinstance(res.exception, SystemExit), res.exception
         assert f"Error: {message}" in res.output
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--bogus"], "Error: No such option '--bogus'"), ([], "Commands:\n  analyze")],
+    )
+    def test_group_usage_exit_one(self, runner, args, message):
+        # parsed before any command runs: an unknown group option, and a bare
+        # invocation, which prints the help
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert message in res.output
+
+    @pytest.mark.parametrize("args", [["--help"], ["--version"], ["analyze", "--help"]])
+    def test_help_and_version_exit_zero(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+        assert res.output
 
 
 class TestUnreadableFiles:

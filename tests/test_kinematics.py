@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthoglide import kinematics
 from orthoglide.errors import (
     DegenerateInput,
     InconsistentPair,
@@ -52,6 +53,13 @@ class TestInverseKinematics:
         with pytest.raises(SerialSingularity) as e:
             inverse_kinematics((0, 0, L), D)
         assert e.value.leg == 0
+
+    def test_solve_fails_non_finite_radicands(self):
+        # the non-raising core behind inverse_kinematics and the grid sweep
+        rad = np.array([[np.nan, -np.inf, np.inf], [L * L, 0.0, -1.0]])
+        rho, eta, fail = kinematics._working_mode(np.zeros((2, 3)), rad, L)
+        assert fail.tolist() == [[True, True, True], [False, True, True]]
+        assert rho[1, 0] == -L and eta[1, 0] == L
 
     def test_reference_point_q2(self):
         # eta = 2u there, so rho = u - 2u = -u; oracle: leg closure

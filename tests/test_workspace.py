@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from orthoglide import workspace
-from orthoglide.errors import RangeOutsideWorkspace
+from orthoglide.errors import RangeOutsideWorkspace, SerialSingularity, Unreachable
 from orthoglide.kinematics import (
     SERIAL_TOL,
     DesignParams,
@@ -70,6 +70,13 @@ class TestDiagonalProfile:
             diagonal_profile(design, -10.0, L, 5)
         with pytest.raises(ValueError):
             diagonal_profile(design, 0.0, 10.0, 1)
+
+    @pytest.mark.parametrize(
+        "u_min, u_max", [(math.nan, 10.0), (0.0, math.nan), (-math.inf, 0.0), (0.0, math.inf)]
+    )
+    def test_non_finite_range_rejected(self, design, u_min, u_max):
+        with pytest.raises(ValueError, match=r"^diagonal range must be finite"):
+            diagonal_profile(design, u_min, u_max, 5)
 
     def test_parallel_singularity_rejected(self, design):
         # det Jinv = (1+2a)(1-a)^2 vanishes at a = -1/2 (u = -L/sqrt(6)) and
@@ -232,6 +239,38 @@ class TestWorkspaceMap:
                 (a.kappa[k], b.kappa[k]),
             ):
                 assert fa == pytest.approx(fb, rel=1e-11) or (math.isnan(fa) and math.isnan(fb))
+
+    @staticmethod
+    def _edited_csv(design, tmp_path, edit):
+        path = tmp_path / "map.csv"
+        write_grid_csv(verify_cube(design, CubeSpec.from_corner((100.0,) * 3, 150.0), B, 3).nodes, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        return path
+
+    @pytest.mark.parametrize("cell", ["abc", "", "1;2"])
+    def test_csv_bad_cell_names_its_line(self, design, tmp_path, cell):
+        def edit(lines):
+            cells = lines[3].split(",")
+            cells[5] = cell
+            return lines[:3] + [",".join(cells)] + lines[4:]
+
+        path = self._edited_csv(design, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"line 4 is not 8 numbers"):
+            read_grid_csv(path)
+
+    def test_csv_short_row_names_its_line(self, design, tmp_path):
+        path = self._edited_csv(design, tmp_path, lambda lines: lines[:-1] + [lines[-1][:-2]])
+        with pytest.raises(ValueError, match=r"line 28 is not 8 numbers"):
+            read_grid_csv(path)
+
+    def test_csv_missing_columns_named(self, design, tmp_path):
+        def edit(lines):
+            return [",".join(line.split(",")[:-1]).replace("reachable", "reach") for line in lines]
+
+        path = self._edited_csv(design, tmp_path, edit)
+        with pytest.raises(ValueError, match=r"lacks the column\(s\) reachable, kappa$"):
+            read_grid_csv(path)
 
     def test_csv_bytes_deterministic(self, design, proto):
         bufs = []
@@ -398,6 +437,47 @@ class TestSymmetricWedge:
             assert 0 < np.count_nonzero(~within) < len(xyz)
 
 
+class TestReachableMatchesIK:
+    """A grid node is reachable exactly when `inverse_kinematics` does not
+    raise there: the grid and the pose route share one working-mode solve."""
+
+    @staticmethod
+    def _ik_succeeds(p, d):
+        try:
+            inverse_kinematics(p, d)
+        except (Unreachable, SerialSingularity):
+            return False
+        return True
+
+    def test_oversized_cube(self, design, proto):
+        nodes = evaluate_grid(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), 15)
+        expected = [self._ik_succeeds(p, design) for p in nodes.xyz]
+        assert 0 < sum(expected) < nodes.n_points
+        assert nodes.reachable.tolist() == expected
+
+    POSES = {
+        # a radicand of exactly 0
+        "(0,L,0)": (lambda L: (0.0, L, 0.0), True),
+        "(-L,0,0)": (lambda L: (-L, 0.0, 0.0), True),
+        "(0,0,L)": (lambda L: (0.0, 0.0, L), True),
+        # on the workspace edge up to rounding, and one ulp inside and outside
+        "(3,4,0)*L/5": (lambda L: (0.6 * L, 0.8 * L, 0.0), False),
+        "(0,L-ulp,0)": (lambda L: (0.0, np.nextafter(L, 0.0), 0.0), False),
+        "(0,L+ulp,0)": (lambda L: (0.0, np.nextafter(L, np.inf), 0.0), False),
+    }
+
+    @pytest.mark.parametrize("case", list(POSES))
+    def test_single_node_cubes(self, design, case):
+        pose, zero_radicand = self.POSES[case]
+        p = np.array(pose(design.leg_length))
+        assert (0.0 in leg_radicands(p, design.leg_length)) == zero_radicand
+        nodes = evaluate_grid(design, CubeSpec(p, p), 2)
+        assert nodes.n_points == 1
+        assert nodes.reachable.tolist() == [self._ik_succeeds(p, design)]
+        if zero_radicand:
+            assert not nodes.reachable[0]
+
+
 class TestOversizedGrid:
     """A grid with more nodes than numpy can index is refused before any of
     it is built."""
@@ -434,6 +514,8 @@ class TestSpecTypes:
             CubeSpec((0, 0, 0), (-1.0, -1.0, -1.0))
         with pytest.raises(ValueError):
             CubeSpec((np.nan, 0, 0), (np.nan, 1.0, 1.0))
+        with pytest.raises(ValueError, match="cube edges overflow"):
+            CubeSpec([-1e308] * 3, [1e308] * 3)
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
