@@ -48,6 +48,7 @@ from .trajectory import (
     PathProfile,
     joint_velocity,
     max_feasible_tool_speed,
+    profile_arrays,
     profile_path,
 )
 from .workspace import (
@@ -95,6 +96,7 @@ __all__ = [
     "leg_states",
     "manipulability_ellipsoid",
     "max_feasible_tool_speed",
+    "profile_arrays",
     "profile_path",
     "prototype_design",
     "prototype_synthesis",

@@ -13,6 +13,7 @@ only the options it reads, and raises; `_Cli` maps failures to exit codes.
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 
@@ -91,17 +92,21 @@ def _load_config_file(path: str | None) -> dict:
 
 # config keys (and, with "-" for "_", flags) that take numbers
 _FLOAT_KEYS = ("lw", "s_lo", "s_hi", "leg_length", "stroke_min", "stroke_max", "vmax", "amax")
+_VECTOR_KEYS = ("stroke_min", "stroke_max")  # a number or one per axis
 
 
-def _require_finite(flag: str, value) -> None:
-    """ConfigError unless `value` (a number or list of numbers) is finite."""
+def _require_finite(flag: str, value, vector: bool = False) -> None:
+    """ConfigError unless `value` is a finite number or, with `vector`, a
+    finite number or list of numbers."""
     if value is None:
         return
     try:
-        finite = np.all(np.isfinite(np.asarray(value, dtype=float)))
+        v = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"{flag} must be a number, got {value!r}") from None
-    if not finite:
+        v = None
+    if v is None or (v.ndim and not vector):
+        raise ConfigError(f"{flag} must be a number, got {value!r}")
+    if not np.isfinite(v).all():
         raise ConfigError(f"{flag} must be finite, got {value}")
 
 
@@ -133,7 +138,7 @@ class RunConfig:
         self.out = pick("out") or None
         self.cube_doc = cfg.get("cube")
         for key in _FLOAT_KEYS:
-            _require_finite(f"--{key.replace('_', '-')}", pick(key))
+            _require_finite(f"--{key.replace('_', '-')}", pick(key), key in _VECTOR_KEYS)
         if self.grid < 2:
             raise ConfigError("--grid must be at least 2")
         if self.vmax_m_s <= 0 or self.amax_m_s2 <= 0:
@@ -314,7 +319,7 @@ def cmd_analyze(x, y, z, **flags):
     """Full kinematic/conditioning report at pose X Y Z (mm)."""
     cfg = RunConfig(flags)
     pose = (x, y, z)
-    _require_finite("pose", pose)
+    _require_finite("pose", pose, vector=True)
     design, _ = cfg.design_and_cube()
     rho = kinematics.inverse_kinematics(pose, design)
     jinv = kinematics.inverse_jacobian(pose, rho, design)
@@ -377,10 +382,10 @@ def cmd_traj_check(waypoints_path, **flags):
     if not waypoints_path:
         raise ConfigError("traj-check needs --waypoints")
     try:
-        waypoints = trajectory.read_waypoints_csv(waypoints_path)
-    except (OSError, ValueError) as e:
+        times, poses = trajectory.read_waypoints_csv(waypoints_path)
+    except (OSError, ValueError, csv.Error) as e:
         raise ConfigError(f"cannot read waypoints: {e}") from e
-    profile = trajectory.profile_path(waypoints, design)
+    profile = trajectory.profile_arrays(times, poses, design)
     trajectory.write_profile_csv(profile, cfg.out)
     if profile.any_flags:
         sys.exit(EXIT_VIOLATIONS)

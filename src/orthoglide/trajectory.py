@@ -4,15 +4,19 @@ Tool velocities map to joint velocities through the inverse Jacobian.
 Joint rates and accelerations along a sampled path are estimated by finite
 differences of the IK joint positions in time, with one-sided stencils at
 the path ends, and checked against the motor velocity/acceleration
-capability.  IK and the interior stencils each run once, batched over the
-whole path.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint
-rate is rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
-acceleration at each sample, which timed waypoints do not carry.
+capability.  `profile_arrays` profiles a path given as arrays of times and
+poses; IK and the interior stencils each run once, batched over the whole
+path.  `read_waypoints_csv` reads a waypoint file straight into those
+arrays, and `profile_path` stacks (time, pose) pairs into them.  Closed
+forms exist (with s_i = p_j v_j + p_k v_k, the joint rate is rho_dot_i =
+v_i + s_i / eta_i), but they need the tool velocity and acceleration at
+each sample, which timed waypoints do not carry.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,14 +136,24 @@ def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray
 def profile_path(waypoints, d: DesignParams) -> PathProfile:
     """Joint positions, rates and accelerations along timed waypoints.
 
-    `waypoints` is a sequence of (time_s, pose) pairs with finite, strictly
-    increasing times; every pose must be reachable.  Joint positions come
-    from one batched IK call, derivatives from finite differences of those
-    positions.
+    `waypoints` is a sequence of (time_s, pose) pairs; they are stacked
+    into arrays and profiled by `profile_arrays`, which states the rules.
+    Times are checked before poses, and the first bad pose raises.
     """
     if len(waypoints) < 2:
         raise ValueError("need at least 2 waypoints")
     times = np.array([float(t) for t, _ in waypoints])
+    try:
+        poses = np.array([p for _, p in waypoints], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        poses = np.empty(0)
+    if poses.shape[1:] != (3,):
+        _check_times(times)
+        poses = np.array([as_point(p) for _, p in waypoints])  # the first bad pose raises
+    return profile_arrays(times, poses, d)
+
+
+def _check_times(times: np.ndarray) -> None:
     if not np.isfinite(times).all():
         k = int(np.argmin(np.isfinite(times)))
         raise ValueError(f"waypoint times must be finite (t[{k}] = {times[k]:g})")
@@ -149,12 +163,28 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
             f"waypoint times must increase strictly (t[{k}] = {times[k]:g}, "
             f"t[{k + 1}] = {times[k + 1]:g})"
         )
-    try:
-        poses = np.array([p for _, p in waypoints], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        poses = np.empty(0)
-    if poses.shape[1:] != (3,) or not np.isfinite(poses).all():
-        poses = np.array([as_point(p) for _, p in waypoints])  # the first bad pose raises
+
+
+def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
+    """Joint positions, rates and accelerations along a timed path.
+
+    `times` (n,) must be finite and strictly increasing, with n >= 2;
+    `poses` (n, 3) must be finite and reachable.  Joint positions come from
+    one batched IK call, derivatives from finite differences of those
+    positions.
+    """
+    times = np.asarray(times, dtype=float)
+    poses = np.asarray(poses, dtype=float)
+    if times.ndim != 1 or poses.shape != (*times.shape, 3):
+        raise ValueError(
+            f"expected times (n,) and poses (n, 3), got {times.shape} and {poses.shape}"
+        )
+    if len(times) < 2:
+        raise ValueError("need at least 2 waypoints")
+    _check_times(times)
+    finite = np.isfinite(poses).all(axis=1)
+    if not finite.all():
+        as_point(poses[np.argmin(finite)])  # raises for the first non-finite pose
     try:
         joints = inverse_kinematics(poses, d)
     except Unreachable as e:
@@ -180,24 +210,77 @@ PROFILE_CSV_HEADER = (
 )
 
 
-def read_waypoints_csv(path) -> list[tuple[float, np.ndarray]]:
-    """Read timed waypoints (header t_s,x_mm,y_mm,z_mm), row by row as csv.DictReader would."""
-    out = []
+# characters on which np.loadtxt and float() disagree: csv quoting, and the
+# separators U+001C-U+001F, which loadtxt strips from a cell like whitespace
+_ROW_LOOP_CHARS = '"\x1c\x1d\x1e\x1f'
+
+
+def read_waypoints_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read timed waypoints (header t_s,x_mm,y_mm,z_mm) as times (n,) and poses (n, 3).
+
+    The file is read as csv.reader reads it: the last of duplicate columns
+    wins, blank lines are skipped, extra cells are ignored, and every cell
+    is parsed as float() parses it.  A plain file is parsed in one
+    np.loadtxt pass.  A file that pass may read differently (quotes, cells
+    longer than csv's field limit, U+001C-U+001F) or refuses (a short row,
+    a cell loadtxt cannot parse) goes through the csv row loop, which
+    raises `bad waypoint row k` for the first bad row.
+    """
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        col = {name: i for i, name in enumerate(next(reader, []))}
-        missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(col)
-        if missing:
-            raise ValueError(f"waypoint CSV missing columns: {sorted(missing)}")
-        it, ix, iy, iz = (col[c] for c in ("t_s", "x_mm", "y_mm", "z_mm"))
-        pad = [None] * (max(it, ix, iy, iz) + 1)  # a short row's missing cells read None
-        for k, row in enumerate(r + pad for r in reader if r):
-            try:
-                t, x, y, z = float(row[it]), float(row[ix]), float(row[iy]), float(row[iz])
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"bad waypoint row {k + 2}: {e}") from e
-            out.append((t, np.array([x, y, z])))
-    return out
+        try:
+            text = f.read()
+        except UnicodeDecodeError:  # the row loop raises it where it occurs
+            if not f.seekable():
+                raise
+            f.seek(0)
+            rows = _read_rows(f)
+        else:
+            rows = _loadtxt_rows(text)
+            if rows is None:
+                rows = _read_rows(io.StringIO(text, newline=""))
+    return rows[:, 0], rows[:, 1:]
+
+
+def _loadtxt_rows(text: str) -> np.ndarray | None:
+    """The (n, 4) rows of a waypoint file parsed by np.loadtxt, or None
+    where the row loop must read it."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # as csv ends lines
+    if (
+        any(c in text for c in _ROW_LOOP_CHARS)
+        or max(map(len, lines)) > csv.field_size_limit()
+        or not any(lines[1:])  # loadtxt warns on a file with no data
+    ):
+        return None
+    cols = _waypoint_columns(next(csv.reader(lines[:1]), []))
+    try:
+        return np.loadtxt(
+            lines, delimiter=",", comments=None, quotechar=None, skiprows=1, usecols=cols, ndmin=2
+        )
+    except ValueError:
+        return None
+
+
+def _waypoint_columns(header: list[str]) -> tuple[int, ...]:
+    col = {name: i for i, name in enumerate(header)}
+    missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(col)
+    if missing:
+        raise ValueError(f"waypoint CSV missing columns: {sorted(missing)}")
+    return tuple(col[c] for c in ("t_s", "x_mm", "y_mm", "z_mm"))
+
+
+def _read_rows(f) -> np.ndarray:
+    """The csv.reader row loop of `read_waypoints_csv`: (n, 4) rows, one
+    float() per cell."""
+    reader = csv.reader(f)
+    cols = _waypoint_columns(next(reader, []))
+    pad = [None] * (max(cols) + 1)  # a short row's missing cells read None
+    out = []
+    for k, row in enumerate(r + pad for r in reader if r):
+        try:
+            out.append([float(row[i]) for i in cols])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"bad waypoint row {k + 2}: {e}") from e
+    return np.array(out).reshape(-1, 4)
 
 
 def write_profile_csv(profile: PathProfile, out) -> None:

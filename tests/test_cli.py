@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import orthoglide
+from orthoglide import trajectory
 from orthoglide.cli import RunConfig, main
 from orthoglide.kinematics import DesignParams
 
@@ -267,6 +268,29 @@ def write_line_waypoints(path, q1, q2, speed, n):
     path.write_text("\n".join(rows) + "\n")
 
 
+def write_seeded_path(path, proto, n=2000, plain=True):
+    """n waypoints of a seeded closed curve through the prototype cube.
+
+    `plain` writes unquoted `repr` floats with LF line endings; otherwise the
+    same values are written with CRLF line endings, a blank line after every
+    100th row and every cell of every 7th row quoted, which csv reads alike.
+    """
+    rng = np.random.default_rng(20021)
+    t = np.cumsum(rng.uniform(0.5e-3, 1.5e-3, n))
+    theta = 2 * math.pi * t[:, None] * np.array([1.0, 2.0, 3.0]) + rng.uniform(0, 2 * math.pi, 3)
+    p = (proto.q1 + proto.q2) / 2 + np.array([60.0, 45.0, 70.0]) * np.sin(theta)
+    rows = ["t_s,x_mm,y_mm,z_mm"]
+    for k, (tk, pk) in enumerate(zip(t, p)):
+        cells = [repr(float(v)) for v in (tk, *pk)]
+        if not plain and k % 7 == 3:
+            cells = [f'"{c}"' for c in cells]
+        rows.append(",".join(cells))
+        if not plain and k % 100 == 99:
+            rows.append("")
+    end = "\n" if plain else "\r\n"
+    path.write_bytes((end.join(rows) + end).encode())
+
+
 class TestTrajCheck:
     def test_fast_line_flags_and_exit_two(self, runner, tmp_path):
         from orthoglide.synthesis import prototype_synthesis
@@ -303,6 +327,14 @@ class TestTrajCheck:
         wp.write_text("not,a,waypoint,file\n1,2,3,4\n")
         res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
         assert res.exit_code == 1
+
+    def test_field_over_csv_limit_exit_one(self, runner, tmp_path):
+        wp = tmp_path / "wp.csv"
+        wp.write_text("t_s,x_mm,y_mm,z_mm,note\n0,0,0,0,\n1,0,0,1," + "x" * 131073 + "\n")
+        res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: cannot read waypoints: field larger than field limit (131072)\n"
 
     def test_unreachable_waypoint_exit_three(self, runner, tmp_path):
         wp = tmp_path / "wp.csv"
@@ -418,6 +450,15 @@ class TestNonFiniteInput:
         res = runner.invoke(main, ["analyze", "0", "0", "0", "--config", str(cfg)])
         self._assert_clean_exit_one(res, flag)
 
+    @pytest.mark.parametrize("key", ["lw", "s_lo", "s_hi", "leg_length", "vmax", "amax"])
+    def test_config_scalar_key_given_a_list(self, runner, tmp_path, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lw": 200, key: [1, 2]}))
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == f"error: --{key.replace('_', '-')} must be a number, got [1, 2]\n"
+
     def test_config_cube(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -493,7 +534,9 @@ class TestLegLengthOutOfRange:
 
 class TestGoldenBytes:
     """SHA-256 of CSV outputs recorded before the numpy formatter replaced
-    the row-by-row `%.12g` writer: every byte must stay the same."""
+    the row-by-row `%.12g` writer (the seeded traj-check digest: before
+    the waypoint reader parsed with np.loadtxt): every byte must stay the
+    same."""
 
     @staticmethod
     def _digest(runner, args, out, code=0):
@@ -544,6 +587,20 @@ class TestGoldenBytes:
             code=2,
         )
         assert digest == "142000d98114fac336402a62b7da7dbd3c36fca1595b914b77a726ab34e596dc"
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["loadtxt-pass", "row-loop"])
+    def test_seeded_traj_check(self, runner, tmp_path, proto, plain, monkeypatch):
+        # both files hold the same values, read by the two routes of the reader
+        row_loop = []
+        read_rows = trajectory._read_rows
+        monkeypatch.setattr(trajectory, "_read_rows", lambda f: row_loop.append(1) or read_rows(f))
+        wp = tmp_path / "wp.csv"
+        write_seeded_path(wp, proto, plain=plain)
+        digest = self._digest(
+            runner, ["traj-check", "--waypoints", str(wp), "--lw", "200"], tmp_path / "p.csv", code=2
+        )
+        assert row_loop == ([] if plain else [1])
+        assert digest == "b0071bda95e450ee7ffdac19cdac4b0f936be7c3b761806ab82167b042412404"
 
 
 DESIGN_OPTIONS = {"--lw", "--s-lo", "--s-hi", "--leg-length", "--stroke-min", "--stroke-max"}

@@ -1,5 +1,6 @@
 """Velocity mapping, feasible-speed limits and path profiling."""
 
+import csv
 import io
 import math
 
@@ -434,20 +435,120 @@ class TestErrorParity:
             profile_path(wps, D)
 
 
+def reference_read(path):
+    """The csv.reader row loop, one float() per cell: the reader's oracle."""
+    out = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        col = {name: i for i, name in enumerate(next(reader, []))}
+        missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(col)
+        if missing:
+            raise ValueError(f"waypoint CSV missing columns: {sorted(missing)}")
+        it, ix, iy, iz = (col[c] for c in ("t_s", "x_mm", "y_mm", "z_mm"))
+        pad = [None] * (max(it, ix, iy, iz) + 1)
+        for k, row in enumerate(r + pad for r in reader if r):
+            try:
+                t, x, y, z = float(row[it]), float(row[ix]), float(row[iy]), float(row[iz])
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"bad waypoint row {k + 2}: {e}") from e
+            out.append((t, np.array([x, y, z])))
+    return np.array([t for t, _ in out]), np.array([p for _, p in out]).reshape(-1, 3)
+
+
+def seeded_waypoint_text(n):
+    rng = np.random.default_rng(20021001)
+    rows = ["t_s,x_mm,y_mm,z_mm"]
+    rows += [",".join(repr(float(v)) for v in row) for row in rng.normal(0.0, 100.0, (n, 4))]
+    return "\n".join(rows) + "\n"
+
+
+H = "t_s,x_mm,y_mm,z_mm\n"
+
+
+class TestReaderParity:
+    """`read_waypoints_csv` gives the row loop's times and poses bit for bit,
+    or its exception and message, whichever route reads the file."""
+
+    CASES = {
+        "lf": H + "0,1,2,3\n0.5,4,5,6\n",
+        "crlf": H.replace("\n", "\r\n") + "0,1,2,3\r\n0.5,4,5,6\r\n",
+        "bare-cr": H.replace("\n", "\r") + "0,1,2,3\r0.5,4,5,6\r",
+        "mixed-endings": H + "0,1,2,3\r\n0.5,4,5,6\r1,7,8,9",
+        "blank-lines": H + "\n\n0,1,2,3\n\r\n\n0.5,4,5,6\n\n",
+        "whitespace-line": H + "0,1,2,3\n \n0.5,4,5,6\n",
+        "tab-line": "x_mm,t_s,y_mm,z_mm\n0,1,2,3\n\t\n",
+        "padded-cells": H + " 0 ,\t1,2\xa0,\u20033\n0.5,4,5,6\n",
+        "quoted-cells": H + '"0","1",2,"3"\n0.5,4,5,6\n',
+        "quoted-newline": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3,\"a\n0.5,4,5,6,b\"\n1,7,8,9,c\n",
+        "unbalanced-quote": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3,\"a\n0.5,4,5,6,b\n1,7,8,9,c\n",
+        "quote-mid-cell": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3,a\"b\n0.5,4,5,6,c\n",
+        "quoted-header": '"t_s","x_mm",y_mm,"z_mm"\n0,1,2,3\n',
+        "underscore": H + "0,1_0,2,3\n0.5,4,5,6\n",
+        "nbsp-only": H + "0,\xa0,2,3\n",
+        "arabic-digits": H + "0,\u0661\u0662,2,3\n0.5,4,5,6\n",
+        "file-separator": H + "0,\x1c1,2,3\n0.5,4,5,6\n",
+        "unit-separator-unused": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3,\x1f\n0.5,4,5,6,x\n",
+        "nan-inf": H + "0,nan,-inf,+Infinity\n0.5,NaN,INF,-nan\n1,1e400,-1e-400,-0\n",
+        "bad-cell": H + "0,1,2,3\n\n0.5,4,x,6\n",
+        "hex-cell": H + "0,0x10,2,3\n",
+        "empty-cell": H + "0,,2,3\n",
+        "short-row": H + "0,1,2,3\n0.5,4,5\n",
+        "short-row-reordered": "z_mm,y_mm,x_mm,t_s\n3,2,1,0\n6,5\n",
+        "extra-columns": "t_s,x_mm,y_mm,z_mm,a,b\n0,1,2,3,x,y\n0.5,4,5,6,,\n1,7,8,9,z,z,z\n",
+        "duplicate-columns": "z_mm,t_s,y_mm,x_mm,x_mm,t_s\n3,0,2,9,1,0.25\n6,1,5,9,4,0.75\n",
+        "missing-column": "t_s,x_mm,y_mm\n0,0,0\n",
+        "empty-file": "",
+        "blank-first-line": "\n" + H + "0,1,2,3\n",
+        "header-only": H,
+        "header-then-blank-lines": H + "\n\r\n\r",
+        "header-no-newline": H.rstrip("\n"),
+        "one-row": H + "0,1,2,3",
+        "nul-unused": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3,a\x00b\n",
+        "long-field": "t_s,x_mm,y_mm,z_mm,note\n0,1,2,3," + "x" * 131073 + "\n",
+        "long-number": H + "0,1,2," + "0" * 131070 + "3\n",
+        "seeded-10000": seeded_waypoint_text(10000),
+    }
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            times, poses = read(path)
+        except Exception as e:  # the exception itself is compared
+            return type(e), str(e)
+        assert times.shape == (len(poses),) and poses.shape == (len(times), 3)
+        return times.dtype, times.tobytes(), poses.dtype, poses.tobytes()
+
+    def check(self, path):
+        assert self.outcome(read_waypoints_csv, path) == self.outcome(reference_read, path)
+
+    @pytest.mark.parametrize("text", CASES.values(), ids=CASES.keys())
+    def test_same_result(self, tmp_path, text):
+        f = tmp_path / "wp.csv"
+        f.write_bytes(text.encode())
+        self.check(f)
+
+    def test_undecodable_byte_after_bad_row(self, tmp_path):
+        f = tmp_path / "wp.csv"
+        f.write_bytes((H + "0,1,2,3\n0.5,x,5,6\n").encode() + b"1,2,3,4\n" * 2000 + b"\xff\n")
+        self.check(f)
+        f.write_bytes((H + "0,1,2,3\n").encode() + b"1,2,3,4\n" * 2000 + b"\xff\n")
+        self.check(f)
+
+
 class TestCsv:
     def test_waypoint_reader(self, tmp_path):
         f = tmp_path / "wp.csv"
         f.write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n0.5,10,20,30\n")
-        wps = read_waypoints_csv(f)
-        assert wps[0][0] == 0.0
-        assert np.array_equal(wps[1][1], [10.0, 20.0, 30.0])
+        times, poses = read_waypoints_csv(f)
+        assert times[0] == 0.0
+        assert np.array_equal(poses[1], [10.0, 20.0, 30.0])
 
     def test_waypoint_reader_skips_blank_lines(self, tmp_path):
         f = tmp_path / "wp.csv"
         f.write_text("z_mm,t_s,y_mm,x_mm,x_mm\n\n3,0.5,2,9,1\n\n\n6,1.5,5,9,4,extra\n")
-        wps = read_waypoints_csv(f)
-        assert [t for t, _ in wps] == [0.5, 1.5]
-        assert np.array_equal(wps[1][1], [4.0, 5.0, 6.0])  # the last x_mm column
+        times, poses = read_waypoints_csv(f)
+        assert times.tolist() == [0.5, 1.5]
+        assert np.array_equal(poses[1], [4.0, 5.0, 6.0])  # the last x_mm column
 
     @pytest.mark.parametrize(
         "text, message",
