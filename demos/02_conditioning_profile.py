@@ -27,8 +27,9 @@ d = prototype_design()
 print(f"reference points: Q1 = {res.q1}, Q2 = {res.q2}\n")
 
 print("   u (mm)        a    sigma_fwd                kappa")
-for s in diagonal_profile(d, res.q1[0], res.q2[0], 9):
-    print(f"{s.u:9.3f}  {s.a:7.4f}   {np.array(s.sigma_fwd)}   {s.kappa:.4f}")
+prof = diagonal_profile(d, res.q1[0], res.q2[0], 9)
+for u, a, fwd, kappa in zip(*prof):
+    print(f"{u:9.3f}  {a:7.4f}   {fwd}   {kappa:.4f}")
 
 print("\nfactors touch 2.0 at Q1 (a = -1/4) and both 0.5 and 2.0 at Q2 (a = 1/2)\n")
 

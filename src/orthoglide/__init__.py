@@ -54,6 +54,7 @@ from .trajectory import (
 from .workspace import (
     Bounds,
     CubeSpec,
+    DiagonalProfile,
     GridNodes,
     GridReport,
     diagonal_profile,
@@ -69,6 +70,7 @@ __all__ = [
     "DegenerateInput",
     "DesignParams",
     "DiagonalLimits",
+    "DiagonalProfile",
     "Ellipsoid",
     "GridNodes",
     "GridReport",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import sys
 
 import click
@@ -97,16 +98,18 @@ _VECTOR_KEYS = ("stroke_min", "stroke_max")  # a number or one per axis
 
 def _require_finite(flag: str, value, vector: bool = False) -> None:
     """ConfigError unless `value` is a finite number or, with `vector`, a
-    finite number or list of numbers."""
+    finite number or list of numbers.  A string or a boolean is not a
+    number, though numpy would convert it."""
     if value is None:
         return
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or (v.ndim and not vector):
+    items = value if vector and isinstance(value, (list, tuple)) else [value]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
         raise ConfigError(f"{flag} must be a number, got {value!r}")
-    if not np.isfinite(v).all():
+    try:
+        finite = all(math.isfinite(v) for v in items)
+    except OverflowError:  # an integer beyond the range of a double
+        finite = False
+    if not finite:
         raise ConfigError(f"{flag} must be finite, got {value}")
 
 
@@ -130,7 +133,7 @@ class RunConfig:
         self.amax_m_s2 = pick("amax", DesignParams.motor_amax / 1000.0)
         grid = pick("grid", 21)
         try:
-            if isinstance(grid, bool) or (isinstance(grid, float) and not grid.is_integer()):
+            if isinstance(grid, (bool, str)) or (isinstance(grid, float) and not grid.is_integer()):
                 raise ValueError(grid)
             self.grid = int(grid)
         except (TypeError, ValueError, OverflowError):
@@ -324,7 +327,7 @@ def cmd_analyze(x, y, z, **flags):
     rho = kinematics.inverse_kinematics(pose, design)
     jinv = kinematics.inverse_jacobian(pose, rho, design)
     tf = performance.transmission_factors(jinv)
-    iso = performance.isotropy_residual(pose, design)
+    iso = performance.isotropy_residual(pose, rho)
     doc = {
         "pose_mm": list(pose),
         "rho_mm": rho,
@@ -368,7 +371,7 @@ def cmd_diag_profile(u_min, u_max, **flags):
             raise ConfigError("give --u-min/--u-max or a synthesis request")
         u_min = cube.q1[0] if u_min is None else u_min
         u_max = cube.q2[0] if u_max is None else u_max
-    u, a, fwd, kappa = workspace._diagonal_arrays(design, u_min, u_max, cfg.grid)
+    u, a, fwd, kappa = workspace.diagonal_profile(design, u_min, u_max, cfg.grid)
     write_table(cfg.out, "u_mm,a,sigma_fwd_1,sigma_fwd_2,sigma_fwd_3,kappa", [u, a, *fwd.T, kappa])
 
 

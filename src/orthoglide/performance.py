@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kinematics
 from .errors import ParallelSingularity
-from .kinematics import SERIAL_TOL, DesignParams
+from .kinematics import SERIAL_TOL
 from .linalg3 import det3, singular_values3
 
 #: |det(Jinv)| at or below this is treated as a parallel singularity.
@@ -128,14 +128,15 @@ def condition_number(jinv) -> float:
     return float(kappa_from_factors(forward_factors(jinv)))
 
 
-def isotropy_residual(p, d: DesignParams) -> IsotropyResidual:
+def isotropy_residual(p, rho) -> IsotropyResidual:
     """Residuals of the unit-ratio and leg-orthogonality conditions at `p`.
 
-    Reachability/singularity errors propagate from inverse_kinematics.
-    Both residuals are zero exactly at the isotropic configuration.
+    `rho` must be the slider coordinates `inverse_kinematics(p, d)` returned,
+    which also rules out unreachable and serially singular poses.  Both
+    residuals are zero exactly at the isotropic configuration.
     """
     p = kinematics.as_point(p)
-    rho = kinematics.inverse_kinematics(p, d)
+    rho = kinematics.as_point(rho)
     # leg i is c_i - b_i = p - rho_i e_i, and eta_i its i-th component
     legs = p - rho[:, None] * np.eye(3)
     norms = np.linalg.norm(legs, axis=1)

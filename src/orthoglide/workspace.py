@@ -83,13 +83,14 @@ class Bounds:
             raise ValueError(f"bounds must satisfy 0 < s_lo <= 1 <= s_hi, got {self}")
 
 
-class DiagonalSample(NamedTuple):
-    """One sample of the diagonal profile at pose (u, u, u)."""
+class DiagonalProfile(NamedTuple):
+    """The diagonal profile at poses (u, u, u): u, the coupling a and kappa
+    are (n,), the ascending forward factors sigma_fwd (n, 3)."""
 
-    u: float
-    a: float
-    sigma_fwd: tuple[float, float, float]
-    kappa: float
+    u: np.ndarray
+    a: np.ndarray
+    sigma_fwd: np.ndarray
+    kappa: np.ndarray
 
 
 @dataclass
@@ -159,9 +160,7 @@ def diagonal_factors(a) -> np.ndarray:
     return np.sort(fwd, axis=-1)
 
 
-def diagonal_profile(
-    d: DesignParams, u_min: float, u_max: float, n: int
-) -> list[DiagonalSample]:
+def diagonal_profile(d: DesignParams, u_min: float, u_max: float, n: int) -> DiagonalProfile:
     """Closed-form factor profile along the cube diagonal.
 
     Samples n poses (u, u, u) for u in [u_min, u_max].  The spectrum of the
@@ -171,18 +170,6 @@ def diagonal_profile(
     SERIAL_TOL: det Jinv = (1+2a)(1-a)^2 is a parallel singularity at a =
     -1/2 and a = 1, and since a grows with u only the endpoints need checking.
     """
-    us, a, fwd, kappa = _diagonal_arrays(d, u_min, u_max, n)
-    return [
-        DiagonalSample(u=u_k, a=a_k, sigma_fwd=tuple(s_k), kappa=kappa_k)
-        for u_k, a_k, s_k, kappa_k in zip(us.tolist(), a.tolist(), fwd.tolist(), kappa.tolist())
-    ]
-
-
-def _diagonal_arrays(
-    d: DesignParams, u_min: float, u_max: float, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The samples of `diagonal_profile` as arrays, with its errors: u, a
-    and kappa (n,), and the ascending forward factors (n, 3)."""
     if n < 2:
         raise ValueError("need at least 2 samples")
     if not (math.isfinite(u_min) and math.isfinite(u_max)):
@@ -204,7 +191,7 @@ def _diagonal_arrays(
     us = np.linspace(u_min, u_max, n)
     a = diagonal_coupling(us, L)
     fwd = diagonal_factors(a)
-    return us, a, fwd, kappa_from_factors(fwd)
+    return DiagonalProfile(us, a, fwd, kappa_from_factors(fwd))
 
 
 def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:

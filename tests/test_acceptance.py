@@ -64,8 +64,7 @@ def test_criterion_2_isotropy_at_origin(design):
 
 def test_criterion_3_reference_point_binding(proto, design):
     u1, u2 = proto.q1[0], proto.q2[0]
-    s1 = diagonal_profile(design, u1, u2, 2)[0].sigma_fwd
-    s2 = diagonal_profile(design, u1, u2, 2)[1].sigma_fwd
+    s1, s2 = diagonal_profile(design, u1, u2, 2).sigma_fwd
     dev_q2_hi = abs(s2[2] - 2.0)
     dev_q2_lo = abs(s2[0] - 0.5)
     dev_q1_hi = abs(s1[2] - 2.0)

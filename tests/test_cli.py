@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, formats, determinism, round trips."""
 
+import ast
 import hashlib
 import json
 import math
@@ -14,8 +15,8 @@ import pytest
 from click.testing import CliRunner
 
 import orthoglide
-from orthoglide import trajectory
-from orthoglide.cli import RunConfig, main
+from orthoglide import cli, kinematics, trajectory
+from orthoglide.cli import _FLOAT_KEYS, RunConfig, main
 from orthoglide.kinematics import DesignParams
 
 SYNTH = ["synthesize", "--lw", "200", "--s-lo", "0.5", "--s-hi", "2"]
@@ -118,6 +119,16 @@ class TestAnalyze:
         doc = json.loads(res.output)
         assert doc["within_stroke"] == [True, True, True]  # origin rho = -L is in range
         assert doc["rho_mm"] == pytest.approx([-310.582854123] * 3, rel=1e-9)
+
+    def test_one_ik_solve(self, runner, monkeypatch):
+        # the isotropy residual reads the rho the command solved for
+        solve, calls = kinematics.inverse_kinematics, []
+        monkeypatch.setattr(
+            kinematics, "inverse_kinematics", lambda *args: calls.append(args) or solve(*args)
+        )
+        res = runner.invoke(main, ["analyze", *EXPLICIT, "--", "10", "20", "-30"])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
 
 
 class TestConfigRoundTrip:
@@ -459,6 +470,33 @@ class TestNonFiniteInput:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output == f"error: --{key.replace('_', '-')} must be a number, got [1, 2]\n"
 
+    @pytest.mark.parametrize("value, shown", [("200", "'200'"), (True, "True")])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_config_key_not_a_json_number(self, runner, tmp_path, key, value, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lw": 200, key: value}))
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == f"error: --{key.replace('_', '-')} must be a number, got {shown}\n"
+
+    @pytest.mark.parametrize("entry", ["-383.8", False])
+    def test_config_stroke_list_entry_not_a_json_number(self, runner, tmp_path, entry):
+        stroke = [-383.8, entry, -383.8]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"leg_length": 310.58, "stroke_min": stroke, "stroke_max": -126.8})
+        )
+        res = runner.invoke(main, ["analyze", "0", "0", "0", "--config", str(cfg)])
+        assert res.exit_code == 1, res.output
+        assert res.output == f"error: --stroke-min must be a number, got {stroke!r}\n"
+
+    def test_config_integer_beyond_a_double(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"lw": 1' + "0" * 400 + "}")
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg), "--grid", "3"])
+        self._assert_clean_exit_one(res, "--lw")
+
     def test_config_cube(self, runner, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -699,7 +737,7 @@ class TestUnreadableFiles:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output.startswith(f"error: cannot read config {cfg}: 'utf-8' codec")
 
-    @pytest.mark.parametrize("grid, shown", [("5.7", "5.7"), ("true", "True")])
+    @pytest.mark.parametrize("grid, shown", [("5.7", "5.7"), ("true", "True"), ('"3"', "'3'")])
     def test_config_grid_not_an_integer(self, runner, tmp_path, grid, shown):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"lw": 200, "grid": {grid}}}')
@@ -750,3 +788,26 @@ class TestEntryPoints:
             assert (res.exit_code, exc.value.code, proc.returncode) == (code, code, code)
             assert res.output == stderr == proc.stderr
             assert stderr.startswith(prefix) and stderr.count("\n") == int(code != 2)
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_reads_no_private_name_of_the_package():
+    # the commands go through the package's public functions, so a private
+    # fork of one of them cannot serve a command
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("orthoglide"))
+    ]
+    names = {alias.asname or alias.name for node in imports for alias in node.names}
+    private = [alias.name for node in imports for alias in node.names if _private(alias.name)]
+    private += [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in names and _private(node.attr)
+    ]
+    assert private == []

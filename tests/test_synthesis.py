@@ -96,10 +96,10 @@ class TestReferencePoints:
 
     def test_binding_factors_at_references(self, design, proto):
         for q, target in ((proto.q1, 2.0), (proto.q2, 2.0)):
-            s = diagonal_profile(design, q[0], q[0] + 1.0, 2)[0]
-            assert min(abs(v - target) for v in s.sigma_fwd) <= 1e-12
-        s2 = diagonal_profile(design, proto.q2[0], proto.q2[0] + 1.0, 2)[0]
-        assert abs(s2.sigma_fwd[0] - 0.5) <= 1e-12
+            fwd = diagonal_profile(design, q[0], q[0] + 1.0, 2).sigma_fwd[0]
+            assert min(abs(v - target) for v in fwd) <= 1e-12
+        fwd2 = diagonal_profile(design, proto.q2[0], proto.q2[0] + 1.0, 2).sigma_fwd[0]
+        assert abs(fwd2[0] - 0.5) <= 1e-12
 
     def test_degenerate_interval_gives_origin(self):
         q1, q2 = reference_points(500.0, DiagonalLimits(0.0, 0.0))

@@ -40,29 +40,31 @@ def on_diagonal(nodes):
 
 class TestDiagonalProfile:
     def test_origin_sample(self, design):
-        s = diagonal_profile(design, -10.0, 10.0, 3)[1]
-        assert s.u == 0.0
-        assert s.a == 0.0
-        assert s.sigma_fwd == (1.0, 1.0, 1.0)
-        assert s.kappa == 1.0
+        prof = diagonal_profile(design, -10.0, 10.0, 3)
+        assert [f.shape for f in prof] == [(3,), (3,), (3, 3), (3,)]
+        assert prof.u[1] == 0.0
+        assert prof.a[1] == 0.0
+        assert tuple(prof.sigma_fwd[1]) == (1.0, 1.0, 1.0)
+        assert prof.kappa[1] == 1.0
 
     def test_binding_samples(self, design):
         L = design.leg_length
-        hi = diagonal_profile(design, 0.0, L / math.sqrt(6.0), 2)[-1]
-        assert hi.a == pytest.approx(0.5, abs=1e-12)
-        assert np.allclose(hi.sigma_fwd, [0.5, 2.0, 2.0], atol=1e-12)
-        lo = diagonal_profile(design, -L / (3 * math.sqrt(2.0)), 0.0, 2)[0]
-        assert lo.a == pytest.approx(-0.25, abs=1e-12)
-        assert np.allclose(lo.sigma_fwd, [0.8, 0.8, 2.0], atol=1e-12)
+        hi = diagonal_profile(design, 0.0, L / math.sqrt(6.0), 2)
+        assert hi.a[-1] == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(hi.sigma_fwd[-1], [0.5, 2.0, 2.0], atol=1e-12)
+        lo = diagonal_profile(design, -L / (3 * math.sqrt(2.0)), 0.0, 2)
+        assert lo.a[0] == pytest.approx(-0.25, abs=1e-12)
+        assert np.allclose(lo.sigma_fwd[0], [0.8, 0.8, 2.0], atol=1e-12)
 
     def test_agrees_with_generic_route(self, design):
         # closed form vs inverse_jacobian + transmission_factors, 1e-10
-        for s in diagonal_profile(design, -70.0, 120.0, 17):
-            p = (s.u, s.u, s.u)
+        prof = diagonal_profile(design, -70.0, 120.0, 17)
+        for u, fwd, kappa in zip(prof.u, prof.sigma_fwd, prof.kappa):
+            p = (u, u, u)
             rho = inverse_kinematics(p, design)
             tf = transmission_factors(inverse_jacobian(p, rho, design))
-            assert np.allclose(s.sigma_fwd, tf.sigma_fwd, atol=1e-10)
-            assert s.kappa == pytest.approx(tf.kappa, abs=1e-10)
+            assert np.allclose(fwd, tf.sigma_fwd, atol=1e-10)
+            assert kappa == pytest.approx(tf.kappa, abs=1e-10)
 
     def test_range_validation(self, design):
         L = design.leg_length
@@ -87,7 +89,7 @@ class TestDiagonalProfile:
             with pytest.raises(RangeOutsideWorkspace, match="parallel singularity"):
                 diagonal_profile(design, u_min, u_max, 5)
         samples = diagonal_profile(design, lo + 1.0, hi - 1.0, 5)
-        assert all(np.all(np.isfinite(s.sigma_fwd)) for s in samples)
+        assert np.all(np.isfinite(samples.sigma_fwd))
 
     def test_near_parallel_singularity_rejected(self, design):
         # a range ending one ulp short of 1 + 2a = 0 or 1 - a = 0 would report
@@ -98,7 +100,7 @@ class TestDiagonalProfile:
             with pytest.raises(RangeOutsideWorkspace, match="parallel singularity"):
                 diagonal_profile(design, u_min, u_max, 3)
         samples = diagonal_profile(design, lo + 1e-3, hi - 1e-3, 3)
-        assert max(max(s.sigma_fwd) for s in samples) < 1e6
+        assert samples.sigma_fwd.max() < 1e6
 
 
 class TestVerifyCube:
@@ -178,13 +180,13 @@ class TestVerifyCube:
         nodes = verify_cube(design, proto.cube, B, n).nodes
         diag = np.flatnonzero(on_diagonal(nodes))
         profile = diagonal_profile(design, proto.q1[0], proto.q2[0], n)
-        assert len(diag) == len(profile) == n
+        assert len(diag) == len(profile.u) == n
         by_x = diag[np.argsort(nodes.xyz[diag, 0], kind="stable")]
-        for k, s in zip(by_x, profile):
-            assert nodes.xyz[k, 0] == s.u
-            assert nodes.sigma_min[k] == pytest.approx(s.sigma_fwd[0], abs=1e-10)
-            assert nodes.sigma_max[k] == pytest.approx(s.sigma_fwd[2], abs=1e-10)
-            assert nodes.kappa[k] == pytest.approx(s.kappa, abs=1e-10)
+        for k, u, fwd, kappa in zip(by_x, profile.u, profile.sigma_fwd, profile.kappa):
+            assert nodes.xyz[k, 0] == u
+            assert nodes.sigma_min[k] == pytest.approx(fwd[0], abs=1e-10)
+            assert nodes.sigma_max[k] == pytest.approx(fwd[2], abs=1e-10)
+            assert nodes.kappa[k] == pytest.approx(kappa, abs=1e-10)
 
     def test_monotone_refinement(self, design, proto):
         coarse = verify_cube(design, proto.cube, B, 6)
