@@ -30,7 +30,6 @@ from .performance import (
     Ellipsoid,
     IsotropyResidual,
     TransmissionReport,
-    condition_number,
     isotropy_residual,
     manipulability_ellipsoid,
     transmission_factors,
@@ -87,7 +86,6 @@ __all__ = [
     "SynthesisResult",
     "TransmissionReport",
     "Unreachable",
-    "condition_number",
     "diagonal_limits",
     "diagonal_profile",
     "forward_kinematics",

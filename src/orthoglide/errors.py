@@ -41,7 +41,8 @@ class InconsistentPair(OrthoglideError):
 
 
 class DegenerateBounds(OrthoglideError):
-    """Transmission-factor bounds admit only the isotropic point itself."""
+    """Transmission-factor bounds admit only the isotropic point itself, or
+    put a diagonal reference point on a parallel singularity."""
 
 
 class RangeOutsideWorkspace(OrthoglideError):

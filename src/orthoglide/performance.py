@@ -24,6 +24,9 @@ from .linalg3 import det3, singular_values3
 #: |det(Jinv)| at or below this is treated as a parallel singularity.
 DET_TOL = 1e-9
 
+#: both isotropy residuals at or below this count as isotropic.
+ISOTROPY_TOL = 1e-9
+
 
 @dataclass
 class TransmissionReport:
@@ -53,8 +56,8 @@ class IsotropyResidual:
     ratio_dev: float
     ortho_dev: float
 
-    def is_isotropic(self, tol: float = 1e-9) -> bool:
-        return self.ratio_dev <= tol and self.ortho_dev <= tol
+    def is_isotropic(self) -> bool:
+        return self.ratio_dev <= ISOTROPY_TOL and self.ortho_dev <= ISOTROPY_TOL
 
 
 @dataclass
@@ -121,11 +124,6 @@ def transmission_factors(jinv) -> TransmissionReport:
         serial_flags=serial,
         parallel_flag=bool(abs(det_inv) <= DET_TOL),
     )
-
-
-def condition_number(jinv) -> float:
-    """sigma_min / sigma_max of the map, in [0, 1]; invariant under inversion."""
-    return float(kappa_from_factors(forward_factors(jinv)))
 
 
 def isotropy_residual(p, rho) -> IsotropyResidual:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateBounds
 from .kinematics import DesignParams, inverse_kinematics
-from .workspace import Bounds, CubeSpec
+from .workspace import Bounds, CubeSpec, _parallel_singular
 
 
 @dataclass
@@ -74,13 +74,19 @@ def diagonal_limits(b: Bounds) -> DiagonalLimits:
     Intersection of s_lo <= 1/(1+2a) <= s_hi and s_lo <= 1/(1-a) <= s_hi;
     at each endpoint at least one factor binds.  Raises DegenerateBounds
     when the interval collapses to the isotropic point a = 0 (any unit
-    bound does this).
+    bound does this), or reaches a parallel singularity, which would put Q1
+    or Q2 on it (`workspace._parallel_singular`; s_hi of about 1e9 does this).
     """
     a_max = min((1.0 / b.s_lo - 1.0) / 2.0, 1.0 - 1.0 / b.s_hi)
     a_min = max((1.0 / b.s_hi - 1.0) / 2.0, 1.0 - 1.0 / b.s_lo)
     if a_max - a_min <= 0.0:
         raise DegenerateBounds(
             f"bounds {b} admit only the isotropic configuration (a_min = a_max)"
+        )
+    if _parallel_singular(a_min, a_max):
+        raise DegenerateBounds(
+            f"bounds {b} put a reference point on a parallel singularity "
+            f"(a in [{a_min}, {a_max}] reaches a = -1/2 or a = 1)"
         )
     return DiagonalLimits(a_min=a_min, a_max=a_max)
 

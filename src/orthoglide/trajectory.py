@@ -143,14 +143,8 @@ def profile_path(waypoints, d: DesignParams) -> PathProfile:
     if len(waypoints) < 2:
         raise ValueError("need at least 2 waypoints")
     times = np.array([float(t) for t, _ in waypoints])
-    try:
-        poses = np.array([p for _, p in waypoints], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        poses = np.empty(0)
-    if poses.shape[1:] != (3,):
-        _check_times(times)
-        poses = np.array([as_point(p) for _, p in waypoints])  # the first bad pose raises
-    return profile_arrays(times, poses, d)
+    _check_times(times)
+    return profile_arrays(times, [as_point(p) for _, p in waypoints], d)
 
 
 def _check_times(times: np.ndarray) -> None:

@@ -123,7 +123,6 @@ class GridReport:
     """
 
     n_per_axis: int
-    bounds: Bounds
     nodes: GridNodes
     n_unreachable: int
     n_stroke_violations: int
@@ -149,6 +148,13 @@ def diagonal_coupling(u, leg_length: float):
     return u / np.sqrt(rad)
 
 
+def _parallel_singular(a_lo: float, a_hi: float) -> bool:
+    """Whether the coupling interval [a_lo, a_hi] reaches a parallel singularity:
+    on the diagonal det Jinv = (1+2a)(1-a)^2, so 1 + 2 a_lo or 1 - a_hi is at
+    or below SERIAL_TOL."""
+    return 1.0 + 2.0 * a_lo <= SERIAL_TOL or 1.0 - a_hi <= SERIAL_TOL
+
+
 def diagonal_factors(a) -> np.ndarray:
     """Ascending forward factors at coupling a: reciprocals of {|1+2a|, |1-a|, |1-a|}."""
     a = np.asarray(a, dtype=float)
@@ -166,9 +172,9 @@ def diagonal_profile(d: DesignParams, u_min: float, u_max: float, n: int) -> Dia
     Samples n poses (u, u, u) for u in [u_min, u_max].  The spectrum of the
     inverse Jacobian there is {1+2a, 1-a, 1-a} with a = u/sqrt(L^2 - 2u^2),
     so no decomposition is needed; this is the independent reference the
-    generic grid path is checked against.  1 + 2a and 1 - a must exceed
-    SERIAL_TOL: det Jinv = (1+2a)(1-a)^2 is a parallel singularity at a =
-    -1/2 and a = 1, and since a grows with u only the endpoints need checking.
+    generic grid path is checked against.  The range must not reach a
+    parallel singularity (`_parallel_singular`); since a grows with u only
+    the endpoints need checking.
     """
     if n < 2:
         raise ValueError("need at least 2 samples")
@@ -183,7 +189,7 @@ def diagonal_profile(d: DesignParams, u_min: float, u_max: float, n: int) -> Dia
             f"diagonal range [{u_min}, {u_max}] leaves |u| < L/sqrt(2) = {lim:.6g}"
         )
     a_lo, a_hi = diagonal_coupling([u_min, u_max], L)
-    if 1.0 + 2.0 * a_lo <= SERIAL_TOL or 1.0 - a_hi <= SERIAL_TOL:
+    if _parallel_singular(a_lo, a_hi):
         raise RangeOutsideWorkspace(
             f"diagonal range [{u_min}, {u_max}] reaches a parallel singularity "
             f"(a = -1/2 at u = {-L / math.sqrt(6.0):.6g}, a = 1 at u = {L / math.sqrt(3.0):.6g})"
@@ -307,7 +313,6 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
         worst_max, worst_max_at = float(nodes.sigma_max[j]), tuple(nodes.xyz[j].tolist())
     return GridReport(
         n_per_axis=n_per_axis,
-        bounds=b,
         nodes=nodes,
         n_unreachable=int(np.count_nonzero(~reach)),
         n_stroke_violations=int(np.count_nonzero(reach & ~nodes.within_stroke)),
@@ -335,39 +340,4 @@ def write_grid_csv(nodes: GridNodes, out) -> None:
             nodes.sigma_max,
             nodes.kappa,
         ],
-    )
-
-
-def read_grid_csv(path) -> GridNodes:
-    """Read back nodes written by write_grid_csv.
-
-    Strict: raises ValueError naming the columns of GRID_CSV_HEADER the
-    header lacks, or the first line that is not one number per column
-    (nan and inf are numbers).
-    """
-    with open(path) as f:
-        lines = f.read().splitlines()
-    names = lines[0].split(",") if lines else []
-    missing = [c for c in GRID_CSV_HEADER.split(",") if c not in names]
-    if missing:
-        raise ValueError(f"grid CSV {path} lacks the column(s) {', '.join(missing)}")
-    rows = [line.split(",") for line in lines[1:]]
-    try:
-        t = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    except ValueError:
-        for k, row in enumerate(rows):
-            try:
-                np.array(row, dtype=float).reshape(len(names))
-            except ValueError:
-                raise ValueError(
-                    f"grid CSV {path} line {k + 2} is not {len(names)} numbers: {lines[k + 1]!r}"
-                ) from None
-    col = dict(zip(names, t.T))
-    return GridNodes(
-        xyz=np.column_stack([col["x_mm"], col["y_mm"], col["z_mm"]]),
-        reachable=col["reachable"] != 0,
-        within_stroke=col["within_stroke"] != 0,
-        sigma_min=col["sigma_min"],
-        sigma_max=col["sigma_max"],
-        kappa=col["kappa"],
     )

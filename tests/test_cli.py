@@ -46,6 +46,16 @@ class TestSynthesize:
         assert res.exit_code == 1
         assert "DegenerateBounds" in res.output
 
+    def test_singular_bounds_exit_one(self, runner):
+        # 1 - 1/s_hi rounds to 1, which would put Q2 on a parallel singularity
+        res = runner.invoke(
+            main, ["synthesize", "--lw", "200", "--s-lo", "0.01", "--s-hi", "1e17", "--grid", "3"]
+        )
+        assert res.exit_code == 1
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: DegenerateBounds:")
+        assert res.stderr.count("\n") == 1
+
     def test_negative_cube_side_exit_one(self, runner):
         res = runner.invoke(main, ["synthesize", "--lw", "-5", "--s-lo", "0.5", "--s-hi", "2"])
         assert res.exit_code == 1

@@ -1,5 +1,6 @@
-"""Every demo runs to completion as a script."""
+"""Every demo runs to completion as a script and prints the pinned bytes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,9 +11,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# SHA-256 of each demo's stdout
+STDOUT_SHA256 = {
+    "01_pose_analysis.py": "249bb39f1e3d80f6187c1e3544ea9ef2f1a4d1b7c5d759bb37986a47dd96d1b9",
+    "02_conditioning_profile.py": "879f980c9eab0df1701cc558aa322f5594e034855f6530a2de2b15f55ec64a60",
+    "03_prototype_synthesis.py": "ded215f42a876f80266108bdae238352d5d0736321883f66f965ab3d4b8a9aa6",
+    "04_workspace_map.py": "74886af9e8e0e180d7fc350d458c7e670cad1b42ce13521e47461dbe2d614042",
+    "05_trajectory_check.py": "4603e29afb9f1692b766edb784a01156bec73dd311e06763df3f209085a31d55",
+}
+
 
 def test_demos_found():
-    assert DEMOS
+    assert [p.name for p in DEMOS] == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
@@ -24,6 +34,7 @@ def test_demo_runs(demo, tmp_path):
     )
     res = subprocess.run(
         [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, timeout=120,
     )
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == 0, res.stderr.decode(errors="replace")
+    assert hashlib.sha256(res.stdout).hexdigest() == STDOUT_SHA256[demo.name]

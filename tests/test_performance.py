@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from orthoglide.errors import ParallelSingularity
 from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics, leg_states
 from orthoglide.performance import (
-    condition_number,
     isotropy_residual,
     manipulability_ellipsoid,
     transmission_factors,
@@ -83,22 +82,22 @@ class TestTransmissionFactors:
 
 class TestConditionNumber:
     def test_identity(self):
-        assert condition_number(np.eye(3)) == 1.0
+        assert transmission_factors(np.eye(3)).kappa == 1.0
 
     def test_a_half_closed_form(self):
         # spectrum {1+2a, 1-a, 1-a}: kappa = (1-a)/(1+2a) for a > 0
-        assert condition_number(diag_pose_matrix(0.5)) == pytest.approx(0.25, abs=1e-13)
+        assert transmission_factors(diag_pose_matrix(0.5)).kappa == pytest.approx(0.25, abs=1e-13)
 
     def test_rank_deficient_is_zero(self):
-        assert condition_number(np.outer([1, 1, 1], [1, 2, 3])) == pytest.approx(0.0, abs=1e-7)
+        assert transmission_factors(np.outer([1, 1, 1], [1, 2, 3])).kappa == pytest.approx(0.0, abs=1e-7)
 
     @given(st.floats(min_value=0.05, max_value=20.0), st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_invariant_under_scaling_and_inversion(self, scale, invert):
         m = diag_pose_matrix(0.3)
-        base = condition_number(m)
+        base = transmission_factors(m).kappa
         m2 = np.linalg.inv(m) if invert else m
-        assert condition_number(scale * m2) == pytest.approx(base, rel=1e-9)
+        assert transmission_factors(scale * m2).kappa == pytest.approx(base, rel=1e-9)
 
     def test_reciprocity_of_singular_values(self, rng):
         # sigma_fwd (computed without forming the inverse) must equal the
@@ -165,8 +164,8 @@ class TestDiagonalSpectrum:
         for u in np.linspace(-73.0, 126.0, 21):
             p = (u, u, u)
             rho = inverse_kinematics(p, D)
-            kappas.append(condition_number(inverse_jacobian(p, rho, D)))
-        origin = condition_number(np.eye(3))
+            kappas.append(transmission_factors(inverse_jacobian(p, rho, D)).kappa)
+        origin = transmission_factors(np.eye(3)).kappa
         assert origin == 1.0
         assert all(k < 1.0 for u, k in zip(np.linspace(-73.0, 126.0, 21), kappas) if u != 0.0)
 

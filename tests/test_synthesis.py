@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthoglide.errors import DegenerateBounds
-from orthoglide.kinematics import inverse_kinematics
+from orthoglide.kinematics import SERIAL_TOL, inverse_kinematics
 from orthoglide.synthesis import (
     DiagonalLimits,
     diagonal_limits,
@@ -70,16 +70,32 @@ class TestDiagonalLimits:
             with pytest.raises(DegenerateBounds):
                 diagonal_limits(bounds)
 
+    @pytest.mark.parametrize(
+        "bounds", [Bounds(0.01, 1e17), Bounds(0.01, 1e15), Bounds(1e-300, 1e300)]
+    )
+    def test_singular_bounds_degenerate(self, bounds):
+        # 1 - 1/s_hi rounds to (or within SERIAL_TOL of) 1: Q2 would sit on
+        # the parallel singularity a = 1
+        with pytest.raises(DegenerateBounds, match="parallel singularity"):
+            diagonal_limits(bounds)
+
     @given(
         st.floats(min_value=0.05, max_value=0.99),
-        st.floats(min_value=1.01, max_value=50.0),
+        st.floats(min_value=1.01, max_value=1e300),
     )
     @settings(max_examples=80, deadline=None)
     def test_interval_shape_property(self, s_lo, s_hi):
-        lims = diagonal_limits(Bounds(s_lo, s_hi))
+        try:
+            lims = diagonal_limits(Bounds(s_lo, s_hi))
+        except DegenerateBounds:
+            # only an s_hi near 1/SERIAL_TOL or above reaches the singularity
+            assert s_hi > 1e8
+            return
         assert lims.a_min <= 0.0 <= lims.a_max
         assert lims.a_max < 1.0
         assert lims.a_min > -0.5
+        assert 1.0 + 2.0 * lims.a_min > SERIAL_TOL
+        assert 1.0 - lims.a_max > SERIAL_TOL
 
 
 class TestReferencePoints:

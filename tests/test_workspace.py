@@ -25,7 +25,6 @@ from orthoglide.workspace import (
     CubeSpec,
     diagonal_profile,
     evaluate_grid,
-    read_grid_csv,
     verify_cube,
     write_grid_csv,
 )
@@ -217,62 +216,6 @@ class TestWorkspaceMap:
     def test_full_grid_record_count(self, design, proto):
         report = verify_cube(design, proto.cube, B, 21)
         assert report.n_points == 9261
-
-    def test_csv_round_trip(self, design, tmp_path):
-        # region straddling the workspace edge so NaN columns are exercised;
-        # the 12-digit format is stable: read nodes re-serialize to the
-        # identical file, and values agree to the written precision
-        cube = CubeSpec.from_corner((100.0, 100.0, 100.0), 150.0)
-        first = tmp_path / "map.csv"
-        a = verify_cube(design, cube, B, 4).nodes
-        write_grid_csv(a, first)
-        assert not np.all(a.reachable)
-        b = read_grid_csv(first)
-        assert b.n_points == a.n_points
-        second = tmp_path / "again.csv"
-        write_grid_csv(b, second)
-        assert second.read_bytes() == first.read_bytes()
-        for k in range(a.n_points):
-            assert tuple(a.xyz[k]) == pytest.approx(tuple(b.xyz[k]), rel=1e-11)
-            assert (a.reachable[k], a.within_stroke[k]) == (b.reachable[k], b.within_stroke[k])
-            for fa, fb in (
-                (a.sigma_min[k], b.sigma_min[k]),
-                (a.sigma_max[k], b.sigma_max[k]),
-                (a.kappa[k], b.kappa[k]),
-            ):
-                assert fa == pytest.approx(fb, rel=1e-11) or (math.isnan(fa) and math.isnan(fb))
-
-    @staticmethod
-    def _edited_csv(design, tmp_path, edit):
-        path = tmp_path / "map.csv"
-        write_grid_csv(verify_cube(design, CubeSpec.from_corner((100.0,) * 3, 150.0), B, 3).nodes, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        return path
-
-    @pytest.mark.parametrize("cell", ["abc", "", "1;2"])
-    def test_csv_bad_cell_names_its_line(self, design, tmp_path, cell):
-        def edit(lines):
-            cells = lines[3].split(",")
-            cells[5] = cell
-            return lines[:3] + [",".join(cells)] + lines[4:]
-
-        path = self._edited_csv(design, tmp_path, edit)
-        with pytest.raises(ValueError, match=r"line 4 is not 8 numbers"):
-            read_grid_csv(path)
-
-    def test_csv_short_row_names_its_line(self, design, tmp_path):
-        path = self._edited_csv(design, tmp_path, lambda lines: lines[:-1] + [lines[-1][:-2]])
-        with pytest.raises(ValueError, match=r"line 28 is not 8 numbers"):
-            read_grid_csv(path)
-
-    def test_csv_missing_columns_named(self, design, tmp_path):
-        def edit(lines):
-            return [",".join(line.split(",")[:-1]).replace("reachable", "reach") for line in lines]
-
-        path = self._edited_csv(design, tmp_path, edit)
-        with pytest.raises(ValueError, match=r"lacks the column\(s\) reachable, kappa$"):
-            read_grid_csv(path)
 
     def test_csv_bytes_deterministic(self, design, proto):
         bufs = []
