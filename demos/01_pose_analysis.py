@@ -38,10 +38,9 @@ print("  -> exactly the identity: joint rates equal tool rates here\n")
 # a generic pose: closure still exact, conditioning degrades a little
 p1 = (80.0, -30.0, 45.0)
 rho1 = inverse_kinematics(p1, d)
-for i, s in enumerate(leg_states(p1, rho1, d)):
-    print(
-        f"leg {i + 1}: eta = {s.eta:8.3f} mm, closure residual = {s.closure_residual:.2e} mm"
-    )
+legs = leg_states(p1, rho1, d)
+for i, (eta, resid) in enumerate(zip(legs.eta, legs.closure_residual)):
+    print(f"leg {i + 1}: eta = {eta:8.3f} mm, closure residual = {resid:.2e} mm")
 tf = transmission_factors(inverse_jacobian(p1, rho1, d))
 print(f"transmission factors = {tf.sigma_fwd}, kappa = {tf.kappa:.4f}\n")
 

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .kinematics import (
     DesignParams,
-    LegState,
+    LegStates,
     forward_kinematics,
     inverse_jacobian,
     inverse_kinematics,
@@ -75,7 +75,7 @@ __all__ = [
     "GridReport",
     "InconsistentPair",
     "IsotropyResidual",
-    "LegState",
+    "LegStates",
     "NoAssemblyMode",
     "NonMonotoneTime",
     "OrthoglideError",

@@ -17,7 +17,8 @@ All lengths are millimetres, speeds mm/s, accelerations mm/s^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,19 +104,19 @@ def _per_axis(value) -> tuple[float, float, float]:
     raise ValueError("per-axis value must be a scalar or length 3")
 
 
-@dataclass
-class LegState:
-    """Points and transmission scalar of one leg at a consistent pose.
+class LegStates(NamedTuple):
+    """The three legs at a consistent pose: row i of `vectors` is the leg
+    vector c_i - b_i = p - rho_i e_i, eta[i] = (c_i - b_i) . e_i and
+    closure_residual[i] = | ||c_i - b_i|| - L |."""
 
-    a is the slider-axis origin, b the slider point, c the tool point;
-    eta = (c - b) . e_i; closure_residual = | ||c - b|| - L |.
-    """
+    vectors: np.ndarray
+    eta: np.ndarray
+    closure_residual: np.ndarray
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    eta: float
-    closure_residual: float = field(default=0.0)
+
+def _leg_vectors(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Leg vectors p - rho_i e_i as the rows of (..., 3, 3) arrays."""
+    return p[..., None, :] - rho[..., :, None] * _EYE
 
 
 def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
@@ -227,9 +228,8 @@ def _fk_one_zero_slider(rho: np.ndarray, i: int, L: float) -> np.ndarray:
 def _fk_accept(candidates, rho: np.ndarray, L: float) -> np.ndarray:
     admissible = []
     for p in candidates:
-        eta = p - rho
-        if np.all(eta > -SERIAL_TOL * L):
-            resid = np.abs(np.linalg.norm(p[None, :] - rho[:, None] * _EYE, axis=1) - L)
+        if np.all(p - rho > -SERIAL_TOL * L):
+            resid = np.abs(np.linalg.norm(_leg_vectors(p, rho), axis=1) - L)
             if np.max(resid) <= 1e-9 * L:
                 admissible.append((float(p @ p), p))
     if not admissible:
@@ -239,8 +239,8 @@ def _fk_accept(candidates, rho: np.ndarray, L: float) -> np.ndarray:
     return min(admissible, key=lambda sp: sp[0])[1]
 
 
-def leg_states(p, rho, d: DesignParams) -> tuple[LegState, LegState, LegState]:
-    """Per-leg points a_i, b_i, c_i and transmission scalar eta_i.
+def leg_states(p, rho, d: DesignParams) -> LegStates:
+    """Leg vectors c_i - b_i, transmission scalars eta_i and closure residuals.
 
     Raises InconsistentPair when the pose/joint pair violates leg closure
     by more than CLOSURE_TOL * L.
@@ -248,20 +248,16 @@ def leg_states(p, rho, d: DesignParams) -> tuple[LegState, LegState, LegState]:
     p = as_point(p)
     rho = as_point(rho)
     L = d.leg_length
-    states = []
-    for i in range(3):
-        b = rho[i] * _EYE[i]
-        leg = p - b
-        resid = abs(float(np.linalg.norm(leg)) - L)
-        if resid > CLOSURE_TOL * L:
-            raise InconsistentPair(
-                f"leg {i}: closure residual {resid:.6g} mm exceeds "
-                f"{CLOSURE_TOL * L:.6g} mm"
-            )
-        states.append(
-            LegState(a=np.zeros(3), b=b, c=p.copy(), eta=float(leg[i]), closure_residual=resid)
+    vectors = _leg_vectors(p, rho)
+    # one norm per leg: a row-wise axis=1 norm may differ in the last bit
+    resid = np.array([abs(float(np.linalg.norm(v)) - L) for v in vectors])
+    bad = np.flatnonzero(resid > CLOSURE_TOL * L)
+    if bad.size:
+        i = int(bad[0])
+        raise InconsistentPair(
+            f"leg {i}: closure residual {resid[i]:.6g} mm exceeds {CLOSURE_TOL * L:.6g} mm"
         )
-    return tuple(states)
+    return LegStates(vectors, vectors.diagonal().copy(), resid)
 
 
 def inverse_jacobian(p, rho, d: DesignParams) -> np.ndarray:
@@ -290,6 +286,6 @@ def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     rho = np.asarray(rho, dtype=float)
     eta = points - rho
-    rows = points[..., None, :] - rho[..., :, None] * _EYE
+    rows = _leg_vectors(points, rho)
     rows /= eta[..., :, None]
     return rows

@@ -1,21 +1,20 @@
-"""3x3 symmetric eigenvalues and singular values via cyclic Jacobi rotations.
+"""3x3 singular values via cyclic Jacobi rotations, and 3x3 determinants.
 
 The fixed 3x3 size makes a general-purpose decomposition unnecessary: a few
-cyclic sweeps of Givens rotations annihilate the off-diagonal entries to
-machine precision, including for clustered eigenvalues where closed-form
-cubic formulas lose accuracy.  All routines broadcast over leading batch
-dimensions.
+cyclic sweeps of Givens rotations annihilate the off-diagonal entries of
+mat^T mat to machine precision, including for clustered eigenvalues where
+closed-form cubic formulas lose accuracy.  Both routines broadcast over
+leading batch dimensions.
 
-`eigvalsh3` and `singular_values3` share one eigenvalue-only Jacobi kernel.  It
-works on the six unique entries of each matrix as (N,) arrays, drops the
-matrices that are exactly diagonal from the sweeps, once, when they are at
-least half the batch, and gives every matrix the same bits whatever batch
-it is in, so the grid sweep and the single-pose report agree exactly.
-`singular_values3` first reorders each matrix to a canonical one of its six
-simultaneous row/column permutations, which makes it exactly
-permutation-invariant.  No routine here computes eigenvectors: the
-manipulability ellipsoid, the one place that needs them, takes them from
-`np.linalg.eigh`.
+`singular_values3` runs an eigenvalue-only Jacobi kernel.  It works on the
+six unique entries of each matrix as (N,) arrays, drops the matrices that
+are exactly diagonal from the sweeps, once, when they are at least half the
+batch, and gives every matrix the same bits whatever batch it is in, so the
+grid sweep and the single-pose report agree exactly.  Each matrix is first
+reordered to a canonical one of its six simultaneous row/column
+permutations, which makes the result exactly permutation-invariant.  No
+routine here computes eigenvectors: the manipulability ellipsoid, the one
+place that needs them, takes them from `np.linalg.eigh`.
 """
 
 from __future__ import annotations
@@ -113,27 +112,7 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     if idx is not None:
         for full, d in zip(out, diag):
             full[idx] = d
-    return _sort3(*out), sweeps
-
-
-def _sort3(a, b, c) -> np.ndarray:
-    """(N, 3) ascending rows of three (N,) arrays by a compare-exchange
-    network, NaN last: `np.fmin` drops a NaN and `np.maximum` keeps it, so
-    every exchange moves a NaN to its upper side.  The bits are those of
-    `np.sort` unless a row holds -0.0 or NaNs of different bit patterns,
-    whose order may differ; the kernel makes no -0.0."""
-    a, b = np.fmin(a, b), np.maximum(a, b)
-    b, c = np.fmin(b, c), np.maximum(b, c)
-    a, b = np.fmin(a, b), np.maximum(a, b)
-    return np.stack([a, b, c], axis=-1)
-
-
-def _batched(mat) -> tuple[np.ndarray, tuple[int, ...]]:
-    """`mat` as an (N, 3, 3) float array, and its leading shape."""
-    m = np.asarray(mat, dtype=float)
-    if m.shape[-2:] != (3, 3):
-        raise ValueError(f"expected (..., 3, 3) matrix, got {m.shape}")
-    return m.reshape(-1, 3, 3), m.shape[:-2]
+    return np.sort(np.stack(out, axis=-1), axis=-1), sweeps
 
 
 def _canonical(m: np.ndarray) -> np.ndarray:
@@ -190,14 +169,6 @@ def _gram_entries(m: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     return [dot(k, k) for k in range(3)], [dot(p, q) for p, q in _PAIRS]
 
 
-def eigvalsh3(mat: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric 3x3 (batched over leading axes)."""
-    a, lead = _batched(mat)
-    diag = [a[:, k, k] for k in range(3)]
-    off = [a[:, p, q] for p, q in _PAIRS]
-    return _jacobi_eigenvalues(diag, off)[0].reshape(lead + (3,))
-
-
 def singular_values3(mat: np.ndarray) -> np.ndarray:
     """Ascending singular values of a (not necessarily symmetric) 3x3.
 
@@ -210,9 +181,11 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     machine's Jacobian at a permuted pose is P Jinv P^T, so poses that
     differ by a permutation of x, y and z get identical factors.
     """
-    m, lead = _batched(mat)
-    w = _jacobi_eigenvalues(*_gram_entries(_canonical(m)))[0]
-    return np.sqrt(np.clip(w, 0.0, None)).reshape(lead + (3,))
+    m = np.asarray(mat, dtype=float)
+    if m.shape[-2:] != (3, 3):
+        raise ValueError(f"expected (..., 3, 3) matrix, got {m.shape}")
+    w = _jacobi_eigenvalues(*_gram_entries(_canonical(m.reshape(-1, 3, 3))))[0]
+    return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
 
 
 def det3(mat: np.ndarray) -> np.ndarray:

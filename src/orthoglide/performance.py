@@ -98,6 +98,16 @@ def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:
     return out
 
 
+def _checked_jinv(jinv) -> np.ndarray:
+    """`jinv` as a float array; raises ValueError unless it is a finite 3x3."""
+    jinv = np.asarray(jinv, dtype=float)
+    if jinv.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
+    if not np.all(np.isfinite(jinv)):
+        raise ValueError("inverse Jacobian entries must be finite")
+    return jinv
+
+
 def transmission_factors(jinv) -> TransmissionReport:
     """Full conditioning report for one inverse Jacobian.
 
@@ -106,12 +116,7 @@ def transmission_factors(jinv) -> TransmissionReport:
     flags fire when a row norm reaches 1/SERIAL_TOL (row i norm is L/eta_i
     for this machine).
     """
-    jinv = np.asarray(jinv, dtype=float)
-    if jinv.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
-    if not np.all(np.isfinite(jinv)):
-        raise ValueError("inverse Jacobian entries must be finite")
-
+    jinv = _checked_jinv(jinv)
     sigma_fwd = forward_factors(jinv)
     kappa = float(kappa_from_factors(sigma_fwd))
     det_inv = float(det3(jinv))
@@ -153,9 +158,9 @@ def manipulability_ellipsoid(jinv) -> Ellipsoid:
     Direction column k is the eigenvector of Jinv^T Jinv (the forward map's
     output principal axes), from `np.linalg.eigh`, with eigenvalue
     1/semi_axes[k]^2.  Raises ParallelSingularity when |det(Jinv)| is at or
-    below DET_TOL.
+    below DET_TOL, and ValueError unless Jinv is a finite 3x3.
     """
-    jinv = np.asarray(jinv, dtype=float)
+    jinv = _checked_jinv(jinv)
     det_inv = float(det3(jinv))
     if abs(det_inv) <= DET_TOL:
         raise ParallelSingularity(f"|det(Jinv)| = {abs(det_inv):.3g} <= {DET_TOL:.3g}")

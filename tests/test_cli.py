@@ -583,12 +583,14 @@ class TestLegLengthOutOfRange:
 class TestGoldenBytes:
     """SHA-256 of CSV outputs recorded before the numpy formatter replaced
     the row-by-row `%.12g` writer (the seeded traj-check digest: before
-    the waypoint reader parsed with np.loadtxt): every byte must stay the
-    same."""
+    the waypoint reader parsed with np.loadtxt), and of JSON outputs
+    recorded before the Jacobi kernel's sort became `np.sort`: every byte
+    must stay the same."""
 
     @staticmethod
     def _digest(runner, args, out, code=0):
-        res = runner.invoke(main, args + ["--out", str(out)])
+        # --out right after the command name, before any "--" ending options
+        res = runner.invoke(main, [args[0], "--out", str(out), *args[1:]])
         assert res.exit_code == code, res.output
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
@@ -597,6 +599,27 @@ class TestGoldenBytes:
             runner, ["workspace-map", "--lw", "200", "--grid", "21"], tmp_path / "m.csv"
         )
         assert digest == "23bbe4d86854e6265cabfaabb86c6fe86f840410ee7b1360d389effc94defec0"
+
+    @pytest.mark.parametrize(
+        "args, want",
+        [
+            (
+                ["synthesize", "--lw", "200", "--grid", "21"],
+                "40ba5d2a5023ba590eecc4c3d30f4e43858f596c8fc857acca670ff616052924",
+            ),
+            (
+                ["analyze", "--lw", "200", "--", "50", "20", "-10"],
+                "941647e7ae2b6ca2e3135b47ae892482d367e0e48038a6a65e0336362ab27332",
+            ),
+            (
+                ["analyze", "--lw", "200", "--", "0", "0", "0"],
+                "b1d8468f9a40d9532453b333584cd9478f001099ed3362d296d351b0ad1f91bf",
+            ),
+        ],
+        ids=["synthesize", "analyze-generic", "analyze-origin"],
+    )
+    def test_json(self, runner, tmp_path, args, want):
+        assert self._digest(runner, args, tmp_path / "out.json") == want
 
     def test_oversized_cube_with_nan_rows(self, runner, tmp_path, design, proto):
         # demo 04's oversized region: 1.8x the prototype cube, partly unreachable

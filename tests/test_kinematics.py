@@ -240,24 +240,24 @@ class TestDesignParams:
 class TestLegStates:
     def test_isotropic_etas(self):
         states = leg_states((0, 0, 0), (-L, -L, -L), D)
-        assert [s.eta for s in states] == pytest.approx([L, L, L])
+        assert list(states.eta) == pytest.approx([L, L, L])
 
     def test_q2_etas_match_dot_product_oracle(self):
         rho = inverse_kinematics((U2, U2, U2), D)
         states = leg_states((U2, U2, U2), rho, D)
-        for i, s in enumerate(states):
-            oracle = float((s.c - s.b) @ np.eye(3)[i])
-            assert s.eta == pytest.approx(oracle, rel=1e-15)
-            assert s.eta == pytest.approx(2 * U2, rel=1e-12)
+        for i, eta in enumerate(states.eta):
+            oracle = float(states.vectors[i] @ np.eye(3)[i])
+            assert eta == pytest.approx(oracle, rel=1e-15)
+            assert eta == pytest.approx(2 * U2, rel=1e-12)
         # 2u = 253.58 for the spec's rounded u
-        assert states[0].eta == pytest.approx(253.58, abs=2e-2)
+        assert states.eta[0] == pytest.approx(253.58, abs=2e-2)
 
     def test_eta_vanishes_at_boundary(self):
         eps = 1e-7 * L
         p = (0.0, 0.0, L - eps)
         rho = inverse_kinematics(p, D)
         states = leg_states(p, rho, D)
-        assert 0 < states[0].eta < 1e-3 * L
+        assert 0 < states.eta[0] < 1e-3 * L
 
     def test_inconsistent_pair_raises(self):
         with pytest.raises(InconsistentPair):

@@ -10,41 +10,13 @@ from orthoglide.linalg3 import (
     _MAX_SWEEPS,
     _gram_entries,
     _jacobi_eigenvalues,
-    _sort3,
     det3,
-    eigvalsh3,
     singular_values3,
 )
 from orthoglide.synthesis import synthesize
 from orthoglide.workspace import Bounds
 
 EPS = np.finfo(float).eps
-
-
-def random_symmetric(rng, n=1):
-    a = rng.standard_normal((n, 3, 3))
-    return (a + np.swapaxes(a, -1, -2)) / 2
-
-
-def test_eigvals_match_numpy_on_random_batch(rng):
-    mats = random_symmetric(rng, 500)
-    got = eigvalsh3(mats)
-    want = np.linalg.eigvalsh(mats)
-    assert np.allclose(got, want, rtol=0, atol=1e-12)
-
-
-def test_diagonal_matrix():
-    w = eigvalsh3(np.diag([3.0, -1.0, 2.0]))
-    assert np.array_equal(w, [-1.0, 2.0, 3.0])
-
-
-def test_clustered_eigenvalues_stay_accurate():
-    # the binding-pose product matrix: eigenvalues (0.25, 0.25, 4), a double
-    # root where closed-form cubic formulas lose ~1e-8
-    a = 0.5
-    jinv = np.full((3, 3), a) + np.eye(3) * (1 - a)
-    w = eigvalsh3(jinv.T @ jinv)
-    assert np.allclose(w, [0.25, 0.25, 4.0], rtol=0, atol=1e-13)
 
 
 def test_singular_values_match_numpy(rng):
@@ -70,18 +42,6 @@ def test_det3_matches_numpy(rng):
     assert np.allclose(det3(mats), np.linalg.det(mats), atol=1e-12)
 
 
-def test_batched_equals_scalar(rng):
-    mats = random_symmetric(rng, 10)
-    batch = eigvalsh3(mats)
-    for k in range(10):
-        assert np.array_equal(eigvalsh3(mats[k]), batch[k])
-
-
-def test_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        eigvalsh3(np.eye(4))
-
-
 def diag_pose_jinv(a):
     """Inverse Jacobian at a diagonal pose with coupling ratio a."""
     return np.full((3, 3), a) + np.eye(3) * (1 - a)
@@ -102,12 +62,10 @@ PROTOTYPE_AND_WIDE = [(200.0, 0.5, 2.0), (200.0, 1 / 3, 3.0)]
 def test_exact_double_root_at_diagonal_pose():
     # a = 0.5: Jinv^T Jinv has the double root 0.25 and the simple root 4
     jinv = diag_pose_jinv(0.5)
-    assert np.array_equal(eigvalsh3(jinv.T @ jinv), [0.25, 0.25, 4.0])
     assert np.array_equal(singular_values3(jinv), [0.5, 0.5, 2.0])
 
 
 def test_exact_triple_root_at_identity():
-    assert np.array_equal(eigvalsh3(np.eye(3)), [1.0, 1.0, 1.0])
     assert np.array_equal(singular_values3(np.eye(3)), [1.0, 1.0, 1.0])
     _, sweeps = _jacobi_eigenvalues(*_gram_entries(np.eye(3)[None]))
     assert sweeps == 0
@@ -125,11 +83,8 @@ def test_result_does_not_depend_on_batch(rng):
     _, together = _jacobi_eigenvalues(*_gram_entries(batch))
     assert alone < together
     got = singular_values3(batch)[150 : 150 + len(targets)]
-    sym = np.swapaxes(batch, -1, -2) @ batch
-    got_sym = eigvalsh3(sym)[150 : 150 + len(targets)]
     for k, m in enumerate(targets):
         assert np.array_equal(got[k], singular_values3(m))
-        assert np.array_equal(got_sym[k], eigvalsh3(m.T @ m))
 
 
 @pytest.mark.parametrize("lw, s_lo, s_hi", PROTOTYPE_AND_WIDE)
@@ -166,7 +121,6 @@ def test_rank_deficient_input():
 def test_leading_shape_is_kept(rng):
     mats = rng.standard_normal((4, 5, 3, 3))
     assert singular_values3(mats).shape == (4, 5, 3)
-    assert eigvalsh3(mats + np.swapaxes(mats, -1, -2)).shape == (4, 5, 3)
     with pytest.raises(ValueError):
         singular_values3(np.eye(2))
 
@@ -199,46 +153,3 @@ def test_singular_values_exactly_permutation_invariant(rng, kind):
         got = singular_values3(mats[:, p][:, :, p])
         assert np.array_equal(got.view(np.uint64), want), perm
         assert np.array_equal(singular_values3(mats[7][p][:, p]).view(np.uint64), want[7])
-
-
-def _nan_rows(rng, n=400):
-    mats = rng.standard_normal((n, 3, 3))
-    mats[::5, 1, 2] = np.nan
-    mats[::7] = np.nan
-    return mats
-
-
-@pytest.mark.parametrize(
-    "batch",
-    [
-        lambda rng: cube_jinv(*PROTOTYPE_AND_WIDE[0]),
-        lambda rng: cube_jinv(*PROTOTYPE_AND_WIDE[1]),
-        lambda rng: _invariance_batch(rng, "random"),
-        lambda rng: _invariance_batch(rng, "integer-ties"),
-        lambda rng: _invariance_batch(rng, "rank-deficient"),
-        _nan_rows,
-    ],
-    ids=["prototype-grid", "wide-grid", "random", "integer-ties", "rank-deficient", "nan-rows"],
-)
-def test_sort_network_equals_np_sort(rng, batch):
-    # the kernel's values in every order, sorted by the network and by
-    # np.sort: the same bits, NaN last
-    mats = batch(rng)
-    w = _jacobi_eigenvalues(*_gram_entries(mats))[0]
-    if np.isnan(mats).any():
-        assert np.isnan(w).any()
-    for perm in itertools.permutations(range(3)):
-        x = w[:, list(perm)]
-        got = _sort3(*x.T)
-        assert np.array_equal(got.view(np.uint64), np.sort(x, axis=-1).view(np.uint64)), perm
-
-
-def test_sort_network_puts_nan_last():
-    nan, inf = np.nan, np.inf
-    rows = np.array(
-        [[nan, 1.0, -2.0], [3.0, nan, nan], [nan, nan, nan], [inf, nan, -inf], [0.0, 5.0, nan]]
-    )
-    for perm in itertools.permutations(range(3)):
-        x = rows[:, list(perm)]
-        got = _sort3(*x.T)
-        assert np.array_equal(got.view(np.uint64), np.sort(x, axis=-1).view(np.uint64)), perm

@@ -126,12 +126,12 @@ class TestIsotropyResidual:
         res = isotropy_residual((U2, U2, U2), rho)
         # all three per-leg ratios are equal on the diagonal ...
         states = leg_states((U2, U2, U2), rho, D)
-        ratios = [np.linalg.norm(s.c - s.b) / s.eta for s in states]
+        ratios = [np.linalg.norm(v) / eta for v, eta in zip(states.vectors, states.eta)]
         assert max(ratios) - min(ratios) <= 1e-14
         # ... at the common value L/(2u), so the deviation from unity is
         assert res.ratio_dev == pytest.approx(L / (2 * U2) - 1.0, rel=1e-12)
         # orthogonality fails: oracle = normalized leg dot products
-        legs = [s.c - s.b for s in states]
+        legs = states.vectors
         dots = [
             abs(legs[i] @ legs[j]) / (np.linalg.norm(legs[i]) * np.linalg.norm(legs[j]))
             for i, j in ((0, 1), (1, 2), (2, 0))
@@ -214,3 +214,18 @@ class TestManipulabilityEllipsoid:
     def test_singular_raises(self):
         with pytest.raises(ParallelSingularity):
             manipulability_ellipsoid(diag_pose_matrix(-0.5))
+
+    @pytest.mark.parametrize("report", [manipulability_ellipsoid, transmission_factors])
+    @pytest.mark.parametrize(
+        "jinv, message",
+        [
+            (np.full((3, 3), np.nan), "inverse Jacobian entries must be finite"),
+            (np.diag([1.0, np.inf, 1.0]), "inverse Jacobian entries must be finite"),
+            (np.eye(4), "expected a 3x3 matrix, got shape (4, 4)"),
+        ],
+        ids=["nan", "inf", "4x4"],
+    )
+    def test_rejects_what_transmission_factors_rejects(self, report, jinv, message):
+        with pytest.raises(ValueError) as err:
+            report(jinv)
+        assert str(err.value) == message
