@@ -13,7 +13,7 @@ import numpy as np
 
 from orthoglide import (
     max_feasible_tool_speed,
-    profile_path,
+    profile_arrays,
     prototype_design,
     prototype_synthesis,
 )
@@ -26,10 +26,10 @@ direction = np.ones(3) / np.sqrt(3.0)
 def line(speed, n=61):
     duration = float(np.linalg.norm(res.q2 - res.q1)) / speed
     ts = np.linspace(0.0, duration, n)
-    return [(t, res.q1 + (res.q2 - res.q1) * (t / duration)) for t in ts]
+    return ts, res.q1 + (res.q2 - res.q1) * (ts[:, None] / duration)
 
 
-prof = profile_path(line(1200.0), d)
+prof = profile_arrays(*line(1200.0), d)
 peak = np.abs(prof.joint_velocities).max()
 n_flagged = int(prof.velocity_flags.any(axis=1).sum())
 print(f"Q1 -> Q2 at 1200 mm/s: peak joint speed {peak:.1f} mm/s "
@@ -39,7 +39,7 @@ print(f"Q1 -> Q2 at 1200 mm/s: peak joint speed {peak:.1f} mm/s "
 safe = max_feasible_tool_speed(tuple(res.q2), direction, d)
 print(f"feasible diagonal tool speed at Q2: {safe:.1f} mm/s")
 
-prof_ok = profile_path(line(0.95 * safe), d)
+prof_ok = profile_arrays(*line(0.95 * safe), d)
 print(f"same line at {0.95 * safe:.0f} mm/s: any flags? {prof_ok.any_flags}")
 
 peak_acc = np.abs(prof_ok.joint_accelerations).max()

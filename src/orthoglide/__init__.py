@@ -48,7 +48,6 @@ from .trajectory import (
     joint_velocity,
     max_feasible_tool_speed,
     profile_arrays,
-    profile_path,
 )
 from .workspace import (
     Bounds,
@@ -97,7 +96,6 @@ __all__ = [
     "manipulability_ellipsoid",
     "max_feasible_tool_speed",
     "profile_arrays",
-    "profile_path",
     "prototype_design",
     "prototype_synthesis",
     "reference_points",

@@ -138,7 +138,10 @@ class RunConfig:
             self.grid = int(grid)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"--grid must be an integer, got {grid!r}") from None
-        self.out = pick("out") or None
+        out = pick("out")
+        if not isinstance(out, (str, type(None))):
+            raise ConfigError(f"--out must be a file path, got {out!r}")
+        self.out = out or None
         self.cube_doc = cfg.get("cube")
         for key in _FLOAT_KEYS:
             _require_finite(f"--{key.replace('_', '-')}", pick(key), key in _VECTOR_KEYS)

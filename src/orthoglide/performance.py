@@ -98,25 +98,19 @@ def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:
     return out
 
 
-def _checked_jinv(jinv) -> np.ndarray:
-    """`jinv` as a float array; raises ValueError unless it is a finite 3x3."""
-    jinv = np.asarray(jinv, dtype=float)
-    if jinv.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
-    if not np.all(np.isfinite(jinv)):
-        raise ValueError("inverse Jacobian entries must be finite")
-    return jinv
-
-
 def transmission_factors(jinv) -> TransmissionReport:
     """Full conditioning report for one inverse Jacobian.
 
     Singular input never raises: rank deficiency shows up as +inf entries
     in sigma_fwd and the parallel flag (|det| at or below DET_TOL).  Serial
     flags fire when a row norm reaches 1/SERIAL_TOL (row i norm is L/eta_i
-    for this machine).
+    for this machine).  Raises ValueError unless Jinv is a finite 3x3.
     """
-    jinv = _checked_jinv(jinv)
+    jinv = np.asarray(jinv, dtype=float)
+    if jinv.shape != (3, 3):
+        raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
+    if not np.all(np.isfinite(jinv)):
+        raise ValueError("inverse Jacobian entries must be finite")
     sigma_fwd = forward_factors(jinv)
     kappa = float(kappa_from_factors(sigma_fwd))
     det_inv = float(det3(jinv))
@@ -141,7 +135,7 @@ def isotropy_residual(p, rho) -> IsotropyResidual:
     p = kinematics.as_point(p)
     rho = kinematics.as_point(rho)
     # leg i is c_i - b_i = p - rho_i e_i, and eta_i its i-th component
-    legs = p - rho[:, None] * np.eye(3)
+    legs = kinematics._leg_vectors(p, rho)
     norms = np.linalg.norm(legs, axis=1)
     ratio_dev = float(np.max(np.abs(norms / np.diagonal(legs) - 1.0)))
     ortho = [
@@ -160,9 +154,9 @@ def manipulability_ellipsoid(jinv) -> Ellipsoid:
     1/semi_axes[k]^2.  Raises ParallelSingularity when |det(Jinv)| is at or
     below DET_TOL, and ValueError unless Jinv is a finite 3x3.
     """
-    jinv = _checked_jinv(jinv)
-    det_inv = float(det3(jinv))
-    if abs(det_inv) <= DET_TOL:
-        raise ParallelSingularity(f"|det(Jinv)| = {abs(det_inv):.3g} <= {DET_TOL:.3g}")
+    tf = transmission_factors(jinv)
+    if tf.parallel_flag:
+        raise ParallelSingularity(f"|det(Jinv)| = {abs(tf.det_inv):.3g} <= {DET_TOL:.3g}")
+    jinv = np.asarray(jinv, dtype=float)
     directions = np.linalg.eigh(jinv.T @ jinv)[1][:, ::-1]
-    return Ellipsoid(semi_axes=forward_factors(jinv), directions=directions)
+    return Ellipsoid(semi_axes=tf.sigma_fwd, directions=directions)

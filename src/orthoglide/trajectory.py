@@ -7,10 +7,9 @@ the path ends, and checked against the motor velocity/acceleration
 capability.  `profile_arrays` profiles a path given as arrays of times and
 poses; IK and the interior stencils each run once, batched over the whole
 path.  `read_waypoints_csv` reads a waypoint file straight into those
-arrays, and `profile_path` stacks (time, pose) pairs into them.  Closed
-forms exist (with s_i = p_j v_j + p_k v_k, the joint rate is rho_dot_i =
-v_i + s_i / eta_i), but they need the tool velocity and acceleration at
-each sample, which timed waypoints do not carry.
+arrays.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint rate
+is rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
+acceleration at each sample, which timed waypoints do not carry.
 """
 
 from __future__ import annotations
@@ -48,9 +47,7 @@ def max_feasible_tool_speed(p, direction, d: DesignParams) -> float:
     nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {nrm}")
-    rho = inverse_kinematics(p, d)
-    jv = inverse_jacobian(p, rho, d) @ direction
-    return d.motor_vmax / float(np.linalg.norm(jv))
+    return d.motor_vmax / float(np.linalg.norm(joint_velocity(p, direction, d)))
 
 
 @dataclass
@@ -133,32 +130,6 @@ def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-def profile_path(waypoints, d: DesignParams) -> PathProfile:
-    """Joint positions, rates and accelerations along timed waypoints.
-
-    `waypoints` is a sequence of (time_s, pose) pairs; they are stacked
-    into arrays and profiled by `profile_arrays`, which states the rules.
-    Times are checked before poses, and the first bad pose raises.
-    """
-    if len(waypoints) < 2:
-        raise ValueError("need at least 2 waypoints")
-    times = np.array([float(t) for t, _ in waypoints])
-    _check_times(times)
-    return profile_arrays(times, [as_point(p) for _, p in waypoints], d)
-
-
-def _check_times(times: np.ndarray) -> None:
-    if not np.isfinite(times).all():
-        k = int(np.argmin(np.isfinite(times)))
-        raise ValueError(f"waypoint times must be finite (t[{k}] = {times[k]:g})")
-    if np.any(np.diff(times) <= 0.0):
-        k = int(np.where(np.diff(times) <= 0.0)[0][0])
-        raise NonMonotoneTime(
-            f"waypoint times must increase strictly (t[{k}] = {times[k]:g}, "
-            f"t[{k + 1}] = {times[k + 1]:g})"
-        )
-
-
 def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
     """Joint positions, rates and accelerations along a timed path.
 
@@ -175,7 +146,15 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
         )
     if len(times) < 2:
         raise ValueError("need at least 2 waypoints")
-    _check_times(times)
+    if not np.isfinite(times).all():
+        k = int(np.argmin(np.isfinite(times)))
+        raise ValueError(f"waypoint times must be finite (t[{k}] = {times[k]:g})")
+    if np.any(np.diff(times) <= 0.0):
+        k = int(np.where(np.diff(times) <= 0.0)[0][0])
+        raise NonMonotoneTime(
+            f"waypoint times must increase strictly (t[{k}] = {times[k]:g}, "
+            f"t[{k + 1}] = {times[k + 1]:g})"
+        )
     finite = np.isfinite(poses).all(axis=1)
     if not finite.all():
         as_point(poses[np.argmin(finite)])  # raises for the first non-finite pose

@@ -63,11 +63,6 @@ class CubeSpec:
     def side(self) -> float:
         return float(self.q2[0] - self.q1[0])
 
-    @classmethod
-    def from_corner(cls, q1, side: float) -> "CubeSpec":
-        q1 = np.asarray(q1, dtype=float)
-        return cls(q1, q1 + float(side))
-
 
 @dataclass
 class Bounds:

@@ -548,6 +548,22 @@ class TestNonFiniteInput:
         assert isinstance(res.exception, SystemExit)
         assert "error: --grid must be an integer" in res.output
 
+    @pytest.mark.parametrize("out", [5, True, 0, ["a"]])
+    def test_config_out_not_a_string(self, runner, tmp_path, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lw": 200, "out": out}))
+        res = runner.invoke(main, ["diag-profile", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == f"error: --out must be a file path, got {out!r}\n"
+
+    def test_config_empty_out_is_stdout(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lw": 200, "out": ""}))
+        res = runner.invoke(main, ["diag-profile", "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 0, res.output
+        assert res.output.startswith("u_mm,")
+
     @pytest.mark.parametrize("pose", [["nan", "0", "0"], ["0", "inf", "0"], ["0", "0", "-inf"]])
     def test_analyze_pose(self, runner, pose):
         res = runner.invoke(main, ["analyze", "--lw", "200", "--", *pose])

@@ -15,7 +15,7 @@ from orthoglide.trajectory import (
     fd_weights,
     joint_velocity,
     max_feasible_tool_speed,
-    profile_path,
+    profile_arrays,
     read_waypoints_csv,
     write_profile_csv,
 )
@@ -204,36 +204,36 @@ def line_waypoints(p0, p1, speed, n):
     p0, p1 = np.asarray(p0, float), np.asarray(p1, float)
     duration = np.linalg.norm(p1 - p0) / speed
     ts = np.linspace(0.0, duration, n)
-    return [(t, p0 + (p1 - p0) * (t / duration)) for t in ts]
+    return ts, p0 + (p1 - p0) * (ts[:, None] / duration)
 
 
 class TestProfilePath:
     def test_stationary_pair(self):
-        prof = profile_path([(0.0, (10.0, 5.0, -20.0)), (1.0, (10.0, 5.0, -20.0))], D)
+        prof = profile_arrays([0.0, 1.0], [(10.0, 5.0, -20.0), (10.0, 5.0, -20.0)], D)
         assert np.array_equal(prof.joint_velocities, np.zeros((2, 3)))
         assert np.array_equal(prof.joint_accelerations, np.zeros((2, 3)))
         assert not prof.any_flags
 
     def test_q1_q2_line_at_1200_flags_velocity_near_q2(self, proto):
         d = proto.design()
-        wps = line_waypoints(proto.q1, proto.q2, 1200.0, 81)
-        prof = profile_path(wps, d)
+        times, poses = line_waypoints(proto.q1, proto.q2, 1200.0, 81)
+        prof = profile_arrays(times, poses, d)
         assert prof.velocity_flags.any()
         # peak joint speed reaches (1 + 2 a_max) * 1200 / sqrt(3) ~ 1385.6
         peak = np.abs(prof.joint_velocities).max()
         assert peak == pytest.approx(2 * 1200.0 / math.sqrt(3.0), rel=1e-2)
         # flags sit at the Q2 end of the path, not the Q1 end
         flagged = np.where(prof.velocity_flags.any(axis=1))[0]
-        assert flagged.min() > len(wps) // 2
+        assert flagged.min() > len(times) // 2
         # oracle: finite differences track the Jacobian mapping mid-path
         k = 40
-        v_exact = joint_velocity(prof.poses[k], (proto.q2 - proto.q1) / (wps[-1][0]), d)
+        v_exact = joint_velocity(prof.poses[k], (proto.q2 - proto.q1) / times[-1], d)
         assert np.allclose(prof.joint_velocities[k], v_exact, rtol=1e-3)
 
     def test_velocity_flags_exact_threshold(self, proto):
         # the same line traversed slowly never flags
         d = proto.design()
-        prof = profile_path(line_waypoints(proto.q1, proto.q2, 300.0, 41), d)
+        prof = profile_arrays(*line_waypoints(proto.q1, proto.q2, 300.0, 41), d)
         assert not prof.velocity_flags.any()
 
     def test_axis_sinusoid_at_acceleration_limit(self):
@@ -245,8 +245,7 @@ class TestProfilePath:
         w = 2 * math.pi * freq
         A = amax / w**2
         ts = np.linspace(0.0, 1.0 / freq, 201)
-        wps = [(t, (A * math.sin(w * t), 0.0, 0.0)) for t in ts]
-        prof = profile_path(wps, D)
+        prof = profile_arrays(ts, [(A * math.sin(w * t), 0.0, 0.0) for t in ts], D)
         peak = np.abs(prof.joint_accelerations).max()
         assert peak == pytest.approx(amax, rel=2e-3)
         assert peak <= amax
@@ -256,17 +255,30 @@ class TestProfilePath:
 
     def test_non_monotone_time(self):
         with pytest.raises(NonMonotoneTime):
-            profile_path([(0.0, (0, 0, 0)), (0.0, (1.0, 0, 0))], D)
+            profile_arrays([0.0, 0.0], [(0, 0, 0), (1.0, 0, 0)], D)
 
     def test_unreachable_waypoint_reports_index(self):
-        wps = [(0.0, (0.0, 0.0, 0.0)), (1.0, (0.0, 0.9 * L, 0.9 * L))]
+        poses = [(0.0, 0.0, 0.0), (0.0, 0.9 * L, 0.9 * L)]
         with pytest.raises(Unreachable) as e:
-            profile_path(wps, D)
+            profile_arrays([0.0, 1.0], poses, D)
         assert "waypoint 1" in str(e.value)
+
+    @pytest.mark.parametrize(
+        "times, poses, shapes",
+        [
+            ([0.0, np.nan, 1.0], np.zeros((3, 2)), "(3,) and (3, 2)"),
+            ([0.0, 1.0], np.zeros((3, 3)), "(2,) and (3, 3)"),
+            ([[0.0, 1.0]], np.zeros((1, 2, 3)), "(1, 2) and (1, 2, 3)"),
+        ],
+    )
+    def test_shapes_checked_first(self, times, poses, shapes):
+        with pytest.raises(ValueError) as e:
+            profile_arrays(times, poses, D)
+        assert str(e.value) == f"expected times (n,) and poses (n, 3), got {shapes}"
 
     def test_needs_two_waypoints(self):
         with pytest.raises(ValueError):
-            profile_path([(0.0, (0, 0, 0))], D)
+            profile_arrays([0.0], [(0, 0, 0)], D)
 
     def test_fd_velocity_convergence(self):
         # halving the step should cut the midpoint error by ~4 (2nd order);
@@ -275,10 +287,10 @@ class TestProfilePath:
         speed = 500.0
         errs = []
         for n in (21, 41, 81):
-            wps = line_waypoints(p0, p1, speed, n)
-            prof = profile_path(wps, D)
+            times, poses = line_waypoints(p0, p1, speed, n)
+            prof = profile_arrays(times, poses, D)
             mid = n // 2
-            v = (p1 - p0) / wps[-1][0]
+            v = (p1 - p0) / times[-1]
             exact = joint_velocity(prof.poses[mid], v, D)
             errs.append(np.abs(prof.joint_velocities[mid] - exact).max())
         assert errs[1] <= errs[0] / 1.9
@@ -291,8 +303,7 @@ class TestProfilePath:
         w = 2 * math.pi
         A = 50.0
         ts = np.linspace(-0.05, 0.05, 41)
-        wps = [(t, (A * (1 - math.cos(w * t)), 0.0, 0.0)) for t in ts]
-        prof = profile_path(wps, D)
+        prof = profile_arrays(ts, [(A * (1 - math.cos(w * t)), 0.0, 0.0) for t in ts], D)
         mid = len(ts) // 2
         tool_acc = A * w**2
         assert np.array_equal(prof.poses[mid], [0.0, 0.0, 0.0])
@@ -306,10 +317,9 @@ class TestProfilePath:
 class TestReferenceLoop:
     """The batched profile equals the per-sample loops bit for bit."""
 
-    def assert_matches_loop(self, wps, d):
-        prof = profile_path(wps, d)
-        times = np.array([t for t, _ in wps], dtype=float)
-        joints = reference_joints(np.array([p for _, p in wps], dtype=float), d.leg_length)
+    def assert_matches_loop(self, times, poses, d):
+        prof = profile_arrays(times, poses, d)
+        joints = reference_joints(np.asarray(poses, dtype=float), d.leg_length)
         assert np.array_equal(prof.joints, joints)
         assert np.array_equal(prof.joint_velocities, reference_derivative(times, joints, 1))
         assert np.array_equal(prof.joint_accelerations, reference_derivative(times, joints, 2))
@@ -320,15 +330,15 @@ class TestReferenceLoop:
 
         times = np.cumsum(rng.uniform(0.001, 0.05, n))
         poses = random_cube_poses(proto, rng, n)
-        self.assert_matches_loop(list(zip(times, poses)), proto.design())
+        self.assert_matches_loop(times, poses, proto.design())
 
     def test_long_seeded_sinusoid(self, proto, rng):
         times = np.linspace(0.0, 1.0, 2000) + rng.uniform(-1e-4, 1e-4, 2000)
         poses, _, _ = sinusoid(times, (proto.q1 + proto.q2) / 2)
-        self.assert_matches_loop(list(zip(times, poses)), proto.design())
+        self.assert_matches_loop(times, poses, proto.design())
 
     def test_q1_q2_line(self, proto):
-        self.assert_matches_loop(line_waypoints(proto.q1, proto.q2, 1200.0, 81), proto.design())
+        self.assert_matches_loop(*line_waypoints(proto.q1, proto.q2, 1200.0, 81), proto.design())
 
 
 class TestClosedForm:
@@ -349,7 +359,7 @@ class TestClosedForm:
             rate = v + sj / eta
             acc = a + (v[:, j] ** 2 + v[:, k] ** 2 + p[:, j] * a[:, j] + p[:, k] * a[:, k]) / eta
             acc += sj**2 / eta**3
-            prof = profile_path(list(zip(t, p)), d)
+            prof = profile_arrays(t, p, d)
             errs.append(
                 (
                     np.abs(prof.joint_velocities - rate)[1:-1].max(),
@@ -367,72 +377,74 @@ class TestErrorParity:
     @staticmethod
     def long_path(n=3000):
         ts = np.linspace(0.0, 3.0, n)
-        return [
-            (t, (40.0 * math.sin(t), 30.0 * math.cos(2 * t), -20.0 * math.sin(3 * t))) for t in ts
-        ]
+        return ts, np.array(
+            [(40.0 * math.sin(t), 30.0 * math.cos(2 * t), -20.0 * math.sin(3 * t)) for t in ts]
+        )
 
     def test_first_unreachable_waypoint_deep_in_path(self):
-        wps = self.long_path()
-        wps[1234] = (wps[1234][0], (0.9 * L, 0.0, 0.9 * L))
-        wps[2000] = (wps[2000][0], (0.0, L, 0.0))
-        wps[2500] = (wps[2500][0], (0.0, 0.9 * L, 0.9 * L))
+        t, p = self.long_path()
+        p[1234] = (0.9 * L, 0.0, 0.9 * L)
+        p[2000] = (0.0, L, 0.0)
+        p[2500] = (0.0, 0.9 * L, 0.9 * L)
         with pytest.raises(Unreachable) as e:
-            profile_path(wps, D)
+            profile_arrays(t, p, D)
         assert str(e.value) == (
             "waypoint 1234: pose (279.522, 0.0, 279.522) unreachable: leg 1 radicand -59805.2 < 0"
         )
         assert e.value.leg == 1
 
     def test_overflowing_pose_is_unreachable(self):
-        wps = self.long_path(50)
-        wps[7] = (wps[7][0], (1e200, 0.0, 0.0))
+        t, p = self.long_path(50)
+        p[7] = (1e200, 0.0, 0.0)
         with pytest.raises(Unreachable, match=r"^waypoint 7: pose \(1e\+200, 0.0, 0.0\) "
                            r"unreachable: leg 1 radicand -inf < 0$"):
-            profile_path(wps, D)
+            profile_arrays(t, p, D)
 
     def test_serial_singularity_before_unreachable(self):
-        wps = self.long_path()
-        wps[800] = (wps[800][0], (0.0, L, 0.0))
-        wps[1234] = (wps[1234][0], (0.9 * L, 0.0, 0.9 * L))
+        t, p = self.long_path()
+        p[800] = (0.0, L, 0.0)
+        p[1234] = (0.9 * L, 0.0, 0.9 * L)
         with pytest.raises(SerialSingularity) as e:
-            profile_path(wps, D)
+            profile_arrays(t, p, D)
         assert str(e.value) == "pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0"
         assert e.value.leg == 0
 
     @pytest.mark.parametrize(
         "bad, message",
         [
-            ({5: (1.0, 2.0), 9: (np.nan, 0.0, 0.0)}, "expected a length-3 vector, got shape (2,)"),
-            ({9: (1.0, np.inf, 0.0), 12: (1.0, 2.0)}, "vector components must be finite, got [ 1. inf  0.]"),
-            ({9: "abc"}, "could not convert string to float: 'abc'"),
-            ({9: [[1.0, 2.0, 3.0]]}, "expected a length-3 vector, got shape (1, 3)"),
+            # an explicit id, so the test's name stays stable as cases are added or removed
+            pytest.param(
+                {9: (1.0, np.inf, 0.0), 12: (np.nan, 0.0, 0.0)},
+                "vector components must be finite, got [ 1. inf  0.]",
+                id="bad1-vector components must be finite, got [ 1. inf  0.]",
+            ),
         ],
     )
     def test_first_bad_pose(self, bad, message):
-        wps = self.long_path(50)
-        for k, p in bad.items():
-            wps[k] = (wps[k][0], p)
+        t, p = self.long_path(50)
+        for k, pose in bad.items():
+            p[k] = pose
         with pytest.raises(ValueError) as e:
-            profile_path(wps, D)
+            profile_arrays(t, p, D)
         assert str(e.value) == message
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time(self, t):
         # NaN compares False, so without its own check a NaN time passes the
         # strict-increase test and gives NaN rates with no flag
-        wps = self.long_path(50)
-        wps[20] = (t, wps[20][1])
-        wps[30] = (wps[30][0], (1.0, 2.0))
+        times, p = self.long_path(50)
+        times[20] = t
+        p[30] = (1.0, np.inf, 0.0)
         message = rf"^waypoint times must be finite \(t\[20\] = {t:g}\)$"
         with pytest.raises(ValueError, match=message):
-            profile_path(wps, D)
+            profile_arrays(times, p, D)
 
     def test_time_checked_before_poses(self):
-        wps = self.long_path(50)
-        wps[5] = (wps[5][0], (1.0, 2.0))
-        wps[20] = (wps[19][0], wps[20][1])
+        t, p = self.long_path(50)
+        p[5] = (1.0, np.inf, 0.0)
+        t[20] = t[19]
         with pytest.raises(NonMonotoneTime, match=r"^waypoint times must increase strictly \(t\[19\]"):
-            profile_path(wps, D)
+            profile_arrays(t, p, D)
 
 
 def reference_read(path):
@@ -575,10 +587,9 @@ class TestCsv:
             read_waypoints_csv(f)
 
     def test_profile_writer_deterministic(self):
-        wps = [(0.0, (0, 0, 0)), (0.1, (20.0, 0, 0)), (0.2, (40.0, 0, 0))]
         outs = []
         for _ in range(2):
-            prof = profile_path(wps, D)
+            prof = profile_arrays([0.0, 0.1, 0.2], [(0, 0, 0), (20.0, 0, 0), (40.0, 0, 0)], D)
             buf = io.StringIO()
             write_profile_csv(prof, buf)
             outs.append(buf.getvalue())

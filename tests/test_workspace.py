@@ -136,7 +136,7 @@ class TestVerifyCube:
             assert sigma_max == pytest.approx(2.0, abs=1e-12)
 
     def test_zero_side_cube_is_single_isotropic_point(self, design):
-        cube = CubeSpec.from_corner((0.0, 0.0, 0.0), 0.0)
+        cube = CubeSpec((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
         report = verify_cube(design, cube, B, 5)
         assert report.n_points == 1
         nodes = report.nodes
@@ -207,7 +207,7 @@ class TestVerifyCube:
 
 class TestWorkspaceMap:
     def test_tiny_grid_record_count(self, design):
-        cube = CubeSpec.from_corner((-5.0, -5.0, -5.0), 10.0)
+        cube = CubeSpec((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
         report = verify_cube(design, cube, B, 2)
         assert report.n_points == 8
         assert np.all(report.nodes.reachable)
@@ -265,12 +265,12 @@ class TestReferenceLoop:
         "inflated-1.5x": (lambda r: CubeSpec(1.5 * r.q1, 1.5 * r.q2), 11, (0, 681, 311)),
         "oversized-1.8x": (lambda r: CubeSpec(1.8 * r.q1, 1.8 * r.q2), 15, (43, 2310, 1335)),
         "edge-straddling": (
-            lambda r: CubeSpec.from_corner((100.0, 100.0, 100.0), 150.0),
+            lambda r: CubeSpec((100.0, 100.0, 100.0), (250.0, 250.0, 250.0)),
             4,
             (25, 38, 35),
         ),
         "prototype-41": (lambda r: r.cube, 41, (0, 0, 0)),
-        "all-unreachable": (lambda r: CubeSpec.from_corner((400.0, 400.0, 400.0), 10.0), 3, (27, 0, 0)),
+        "all-unreachable": (lambda r: CubeSpec((400.0, 400.0, 400.0), (410.0, 410.0, 410.0)), 3, (27, 0, 0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
