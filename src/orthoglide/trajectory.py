@@ -106,28 +106,52 @@ def fd_weights(nodes, x0, order: int) -> np.ndarray:
     return np.moveaxis(c[:, order], 0, -1)
 
 
-def _derivative(times: np.ndarray, values: np.ndarray, order: int) -> np.ndarray:
+#: the weights of a derivative sum to zero (they annihilate constants); weights
+#: that miss by more than this share of their magnitudes have lost their
+#: digits to products of time steps that underflow (steps below about 1e-100 s)
+_STENCIL_SUM_TOL = 1e-9
+
+
+def _sound(w: np.ndarray) -> np.ndarray:
+    """Per stencil of weights (..., m): whether the weights are finite and sum
+    to zero within _STENCIL_SUM_TOL of their magnitudes."""
+    size = np.abs(w).sum(axis=-1)
+    return np.isfinite(size) & (np.abs(w.sum(axis=-1)) <= _STENCIL_SUM_TOL * size)
+
+
+def _derivative(
+    times: np.ndarray, values: np.ndarray, order: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample derivative of values (n, 3) by local FD stencils.
 
     Interior samples use the 3-point centred stencil, all in one batch;
     endpoints use one-sided stencils (3 points for velocity, 4 for
     acceleration, so both stay second order where enough samples exist).
+    Returns the derivative and, per sample, whether its weights are sound
+    (`_sound`); an unsound sample's derivative is meaningless, and the
+    overflow or invalid values behind it are not warned about.
     """
     n = len(times)
     out = np.zeros_like(values)
+    sound = np.ones(n, dtype=bool)
     if n == 2:
         if order == 1:
             out[:] = (values[1] - values[0]) / (times[1] - times[0])
-        return out  # curvature is indeterminate from two samples
+        return out, sound  # curvature is indeterminate from two samples
     sel = np.arange(n - 2)[:, None] + np.arange(3)
-    w = fd_weights(times[sel], times[1:-1], order)
-    # batched matmul rounds as the per-sample w @ values[sel] does; einsum or
-    # an explicit sum would change the last digits, which cancellation exposes
-    out[1:-1] = np.matmul(w[:, None, :], values[sel])[:, 0, :]
-    end_w = 3 if order == 1 else min(4, n)
-    for i, ends in ((0, slice(0, end_w)), (n - 1, slice(n - end_w, n))):
-        out[i] = fd_weights(times[ends], times[i], order) @ values[ends]
-    return out
+    with np.errstate(all="ignore"):
+        w = fd_weights(times[sel], times[1:-1], order)
+        sound[1:-1] = _sound(w)
+        # batched matmul rounds as the per-sample w @ values[sel] does; einsum
+        # or an explicit sum would change the last digits, which cancellation
+        # exposes
+        out[1:-1] = np.matmul(w[:, None, :], values[sel])[:, 0, :]
+        end_w = 3 if order == 1 else min(4, n)
+        for i, ends in ((0, slice(0, end_w)), (n - 1, slice(n - end_w, n))):
+            w = fd_weights(times[ends], times[i], order)
+            sound[i] = _sound(w)
+            out[i] = w @ values[ends]
+    return out, sound
 
 
 def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
@@ -136,7 +160,8 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
     `times` (n,) must be finite and strictly increasing, with n >= 2;
     `poses` (n, 3) must be finite and reachable.  Joint positions come from
     one batched IK call, derivatives from finite differences of those
-    positions.
+    positions.  Raises ValueError naming the first waypoint whose velocity
+    or acceleration stencil weights are not sound (see _STENCIL_SUM_TOL).
     """
     times = np.asarray(times, dtype=float)
     poses = np.asarray(poses, dtype=float)
@@ -163,8 +188,15 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
     except Unreachable as e:
         raise Unreachable(f"waypoint {e.index}: {e}", leg=e.leg) from e
 
-    vel = _derivative(times, joints, 1)
-    acc = _derivative(times, joints, 2)
+    vel, vel_sound = _derivative(times, joints, 1)
+    acc, acc_sound = _derivative(times, joints, 2)
+    sound = vel_sound & acc_sound
+    if not sound.all():
+        k = int(np.argmin(sound))
+        raise ValueError(
+            f"waypoint {k}: finite-difference weights lost to rounding; "
+            f"time steps too small near t[{k}] = {times[k]:g}"
+        )
     return PathProfile(
         times=times,
         poses=poses,

@@ -31,6 +31,10 @@ from .performance import forward_factors, kappa_from_factors
 #: relative slack applied to bound checks so binding points do not count.
 BOUND_REL_TOL = 1e-9
 
+#: reachable nodes per slab of the Jacobian and factor kernels: their twenty
+#: or so working arrays of this many doubles stay within a 2 MB L2 cache
+_SLAB_NODES = 8192
+
 
 @dataclass
 class CubeSpec:
@@ -232,11 +236,16 @@ def _wedge(axes: list[np.ndarray], d: DesignParams) -> tuple[np.ndarray, np.ndar
 def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes:
     """Evaluate IK + forward factors on a closed grid over the cube.
 
-    Vectorized over all nodes; matches the scalar operations bit for bit
-    because both share the same radicand, working-mode solve, Jacobian and
-    factor kernels: a node is reachable exactly when `inverse_kinematics`
-    would not raise there.  Order is x-major, then y, then z, and is
-    deterministic.
+    The IK solve and the stroke check run over all nodes at once; the
+    inverse Jacobians and their forward factors run over the reachable nodes
+    in slabs of _SLAB_NODES, each written into one preallocated result, so
+    the kernels' working arrays stay cache-sized and do not grow with the
+    grid.  No matrix's factors depend on its batch (see `linalg3`), so the
+    slabs give the bits of one whole batch.  Matches the scalar operations
+    bit for bit because both share the same radicand, working-mode solve,
+    Jacobian and factor kernels: a node is reachable exactly when
+    `inverse_kinematics` would not raise there.  Order is x-major, then y,
+    then z, and is deterministic.
 
     Permuting a pose's coordinates permutes its radicands and the rows and
     columns of its inverse Jacobian exactly, and `forward_factors` is exactly
@@ -274,7 +283,11 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
         rho = rho[reachable]
         stroke_ok[reachable] = np.all(within_stroke(rho, d), axis=1)
 
-        fwd = forward_factors(batch_inverse_jacobian(nodes[reachable], rho))
+        reached = nodes[reachable]
+        fwd = np.empty((len(reached), 3))
+        for start in range(0, len(reached), _SLAB_NODES):
+            slab = slice(start, start + _SLAB_NODES)
+            fwd[slab] = forward_factors(batch_inverse_jacobian(reached[slab], rho[slab]))
         sig_min[reachable] = fwd[:, 0]
         sig_max[reachable] = fwd[:, 2]
         kappa[reachable] = kappa_from_factors(fwd)

@@ -403,10 +403,25 @@ class TestTrajCheck:
                 1,
                 "ValueError: waypoint times must be finite (t[1] = inf)",
             ),
+            # stationary paths with steps this small printed RuntimeWarnings,
+            # rates of +-1.7e157 (or +-inf) mm/s and NaN accelerations with
+            # unset flags, and exited 2
+            (
+                "0,0,0,0\n1e-160,0,0,0\n2e-160,0,0,0\n3e-160,0,0,0\n",
+                1,
+                "ValueError: waypoint 0: finite-difference weights lost to rounding; "
+                "time steps too small near t[0] = 0",
+            ),
+            (
+                "0,0,0,0\n1e-300,0,0,0\n2e-300,0,0,0\n3e-300,0,0,0\n",
+                1,
+                "ValueError: waypoint 0: finite-difference weights lost to rounding; "
+                "time steps too small near t[0] = 0",
+            ),
         ],
         ids=[
             "nan-pose", "non-monotone", "serial-boundary", "deep-unreachable", "short-row",
-            "nan-time", "inf-time",
+            "nan-time", "inf-time", "steps-1e-160", "steps-1e-300",
         ],
     )
     def test_error_message_and_exit_code(self, runner, tmp_path, rows, code, message):

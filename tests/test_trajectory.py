@@ -280,6 +280,28 @@ class TestProfilePath:
         with pytest.raises(ValueError):
             profile_arrays([0.0], [(0, 0, 0)], D)
 
+    @pytest.mark.parametrize("step", [1e-106, 1e-160, 1e-300])
+    def test_tiny_time_steps_raise(self, step):
+        # Fornberg's products underflow into subnormals: at 1e-106 the
+        # 4-point acceleration weights stay finite but miss a zero sum by
+        # 3e-8 of their magnitude; at 1e-160 and 1e-300 the weights overflow
+        # too.  A stationary path got accelerations of 1e208 mm/s^2 or NaN,
+        # and rates up to inf, instead of an error
+        with pytest.raises(ValueError) as e:
+            profile_arrays(step * np.arange(4.0), np.zeros((4, 3)), D)
+        assert str(e.value) == (
+            "waypoint 0: finite-difference weights lost to rounding; "
+            "time steps too small near t[0] = 0"
+        )
+
+    def test_first_unsound_waypoint_across_orders(self):
+        # steps of 1e-155 overflow the acceleration weights (1/h^2) at
+        # waypoints 4 and 5 while their velocity weights stay sound; steps of
+        # 1e-160 from waypoint 5 on spoil the velocity weights at waypoint 6
+        times = [-3.0, -2.0, -1.0, -2e-155, -1e-155, 0.0, 1e-160, 2e-160, 1.0, 2.0]
+        with pytest.raises(ValueError, match=r"^waypoint 4: .* near t\[4\] = -1e-155$"):
+            profile_arrays(times, np.zeros((10, 3)), D)
+
     def test_fd_velocity_convergence(self):
         # halving the step should cut the midpoint error by ~4 (2nd order);
         # require at least first-order improvement as specified

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -380,6 +381,64 @@ class TestSymmetricWedge:
             assert 0 < np.count_nonzero(~reachable) < len(xyz)
         if case == "unequal-strokes":
             assert 0 < np.count_nonzero(~within) < len(xyz)
+
+
+class TestSlabs:
+    """The Jacobian and factor kernels run over the reachable nodes in slabs of
+    at most `_SLAB_NODES`, with the bits of one whole batch."""
+
+    @staticmethod
+    def _grid():
+        # no wedge, unreachable nodes between reachable ones, and a reachable
+        # count that fills several slabs and a partial last one
+        return _one_ulp_off(*_scaled_1_8(*_synthesized(200.0, 0.5, 2.0))), 31
+
+    def test_slabs_equal_whole_batch(self):
+        (d, cube), n = self._grid()
+        nodes = evaluate_grid(d, cube, n)
+        xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
+        n_reach = np.count_nonzero(reachable)
+        assert n_reach > 2 * workspace._SLAB_NODES and n_reach % workspace._SLAB_NODES
+        assert np.flatnonzero(~reachable)[0] < np.flatnonzero(reachable)[-1]
+        assert np.array_equal(nodes.reachable, reachable)
+        assert np.array_equal(nodes.within_stroke, within)
+        for got, want in (
+            (nodes.sigma_min, sigma_min),
+            (nodes.sigma_max, sigma_max),
+            (nodes.kappa, kappa),
+        ):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    def test_kernel_calls_bounded_by_slab(self, monkeypatch):
+        (d, cube), n = self._grid()
+        sizes = []
+
+        def counting_factors(jinv):
+            sizes.append(len(jinv))
+            return forward_factors(jinv)
+
+        monkeypatch.setattr(workspace, "forward_factors", counting_factors)
+        nodes = evaluate_grid(d, cube, n)
+        assert max(sizes) <= workspace._SLAB_NODES
+        assert sum(sizes) == np.count_nonzero(nodes.reachable)
+        assert len(sizes) == -(-sum(sizes) // workspace._SLAB_NODES)
+
+    def test_verify_cube_memory_per_node(self, design, proto):
+        # map-export's off-diagonal cube: no wedge, every node reachable.
+        # tracemalloc counts numpy's allocations, not time, so the bound does
+        # not depend on the host; evaluating the kernels whole-batch peaks at
+        # about 391 B/node here
+        corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+        cube = CubeSpec(corner, corner + 230.0)
+        n = 61
+        verify_cube(design, cube, B, 5)  # one-time set-up is not counted
+        tracemalloc.start()
+        try:
+            verify_cube(design, cube, B, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 250 * n**3
 
 
 class TestReachableMatchesIK:
