@@ -42,9 +42,10 @@ class ConfigError(Exception):
 
 
 def _jsonable(value, rounded: bool):
-    """JSON-serializable copy of `value`: arrays become lists of floats and
-    numpy scalars Python ones; with `rounded`, every float is rounded to 12
-    significant digits, recursively, for stable JSON."""
+    """JSON-serializable copy of `value`: arrays become lists of floats,
+    numpy scalars Python ones and non-finite floats None (JSON null); with
+    `rounded`, every float is rounded to 12 significant digits, recursively,
+    for stable JSON."""
     if isinstance(value, np.ndarray):
         value = value.astype(float).tolist()
     elif isinstance(value, np.generic):
@@ -53,6 +54,8 @@ def _jsonable(value, rounded: bool):
         return {k: _jsonable(v, rounded) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, rounded) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if rounded and isinstance(value, float):
         return float(f"{value:.12g}")
     return value
@@ -64,7 +67,7 @@ def _emit_json(doc: dict, out: str | None, exact_keys: frozenset = frozenset()) 
     # to 12 significant digits
     payload = {k: _jsonable(v, k not in exact_keys) for k, v in doc.items()}
     with open_out(out) as f:
-        f.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        f.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fail(code: int, message: str):

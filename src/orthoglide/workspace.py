@@ -31,8 +31,8 @@ from .performance import forward_factors, kappa_from_factors
 #: relative slack applied to bound checks so binding points do not count.
 BOUND_REL_TOL = 1e-9
 
-#: reachable nodes per slab of the Jacobian and factor kernels: their twenty
-#: or so working arrays of this many doubles stay within a 2 MB L2 cache
+#: evaluated grid nodes per slab of `evaluate_grid`: the kernels' twenty or so
+#: working arrays of this many doubles stay within a 2 MB L2 cache
 _SLAB_NODES = 8192
 
 
@@ -223,29 +223,28 @@ def _wedge(axes: list[np.ndarray], d: DesignParams) -> tuple[np.ndarray, np.ndar
     ):
         return None
     m = len(ax)
-    i, j, k = np.indices((m, m, m)).reshape(3, -1)
+    r = np.arange(m)
+    i, j, k = r[:, None, None], r[:, None], r
     lo = np.minimum(np.minimum(i, j), k)
     hi = np.maximum(np.maximum(i, j), k)
-    sorted_flat = (lo * m + (i + j + k - lo - hi)) * m + hi
-    wedge = np.flatnonzero(sorted_flat == np.arange(m**3))
-    slot = np.empty(m**3, dtype=np.intp)
-    slot[wedge] = np.arange(len(wedge))
-    return wedge, slot[sorted_flat]
+    sorted_flat = ((lo * m + (i + j + k - lo - hi)) * m + hi).ravel()
+    in_wedge = ((i <= j) & (j <= k)).ravel()
+    slot = np.cumsum(in_wedge) - 1
+    return np.flatnonzero(in_wedge), slot[sorted_flat]
 
 
 def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes:
     """Evaluate IK + forward factors on a closed grid over the cube.
 
-    The IK solve and the stroke check run over all nodes at once; the
-    inverse Jacobians and their forward factors run over the reachable nodes
-    in slabs of _SLAB_NODES, each written into one preallocated result, so
-    the kernels' working arrays stay cache-sized and do not grow with the
-    grid.  No matrix's factors depend on its batch (see `linalg3`), so the
-    slabs give the bits of one whole batch.  Matches the scalar operations
-    bit for bit because both share the same radicand, working-mode solve,
-    Jacobian and factor kernels: a node is reachable exactly when
-    `inverse_kinematics` would not raise there.  Order is x-major, then y,
-    then z, and is deterministic.
+    Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
+    IK solve, the reach and stroke flags, then the inverse Jacobians and
+    forward factors of the slab's reachable nodes, written into its slice of
+    the results, so no working array grows with the grid.  No matrix's
+    factors depend on its batch (see `linalg3`), so the slabs give the bits
+    of one whole batch.  Matches the scalar operations bit for bit because
+    both share the same radicand, working-mode solve, Jacobian and factor
+    kernels: a node is reachable exactly when `inverse_kinematics` would not
+    raise there.  Order is x-major, then y, then z, and is deterministic.
 
     Permuting a pose's coordinates permutes its radicands and the rows and
     columns of its inverse Jacobian exactly, and `forward_factors` is exactly
@@ -265,32 +264,28 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
             f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
         )
     axes = _grid_axes(cube, n_per_axis)
-    gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
+    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
     wedge = _wedge(axes, d)
     nodes = pts if wedge is None else pts[wedge[0]]
 
-    rho, _, fail = _working_mode(nodes, leg_radicands(nodes, d.leg_length), d.leg_length)
-    reachable = ~fail.any(axis=1)
-
     n = len(nodes)
+    L = d.leg_length
+    reachable = np.empty(n, dtype=bool)
+    stroke_ok = np.empty(n, dtype=bool)
     sig_min = np.full(n, np.nan)
     sig_max = np.full(n, np.nan)
     kappa = np.full(n, np.nan)
-    stroke_ok = np.zeros(n, dtype=bool)
-
-    if np.any(reachable):
-        rho = rho[reachable]
-        stroke_ok[reachable] = np.all(within_stroke(rho, d), axis=1)
-
-        reached = nodes[reachable]
-        fwd = np.empty((len(reached), 3))
-        for start in range(0, len(reached), _SLAB_NODES):
-            slab = slice(start, start + _SLAB_NODES)
-            fwd[slab] = forward_factors(batch_inverse_jacobian(reached[slab], rho[slab]))
-        sig_min[reachable] = fwd[:, 0]
-        sig_max[reachable] = fwd[:, 2]
-        kappa[reachable] = kappa_from_factors(fwd)
+    for start in range(0, n, _SLAB_NODES):
+        slab = slice(start, start + _SLAB_NODES)
+        p = nodes[slab]
+        rho, _, fail = _working_mode(p, leg_radicands(p, L), L)
+        ok = ~fail.any(axis=1)
+        reachable[slab] = ok
+        stroke_ok[slab] = ok & np.all(within_stroke(rho, d), axis=1)
+        fwd = forward_factors(batch_inverse_jacobian(p[ok], rho[ok]))
+        sig_min[slab][ok] = fwd[:, 0]
+        sig_max[slab][ok] = fwd[:, 2]
+        kappa[slab][ok] = kappa_from_factors(fwd)
 
     results = (reachable, stroke_ok, sig_min, sig_max, kappa)
     if wedge is not None:

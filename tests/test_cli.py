@@ -130,6 +130,26 @@ class TestAnalyze:
         assert doc["within_stroke"] == [True, True, True]  # origin rho = -L is in range
         assert doc["rho_mm"] == pytest.approx([-310.582854123] * 3, rel=1e-9)
 
+    def test_parallel_singular_pose_is_strict_json(self, runner):
+        # (u, u, u) at a = 1, the parallel singularity: the largest forward
+        # factor is infinite, and JSON has no Infinity, so it is written null
+        u = "179.3150944336107"
+        res = runner.invoke(main, ["analyze", "--lw", "200", "--", u, u, u])
+        assert res.exit_code == 0, res.output
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(res.output, parse_constant=reject)
+        assert doc["parallel_flag"] is True
+        assert doc["sigma_fwd"][2] is None
+        assert all(math.isfinite(v) for v in doc["sigma_fwd"][:2])
+
+    @pytest.mark.parametrize("rounded", [True, False])
+    def test_non_finite_floats_become_null(self, rounded):
+        value = {"a": [math.nan, 1.5], "b": np.array([np.inf, -np.inf]), "c": np.float64("nan")}
+        assert cli._jsonable(value, rounded) == {"a": [None, 1.5], "b": [None, None], "c": None}
+
     def test_one_ik_solve(self, runner, monkeypatch):
         # the isotropy residual reads the rho the command solved for
         solve, calls = kinematics.inverse_kinematics, []
@@ -672,6 +692,28 @@ class TestGoldenBytes:
         digest = self._digest(runner, ["workspace-map", "--config", str(cfg)], out, code=2)
         assert "nan" in out.read_text()
         assert digest == "fb8aeea72b9dda6b6253e070255f7485eab066c8e7521c62bf2a4612aa6e1bf9"
+
+    def test_off_diagonal_multi_slab_cube(self, runner, tmp_path, design, proto):
+        # map-export's cube: no wedge, and 41^3 nodes fill several slabs
+        corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+        cfg = tmp_path / "off.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "leg_length": design.leg_length,
+                    "stroke_min": list(design.stroke_min),
+                    "stroke_max": list(design.stroke_max),
+                    "s_lo": 0.5,
+                    "s_hi": 2.0,
+                    "grid": 41,
+                    "cube": {"q1": corner.tolist(), "q2": (corner + 230.0).tolist()},
+                }
+            )
+        )
+        digest = self._digest(
+            runner, ["workspace-map", "--config", str(cfg)], tmp_path / "off.csv", code=2
+        )
+        assert digest == "16ad15b250c923e764952ffb1eaef81e12f5108377adeb0a6627b9f82fe82f70"
 
     def test_diag_profile(self, runner, tmp_path):
         digest = self._digest(

@@ -333,6 +333,11 @@ def _one_ulp_off(d, cube):
     return d, CubeSpec(cube.q1, q2)
 
 
+def _past_the_reach(d, cube):
+    # a cube reaching far beyond the workspace: whole slabs of it unreachable
+    return d, CubeSpec(np.full(3, -100.0), np.full(3, 500.0))
+
+
 def _unequal_strokes(d, cube):
     # y travel starts later and z travel ends sooner: some nodes break them
     lo, hi = d.stroke_min[0], d.stroke_max[0]
@@ -341,7 +346,8 @@ def _unequal_strokes(d, cube):
 
 class TestSymmetricWedge:
     """A grid symmetric in x, y and z is evaluated on its i <= j <= k wedge
-    only; the results equal a full evaluation bit for bit."""
+    only; the results equal a full evaluation bit for bit.  The evaluated
+    nodes go through the IK in slabs of `_SLAB_NODES`, in order."""
 
     # (design and cube, nodes per axis, whether the wedge is used)
     CASES = {
@@ -351,6 +357,11 @@ class TestSymmetricWedge:
         "unreachable-nodes": (lambda: _scaled_1_8(*_synthesized(200.0, 0.5, 2.0)), 15, True),
         "corner-one-ulp-off": (lambda: _one_ulp_off(*_synthesized(200.0, 0.5, 2.0)), 21, False),
         "unequal-strokes": (lambda: _unequal_strokes(*_synthesized(200.0, 0.5, 2.0)), 21, False),
+        "unreachable-slab": (
+            lambda: _one_ulp_off(*_past_the_reach(*_synthesized(200.0, 0.5, 2.0))),
+            31,
+            False,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -365,7 +376,9 @@ class TestSymmetricWedge:
 
         monkeypatch.setattr(workspace, "leg_radicands", counting_radicands)
         nodes = evaluate_grid(d, cube, n)
-        assert evaluated == [n * (n + 1) * (n + 2) // 6 if uses_wedge else n**3]
+        S = workspace._SLAB_NODES
+        N = n * (n + 1) * (n + 2) // 6 if uses_wedge else n**3
+        assert evaluated == [min(S, N - s) for s in range(0, N, S)]
 
         xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
         assert np.array_equal(nodes.xyz, xyz)
@@ -381,16 +394,21 @@ class TestSymmetricWedge:
             assert 0 < np.count_nonzero(~reachable) < len(xyz)
         if case == "unequal-strokes":
             assert 0 < np.count_nonzero(~within) < len(xyz)
+        if case == "unreachable-slab":
+            # the kernels get an empty (0, 3, 3) batch for the last slab
+            per_slab = [np.count_nonzero(reachable[s : s + S]) for s in range(0, N, S)]
+            assert per_slab[0] > 0 and per_slab[-1] == 0
 
 
 class TestSlabs:
-    """The Jacobian and factor kernels run over the reachable nodes in slabs of
-    at most `_SLAB_NODES`, with the bits of one whole batch."""
+    """The grid is evaluated in slabs of `_SLAB_NODES` nodes; the Jacobian and
+    factor kernels run once per slab over its reachable nodes, with the bits
+    of one whole batch."""
 
     @staticmethod
     def _grid():
-        # no wedge, unreachable nodes between reachable ones, and a reachable
-        # count that fills several slabs and a partial last one
+        # no wedge, unreachable nodes between reachable ones, and node and
+        # reachable counts that fill several slabs and a partial last one
         return _one_ulp_off(*_scaled_1_8(*_synthesized(200.0, 0.5, 2.0))), 31
 
     def test_slabs_equal_whole_batch(self):
@@ -421,15 +439,16 @@ class TestSlabs:
         nodes = evaluate_grid(d, cube, n)
         assert max(sizes) <= workspace._SLAB_NODES
         assert sum(sizes) == np.count_nonzero(nodes.reachable)
-        assert len(sizes) == -(-sum(sizes) // workspace._SLAB_NODES)
+        assert len(sizes) == -(-(n**3) // workspace._SLAB_NODES)
 
-    def test_verify_cube_memory_per_node(self, design, proto):
-        # map-export's off-diagonal cube: no wedge, every node reachable.
-        # tracemalloc counts numpy's allocations, not time, so the bound does
-        # not depend on the host; evaluating the kernels whole-batch peaks at
-        # about 391 B/node here
+    @pytest.mark.parametrize("case", ["off-diagonal", "wedge"])
+    def test_verify_cube_memory_per_node(self, design, proto, case):
+        # off-diagonal: map-export's cube, no wedge, every node reachable;
+        # wedge: the prototype's own cube.  tracemalloc counts numpy's
+        # allocations, not time, so the bound does not depend on the host;
+        # a whole-grid IK and stroke pass peaks at about 183 and 113 B/node
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
-        cube = CubeSpec(corner, corner + 230.0)
+        cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
         verify_cube(design, cube, B, 5)  # one-time set-up is not counted
         tracemalloc.start()
@@ -438,7 +457,7 @@ class TestSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 250 * n**3
+        assert peak <= 100 * n**3
 
 
 class TestReachableMatchesIK:
