@@ -6,12 +6,14 @@ mat^T mat to machine precision, including for clustered eigenvalues where
 closed-form cubic formulas lose accuracy.  Both routines broadcast over
 leading batch dimensions.
 
-`singular_values3` runs an eigenvalue-only Jacobi kernel.  It works on the
-six unique entries of each matrix as (N,) arrays, drops the matrices that
-are exactly diagonal from the sweeps, once, when they are at least half the
-batch, and gives every matrix the same bits whatever batch it is in, so the
-grid sweep and the single-pose report agree exactly.  Each matrix is first
-reordered to a canonical one of its six simultaneous row/column
+`singular_values3` runs an eigenvalue-only Jacobi kernel with one rotation
+body, `_rotate`.  A batch runs it on the six unique entries of each matrix
+as (N,) arrays, and drops the matrices that are exactly diagonal from the
+sweeps, once, when they are at least half the batch.  One matrix runs it on
+Python floats, which skips numpy's per-call cost on (1,) arrays.  Every
+matrix gets the same bits whatever batch it is in, and on either route, so
+the grid sweep and the single-pose report agree exactly.  Each matrix is
+first reordered to a canonical one of its six simultaneous row/column
 permutations, which makes the result exactly permutation-invariant.  No
 routine here computes eigenvectors: the manipulability ellipsoid, the one
 place that needs them, takes them from `np.linalg.eigh`.
@@ -20,6 +22,8 @@ place that needs them, takes them from `np.linalg.eigh`.
 from __future__ import annotations
 
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,30 +47,59 @@ _FLAT = np.array(
 # the row-major positions in the order candidates are compared: the
 # off-diagonal entries, (0, 1) leading, then the diagonal
 _ORDER = (1, 2, 3, 5, 6, 7, 0, 4, 8)
+# each candidate's row-major positions in _ORDER, for the one-matrix route
+_KEYS = _FLAT[:, _ORDER].tolist()
+
+
+def _rotate(app, aqq, apq, arp, arq, xp):
+    """One Jacobi rotation in the (p, q) plane, r the remaining index: the
+    new a_pp, a_qq, a_rp and a_rq (a_pq becomes 0).  Operator arithmetic and
+    five elementwise functions of `xp`, so one body runs on (N,) arrays with
+    xp = numpy and on one matrix's Python floats with xp = `_Floats`.
+    """
+    # a_pq is negligible when it cannot change the smaller of
+    # |a_pp|, |a_qq| even scaled by 100
+    small = xp.minimum(abs(app), abs(aqq))
+    rotate = small + 100.0 * abs(apq) != small
+    # smaller-angle root of t^2 + 2 theta t - 1 = 0; theta = 0
+    # gives t = 1, and an overflowing theta the t = 0 limit
+    theta = xp.divide(aqq - app, 2.0 * apq)
+    t = xp.copysign(1.0 / (abs(theta) + xp.sqrt(1.0 + theta * theta)), theta)
+    t = xp.where(rotate, t, 0.0)
+    c = 1.0 / xp.sqrt(1.0 + t * t)
+    s = t * c
+    z = t * apq
+    return app - z, aqq + z, c * arp - s * arq, s * arp + c * arq
+
+
+# `_rotate`'s elementwise functions on Python floats, with numpy's float64
+# answers where Python's differ: `minimum` is NaN if either side is, and
+# a / +-0 is +-inf, or NaN for a = 0 or NaN, where Python raises
+_Floats = SimpleNamespace(
+    minimum=lambda a, b: a if a != a or a < b else b,
+    divide=lambda a, b: a / b if b else a * math.copysign(math.inf, b),
+    sqrt=math.sqrt,
+    copysign=math.copysign,
+    where=lambda cond, a, b: a if cond else b,
+)
 
 
 def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     """Eigenvalues of N symmetric 3x3 matrices by cyclic Jacobi, values only.
 
     `diag` holds (a00, a11, a22) and `off` holds (a01, a02, a12), each an
-    (N,) array.  Returns the (N, 3) ascending eigenvalues and the number of
-    sweeps run.
+    (N,) array; both lists, and the arrays in `diag`, are updated in place.
+    Returns the (N, 3) ascending eigenvalues and the number of sweeps run.
 
-    Each rotation uses the classic updates a_pp -= t a_pq, a_qq += t a_pq,
-    a_pq = 0, then rotates a_rp and a_rq.  It is skipped, and a_pq zeroed,
-    once a_pq is negligible next to both a_pp and a_qq.  Every step is
-    elementwise, and a sweep leaves a converged matrix (all off-diagonal
-    entries zero) bit for bit unchanged, so no matrix's result depends on
-    its batch.  The batch is compacted once: from the first sweep that
-    starts with at most half of it not yet converged, the sweeps run on
-    those matrices only, and the ones among them that converge later stay
-    in.  The loop ends as soon as every off-diagonal entry of the batch is
-    exactly zero, or after _MAX_SWEEPS sweeps.
+    Each sweep applies `_rotate` to the pairs (0, 1), (0, 2) and (1, 2).
+    Every step is elementwise, and a sweep leaves a converged matrix (all
+    off-diagonal entries zero) bit for bit unchanged, so no matrix's result
+    depends on its batch.  The batch is compacted once: from the first
+    sweep that starts with at most half of it not yet converged, the sweeps
+    run on those matrices only, and the ones among them that converge later
+    stay in.  The loop ends as soon as every off-diagonal entry of the batch
+    is exactly zero, or after _MAX_SWEEPS sweeps.
     """
-    # +0.0 turns any -0.0 into +0.0, so a rotation with a_pq = 0 is an
-    # exact no-op (x - 0.0 * y and x + 0.0 * y give back x for x != -0.0)
-    diag = [d + 0.0 for d in diag]
-    off = [o + 0.0 for o in off]
     # the full-size diagonal; once the batch is compacted, only its entries
     # idx are still being swept, and `diag` and `off` hold just those
     out, idx = diag, None
@@ -88,27 +121,11 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
             # step writes into an entry array, so they may share it
             zero = np.zeros(len(diag[0]))
             for k, (p, q) in enumerate(_PAIRS):
-                app, aqq, apq = diag[p], diag[q], off[k]
-                # a_pq is negligible when it cannot change the smaller of
-                # |a_pp|, |a_qq| even scaled by 100
-                small = np.minimum(np.abs(app), np.abs(aqq))
-                rotate = small + 100.0 * np.abs(apq) != small
-                # smaller-angle root of t^2 + 2 theta t - 1 = 0; theta = 0
-                # gives t = 1, and an overflowing theta the t = 0 limit
-                theta = (aqq - app) / (2.0 * apq)
-                t = np.copysign(1.0 / (np.abs(theta) + np.sqrt(1.0 + theta * theta)), theta)
-                t = np.where(rotate, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                z = t * apq
-                diag[p] = app - z
-                diag[q] = aqq + z
-                off[k] = zero
-                # the other two off-diagonal entries, a_rp and a_rq
                 i, j = _OTHERS[k]
-                arp, arq = off[i], off[j]
-                off[i] = c * arp - s * arq
-                off[j] = s * arp + c * arq
+                diag[p], diag[q], off[i], off[j] = _rotate(
+                    diag[p], diag[q], off[k], off[i], off[j], np
+                )
+                off[k] = zero
     if idx is not None:
         for full, d in zip(out, diag):
             full[idx] = d
@@ -122,15 +139,15 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     the same six candidates, so all of them map to the same representative.
     Comparisons treat -0.0 and +0.0 as equal, so the representatives of two
     permutations may differ in the signs of zero entries, but no more: the
-    Gram entries then differ at most in the sign of a zero, which the Jacobi
-    kernel drops, so the singular values agree bit for bit.
+    Gram entries then differ at most in the sign of a zero, which
+    `_gram_entries` drops, so the singular values agree bit for bit.
 
     The (0, 1) entry of the candidate for permutation s is m[s0, s1], so the
     candidate that puts the smallest off-diagonal entry there wins unless
     that value occurs more than once; only such rows compare further
     entries.  A row whose comparisons reach a NaN keeps its order.  The
-    result is an (N, 3, 3) view whose entries are contiguous across the
-    batch, which is how `_gram_entries` reads them.
+    result c is (3, 3, N): c[k, p] holds entry (k, p) of every matrix,
+    contiguous across the batch, which is how `_gram_entries` reads them.
     """
     e = m.reshape(-1, 9)
     choice = _smallest_candidate(e)
@@ -140,7 +157,7 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     for f, source in enumerate(_FLAT.T):
         np.add(source.take(choice), start, out=index)
         e.take(index, out=out[f])
-    return out.reshape(3, 3, -1).transpose(2, 0, 1)
+    return out.reshape(3, 3, -1)
 
 
 def _smallest_candidate(e: np.ndarray) -> np.ndarray:
@@ -158,22 +175,51 @@ def _smallest_candidate(e: np.ndarray) -> np.ndarray:
     return best.argmax(axis=1)
 
 
-def _gram_entries(m: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Diagonal and off-diagonal entries of m^T m for (N, 3, 3) `m`: the dot
-    products of its columns."""
-    c = m.transpose(1, 2, 0)  # c[k, p]: entry (k, p) of every matrix
+def _gram_entries(c) -> tuple[list, list]:
+    """Diagonal and off-diagonal entries of m^T m, the dot products of the
+    columns of m, where c[k][p] is entry (k, p) of m: (N,) arrays for a
+    batch of matrices, floats for one."""
 
-    def dot(p: int, q: int) -> np.ndarray:
-        return c[0, p] * c[0, q] + c[1, p] * c[1, q] + c[2, p] * c[2, q]
+    # +0.0 turns any -0.0 into +0.0, so a rotation with a_pq = 0 is an
+    # exact no-op (x - 0.0 * y and x + 0.0 * y give back x for x != -0.0)
+    def dot(p: int, q: int):
+        return c[0][p] * c[0][q] + c[1][p] * c[1][q] + c[2][p] * c[2][q] + 0.0
 
     return [dot(k, k) for k in range(3)], [dot(p, q) for p, q in _PAIRS]
+
+
+def _float_eigenvalues(e: list[float]) -> list[float]:
+    """`_jacobi_eigenvalues(*_gram_entries(_canonical(m)))` for one matrix m,
+    given as its nine row-major entries, run on Python floats.  Each step is
+    one correctly rounded IEEE-754 operation, in Python as in numpy's
+    float64 loops, so the bits are those of m's row in any batch.  NaNs
+    come last, as the quiet NaN `np.sort` writes.
+    """
+    # the candidate `_smallest_candidate` picks; it may pick another where
+    # the comparisons reach a NaN, but a NaN entry makes every value NaN
+    s = min(range(6), key=lambda s: [e[f] for f in _KEYS[s]])
+    c = [e[f] for f in _FLAT[s].tolist()]
+    diag, off = _gram_entries((c[:3], c[3:6], c[6:]))
+    sweeps = 0
+    while any(off) and sweeps < _MAX_SWEEPS:
+        sweeps += 1
+        for k, (p, q) in enumerate(_PAIRS):
+            i, j = _OTHERS[k]
+            diag[p], diag[q], off[i], off[j] = _rotate(
+                diag[p], diag[q], off[k], off[i], off[j], _Floats
+            )
+            off[k] = 0.0
+    w = sorted(x for x in diag if x == x)
+    return w + [math.nan] * (3 - len(w))
 
 
 def singular_values3(mat: np.ndarray) -> np.ndarray:
     """Ascending singular values of a (not necessarily symmetric) 3x3.
 
     Square roots of the eigenvalues of mat^T mat; negatives from rounding
-    are clipped before the square root.  Batched over leading axes.
+    are clipped before the square root.  Batched over leading axes.  A
+    batch runs the Jacobi rotations (`_rotate`) on arrays, and a batch of
+    one matrix runs the same rotations on Python floats, with the same bits.
 
     Exactly invariant under simultaneous row/column permutation: every
     P mat P^T gives the same bits, because each matrix is first reordered
@@ -181,16 +227,25 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     machine's Jacobian at a permuted pose is P Jinv P^T, so poses that
     differ by a permutation of x, y and z get identical factors.
     """
+    m = _as_matrices(mat)
+    if m.size == 9:
+        w = _float_eigenvalues(m.reshape(9).tolist())
+    else:
+        w = _jacobi_eigenvalues(*_gram_entries(_canonical(m.reshape(-1, 3, 3))))[0]
+    return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
+
+
+def _as_matrices(mat) -> np.ndarray:
+    """`mat` as a float array of shape (..., 3, 3); ValueError otherwise."""
     m = np.asarray(mat, dtype=float)
     if m.shape[-2:] != (3, 3):
         raise ValueError(f"expected (..., 3, 3) matrix, got {m.shape}")
-    w = _jacobi_eigenvalues(*_gram_entries(_canonical(m.reshape(-1, 3, 3))))[0]
-    return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
+    return m
 
 
 def det3(mat: np.ndarray) -> np.ndarray:
     """Determinant of a 3x3 (batched), by cofactor expansion."""
-    m = np.asarray(mat, dtype=float)
+    m = _as_matrices(mat)
     return (
         m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
         - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])

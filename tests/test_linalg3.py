@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from orthoglide import linalg3
 from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
 from orthoglide.linalg3 import (
     _MAX_SWEEPS,
@@ -42,6 +43,12 @@ def test_det3_matches_numpy(rng):
     assert np.allclose(det3(mats), np.linalg.det(mats), atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (2, 2), (3,), (5, 3, 4)])
+def test_det3_rejects_non_3x3(shape):
+    with pytest.raises(ValueError, match=r"expected \(\.\.\., 3, 3\) matrix"):
+        det3(np.zeros(shape))
+
+
 def diag_pose_jinv(a):
     """Inverse Jacobian at a diagonal pose with coupling ratio a."""
     return np.full((3, 3), a) + np.eye(3) * (1 - a)
@@ -56,6 +63,11 @@ def cube_jinv(lw, s_lo, s_hi, n=41):
     return batch_inverse_jacobian(pts, rho)
 
 
+def gram(mats):
+    """`_gram_entries` of an (N, 3, 3) batch, without canonical reordering."""
+    return _gram_entries(mats.transpose(1, 2, 0))
+
+
 PROTOTYPE_AND_WIDE = [(200.0, 0.5, 2.0), (200.0, 1 / 3, 3.0)]
 
 
@@ -67,7 +79,7 @@ def test_exact_double_root_at_diagonal_pose():
 
 def test_exact_triple_root_at_identity():
     assert np.array_equal(singular_values3(np.eye(3)), [1.0, 1.0, 1.0])
-    _, sweeps = _jacobi_eigenvalues(*_gram_entries(np.eye(3)[None]))
+    _, sweeps = _jacobi_eigenvalues(*gram(np.eye(3)[None]))
     assert sweeps == 0
 
 
@@ -79,8 +91,8 @@ def test_result_does_not_depend_on_batch(rng):
     )
     noise = rng.standard_normal((300, 3, 3))
     batch = np.concatenate([noise[:150], targets, noise[150:]])
-    _, alone = _jacobi_eigenvalues(*_gram_entries(targets[1:2]))
-    _, together = _jacobi_eigenvalues(*_gram_entries(batch))
+    _, alone = _jacobi_eigenvalues(*gram(targets[1:2]))
+    _, together = _jacobi_eigenvalues(*gram(batch))
     assert alone < together
     got = singular_values3(batch)[150 : 150 + len(targets)]
     for k, m in enumerate(targets):
@@ -99,7 +111,7 @@ def test_cube_grid_matches_svd_to_4_eps(lw, s_lo, s_hi):
 
 @pytest.mark.parametrize("lw, s_lo, s_hi", PROTOTYPE_AND_WIDE)
 def test_sweep_cap_not_reached_on_cube_grids(lw, s_lo, s_hi):
-    _, sweeps = _jacobi_eigenvalues(*_gram_entries(cube_jinv(lw, s_lo, s_hi)))
+    _, sweeps = _jacobi_eigenvalues(*gram(cube_jinv(lw, s_lo, s_hi)))
     assert sweeps < _MAX_SWEEPS
 
 
@@ -114,7 +126,7 @@ def test_rank_deficient_input():
     assert np.array_equal(singular_values3(np.zeros((3, 3))), np.zeros(3))
     # rank one: converges before the cap, with one non-zero value
     rank_one = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])[None]
-    _, sweeps = _jacobi_eigenvalues(*_gram_entries(rank_one))
+    _, sweeps = _jacobi_eigenvalues(*gram(rank_one))
     assert sweeps < _MAX_SWEEPS
 
 
@@ -153,3 +165,64 @@ def test_singular_values_exactly_permutation_invariant(rng, kind):
         got = singular_values3(mats[:, p][:, :, p])
         assert np.array_equal(got.view(np.uint64), want), perm
         assert np.array_equal(singular_values3(mats[7][p][:, p]).view(np.uint64), want[7])
+
+
+def _cross_route_batch(rng, kind):
+    if kind == "scale-1e-200":
+        # the Gram entries underflow to subnormals and zeros
+        return 1e-200 * np.concatenate([_invariance_batch(rng, k) for k in ("random", "integer-ties")])
+    if kind == "scale-1e300":
+        # the Gram entries overflow to inf, and inf - inf gives NaN.  In the
+        # last matrix, with entries near sqrt(DBL_MAX), the first rotation
+        # overflows a_00 and a_02 and cancels a_12 to 0, and the second
+        # leaves a_00 and a_22 NaN next to a_11 = a_12 = 0: only a `minimum`
+        # that returns NaN, as np.minimum does, makes the third rotate
+        mats = [1e300 * _invariance_batch(rng, k) for k in ("random", "integer-ties")]
+        mid_sweep = [[-1.2e154, 1.34e154, -1.2e154], [1.0, -1.2e154, 0.0], [5e153, 0.0, 1.0]]
+        return np.concatenate(mats + [np.array([mid_sweep])])
+    if kind == "non-finite":
+        # NaN and +-inf entries among random and integer ones
+        mats = np.concatenate([_invariance_batch(rng, k) for k in ("random", "integer-ties")])
+        special = rng.choice([np.nan, np.inf, -np.inf], mats.shape)
+        return np.where(rng.random(mats.shape) < 0.15, special, mats)
+    return _invariance_batch(rng, kind)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["random", "integer-ties", "rank-deficient", "scale-1e-200", "scale-1e300", "non-finite"],
+)
+def test_one_matrix_route_has_the_bits_of_the_batch(rng, kind):
+    # one matrix runs the rotations on Python floats, a batch on arrays:
+    # each matrix must get exactly the bits of its row in the batch
+    mats = _cross_route_batch(rng, kind)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = singular_values3(mats).view(np.uint64)
+    for k, m in enumerate(mats):
+        assert np.array_equal(singular_values3(m).view(np.uint64), want[k]), m
+
+
+def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
+    # a batch runs `_rotate` on arrays, one matrix on Python floats, and one
+    # matrix never enters the batched kernel or `_canonical`
+    seen = []
+    rotate = linalg3._rotate
+
+    def counted(*args):
+        seen.append(args[-1])
+        return rotate(*args)
+
+    monkeypatch.setattr(linalg3, "_rotate", counted)
+    m = rng.standard_normal((3, 3))
+    singular_values3(np.stack([m, m.T]))
+    assert seen and all(xp is np for xp in seen)
+    seen.clear()
+
+    def refuse(*args):
+        raise AssertionError("one matrix entered the batched route")
+
+    monkeypatch.setattr(linalg3, "_jacobi_eigenvalues", refuse)
+    monkeypatch.setattr(linalg3, "_canonical", refuse)
+    singular_values3(m)
+    singular_values3(m[None])
+    assert seen and all(xp is linalg3._Floats for xp in seen)

@@ -162,6 +162,29 @@ class TestVerifyCube:
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
             assert nodes.kappa[k] == tf.kappa
 
+    @pytest.mark.parametrize(
+        "make_cube",
+        [
+            # map-export's cube: off the diagonal, so every node is evaluated
+            lambda r: CubeSpec(r.q1 + [-20.0, 10.0, 30.0], r.q1 + [210.0, 240.0, 260.0]),
+            # partly unreachable, with near-singular nodes at its edge
+            lambda r: CubeSpec(1.8 * r.q1, 1.8 * r.q2),
+        ],
+        ids=["off-diagonal", "oversized-1.8x"],
+    )
+    def test_grid_matches_pose_route_off_the_prototype(self, design, proto, make_cube):
+        # a grid evaluates its nodes in batches, a pose query one matrix at
+        # a time: every reachable node must get the same bits either way
+        nodes = evaluate_grid(design, make_cube(proto), 15)
+        reachable = np.flatnonzero(nodes.reachable)
+        assert len(reachable) >= 3000
+        for k in reachable:
+            p = nodes.xyz[k]
+            tf = transmission_factors(inverse_jacobian(p, inverse_kinematics(p, design), design))
+            assert nodes.sigma_min[k] == tf.sigma_fwd[0]
+            assert nodes.sigma_max[k] == tf.sigma_fwd[2]
+            assert nodes.kappa[k] == tf.kappa
+
     def test_reachable_points_close_the_legs(self, design, proto):
         nodes = evaluate_grid(design, proto.cube, 5)
         for p, reachable in zip(nodes.xyz, nodes.reachable):
