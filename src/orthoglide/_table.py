@@ -27,6 +27,13 @@ from a 12-digit mantissa m and the exponent e of each cell:
 * The rest -- cells near a tie, cells whose y left [1e11, 1e12), and cells
   printed in exponent notation (exponent outside [-4, 11] after rounding)
   -- are formatted one by one with `'%.12g' % v` itself.
+
+A column whose values repeat a few levels, such as a grid coordinate, can be
+given coded, as (levels, index) for the values levels[index].  Its levels go
+through the formatter once, each into its own row of words, and each chunk
+gathers its cells' word rows by index.  A coded column keeps the word width
+of its levels, which may differ from that of the chunk's float columns; the
+zero bytes are dropped all the same.
 """
 
 from __future__ import annotations
@@ -62,9 +69,12 @@ def open_out(out):
 
 
 def write_table(out, header: str, columns) -> None:
-    """Write equal-length 1-D columns as CSV rows under `header`."""
-    cols = [np.asarray(c) for c in columns]
-    cols = [c if c.dtype == bool else c.astype(float, copy=False) for c in cols]
+    """Write equal-length 1-D columns as CSV rows under `header`.
+
+    A column is an array, or a coded column: a tuple (levels, index) of a
+    float array and an integer array, holding the values levels[index].
+    """
+    cols = [_column(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     with open_out(out) as f:
@@ -74,22 +84,60 @@ def write_table(out, header: str, columns) -> None:
         f.write("\n")
 
 
-def _format_rows(cols: list[np.ndarray]) -> str:
-    """CSV text of the rows of the bool and float64 columns `cols`, each
-    row led by its newline."""
+def _column(c):
+    """A `write_table` column as a bool or float64 array, or a `_Coded`."""
+    if isinstance(c, tuple):
+        return _Coded.of(*c)
+    c = np.asarray(c)
+    return c if c.dtype == bool else c.astype(float, copy=False)
+
+
+class _Coded:
+    """Rows of a coded column: `cells` holds the `_cell_words` row of each
+    level as one opaque item, so gathering the cells of rows `index` is one
+    `take`.  Its length and slices are those of `index`."""
+
+    def __init__(self, cells: np.ndarray, index: np.ndarray):
+        self.cells, self.index = cells, index
+
+    @classmethod
+    def of(cls, levels, index) -> _Coded:
+        words = _cell_words(np.asarray(levels, dtype=float))
+        return cls(words.view(f"V{words.itemsize * words.shape[1]}")[:, 0], np.asarray(index))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, rows: slice) -> _Coded:
+        return _Coded(self.cells, self.index[rows])
+
+    def words(self) -> np.ndarray:
+        """(n, w) words of the n rows, w the word width of the levels."""
+        return self.cells.take(self.index).view(np.uint32).reshape(len(self.index), -1)
+
+
+def _format_rows(cols: list) -> str:
+    """CSV text of the rows of the bool, float64 and coded columns `cols`,
+    each row led by its newline."""
     n = len(cols[0])
-    floats = [k for k, c in enumerate(cols) if c.dtype != bool]
-    cells = _cell_words(np.concatenate([cols[k] for k in floats] or [np.zeros(0)]))
-    width = [1 if c.dtype == bool else cells.shape[-1] for c in cols]
+    floats = [c for c in cols if not isinstance(c, _Coded) and c.dtype != bool]
+    cells = _cell_words(np.concatenate(floats or [np.zeros(0)]))
+    float_cells = iter(cells.reshape(-1, n, cells.shape[1]))
+    # each column's (n, w) words, or its bools
+    blocks = [
+        c.words() if isinstance(c, _Coded) else c if c.dtype == bool else next(float_cells)
+        for c in cols
+    ]
+    width = [1 if b.dtype == bool else b.shape[1] for b in blocks]
     first = np.cumsum([0] + width[:-1]).tolist()
     words = np.zeros((n, sum(width)), dtype=np.uint32)
-    for j, k in enumerate(floats):
-        words[:, first[k] : first[k] + width[k]] = cells[j * n : (j + 1) * n]
-    # a bool cell is one word: its separator and digit
     text = words.view(np.uint8)
-    for k, c in enumerate(cols):
-        if c.dtype == bool:
-            text[:, 4 * first[k] + 3] = c + ord("0")
+    for k, b in enumerate(blocks):
+        # a bool cell is one word: its separator and digit
+        if b.dtype == bool:
+            text[:, 4 * first[k] + 3] = b + ord("0")
+        else:
+            words[:, first[k] : first[k] + width[k]] = b
         text[:, 4 * first[k]] = ord(",") if k else ord("\n")
     return words.tobytes().translate(None, b"\0").decode("ascii")
 

@@ -282,10 +282,17 @@ def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
     No singularity guard: rows blow up near serial singularities, which grid
     sweeps treat as data.  Returns shape (..., 3, 3).
+
+    One broadcast pass: off the diagonal, entry (i, j) of the rows
+    (p - rho_i e_i)^T / eta_i is p_j / eta_i, and the diagonal is
+    eta_i / eta_i, the same bits.  Adding +0.0 to p turns a -0.0 coordinate
+    into +0.0, the sign p_j - rho_i * 0 has wherever rho_i < 0, as it is at
+    every reachable pose with p_j = 0 (up to rounding at the workspace
+    boundary), so the zero entries keep their signs too.
     """
     points = np.asarray(points, dtype=float)
     rho = np.asarray(rho, dtype=float)
     eta = points - rho
-    rows = _leg_vectors(points, rho)
-    rows /= eta[..., :, None]
+    rows = (points + 0.0)[..., None, :] / eta[..., :, None]
+    rows.reshape(rows.shape[:-2] + (9,))[..., ::4] = eta / eta
     return rows

@@ -231,7 +231,11 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     if m.size == 9:
         w = _float_eigenvalues(m.reshape(9).tolist())
     else:
-        w = _jacobi_eigenvalues(*_gram_entries(_canonical(m.reshape(-1, 3, 3))))[0]
+        # Gram entries that overflow are inf, and inf - inf is NaN, silently,
+        # as on the float route
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = _gram_entries(_canonical(m.reshape(-1, 3, 3)))
+        w = _jacobi_eigenvalues(*gram)[0]
     return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
 
 

@@ -10,6 +10,7 @@ are reported as data rather than raised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,12 +97,13 @@ class DiagonalProfile(NamedTuple):
 class GridNodes:
     """Per-node results of a grid sweep, in x-major, then y, then z order.
 
-    xyz is (N, 3); the other fields are (N,).  sigma_min, sigma_max and
-    kappa are NaN where a node is unreachable, and within_stroke is False
-    there.
+    `axes` holds the grid's x, y and z coordinates, and node (i, j, k) sits
+    at (axes[0][i], axes[1][j], axes[2][k]); the other fields are (N,).
+    sigma_min, sigma_max and kappa are NaN where a node is unreachable, and
+    within_stroke is False there.
     """
 
-    xyz: np.ndarray
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     reachable: np.ndarray
     within_stroke: np.ndarray
     sigma_min: np.ndarray
@@ -110,7 +112,12 @@ class GridNodes:
 
     @property
     def n_points(self) -> int:
-        return len(self.xyz)
+        return len(self.reachable)
+
+    @functools.cached_property
+    def xyz(self) -> np.ndarray:
+        """(N, 3) node coordinates, built on first use."""
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -199,15 +206,22 @@ def diagonal_profile(d: DesignParams, u_min: float, u_max: float, n: int) -> Dia
     return DiagonalProfile(us, a, fwd, kappa_from_factors(fwd))
 
 
-def _grid_axes(cube: CubeSpec, n_per_axis: int) -> list[np.ndarray]:
+def _grid_axes(cube: CubeSpec, n_per_axis: int) -> tuple[np.ndarray, ...]:
     # closed grid: faces and corners are sampled exactly; a zero-side cube
     # collapses to a single node per axis
-    return [
+    return tuple(
         np.unique(np.linspace(cube.q1[k], cube.q2[k], n_per_axis)) for k in range(3)
-    ]
+    )
 
 
-def _wedge(axes: list[np.ndarray], d: DesignParams) -> tuple[np.ndarray, np.ndarray] | None:
+def _node_index(axes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """(3, N) per-axis indices of every node in grid order, in the smallest
+    unsigned type that holds them (1 byte per axis up to 256 nodes)."""
+    shape = [len(a) for a in axes]
+    return np.indices(shape, dtype=np.min_scalar_type(max(shape) - 1)).reshape(3, -1)
+
+
+def _wedge(axes: tuple[np.ndarray, ...], d: DesignParams) -> tuple[np.ndarray, np.ndarray] | None:
     """The nodes that fix the results of a grid symmetric in x, y and z.
 
     When the three axes are equal element for element and the strokes are
@@ -237,9 +251,10 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     """Evaluate IK + forward factors on a closed grid over the cube.
 
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
-    IK solve, the reach and stroke flags, then the inverse Jacobians and
-    forward factors of the slab's reachable nodes, written into its slice of
-    the results, so no working array grows with the grid.  No matrix's
+    coordinates, gathered from the axes by node index, the IK solve, the
+    reach and stroke flags, then the inverse Jacobians and forward factors
+    of the slab's reachable nodes, written into its slice of the results,
+    so no working array of floats grows with the grid.  No matrix's
     factors depend on its batch (see `linalg3`), so the slabs give the bits
     of one whole batch.  Matches the scalar operations bit for bit because
     both share the same radicand, working-mode solve, Jacobian and factor
@@ -264,11 +279,11 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
             f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
         )
     axes = _grid_axes(cube, n_per_axis)
-    pts = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
     wedge = _wedge(axes, d)
-    nodes = pts if wedge is None else pts[wedge[0]]
-
-    n = len(nodes)
+    index = _node_index(axes)
+    if wedge is not None:
+        index = index[:, wedge[0]]
+    n = index.shape[1]
     L = d.leg_length
     reachable = np.empty(n, dtype=bool)
     stroke_ok = np.empty(n, dtype=bool)
@@ -277,7 +292,7 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     kappa = np.full(n, np.nan)
     for start in range(0, n, _SLAB_NODES):
         slab = slice(start, start + _SLAB_NODES)
-        p = nodes[slab]
+        p = np.stack([a[i] for a, i in zip(axes, index[:, slab])], axis=-1)
         rho, _, fail = _working_mode(p, leg_radicands(p, L), L)
         ok = ~fail.any(axis=1)
         reachable[slab] = ok
@@ -290,7 +305,7 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     results = (reachable, stroke_ok, sig_min, sig_max, kappa)
     if wedge is not None:
         results = tuple(r[wedge[1]] for r in results)
-    return GridNodes(pts, *results)
+    return GridNodes(axes, *results)
 
 
 def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
@@ -312,8 +327,13 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     if idx.size:
         i = idx[np.argmin(nodes.sigma_min[idx])]
         j = idx[np.argmax(nodes.sigma_max[idx])]
-        worst_min, worst_min_at = float(nodes.sigma_min[i]), tuple(nodes.xyz[i].tolist())
-        worst_max, worst_max_at = float(nodes.sigma_max[j]), tuple(nodes.xyz[j].tolist())
+        shape = [len(a) for a in nodes.axes]
+
+        def at(k: int) -> tuple[float, float, float]:
+            return tuple(float(a[m]) for a, m in zip(nodes.axes, np.unravel_index(k, shape)))
+
+        worst_min, worst_min_at = float(nodes.sigma_min[i]), at(i)
+        worst_max, worst_max_at = float(nodes.sigma_max[j]), at(j)
     return GridReport(
         n_per_axis=n_per_axis,
         nodes=nodes,
@@ -331,12 +351,16 @@ GRID_CSV_HEADER = "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,ka
 
 
 def write_grid_csv(nodes: GridNodes, out) -> None:
-    """Write grid nodes with 12-significant-digit, byte-stable formatting."""
+    """Write grid nodes with 12-significant-digit, byte-stable formatting.
+
+    x, y and z go out as coded columns (axis, node index), so each axis
+    value is formatted once.
+    """
     write_table(
         out,
         GRID_CSV_HEADER,
         [
-            *nodes.xyz.T,
+            *zip(nodes.axes, _node_index(nodes.axes)),
             nodes.reachable,
             nodes.within_stroke,
             nodes.sigma_min,

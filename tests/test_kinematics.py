@@ -1,5 +1,6 @@
 """Closed-form IK/FK and the inverse Jacobian of the zero-offset model."""
 
+import itertools
 import math
 import re
 import warnings
@@ -19,6 +20,7 @@ from orthoglide.errors import (
 )
 from orthoglide.kinematics import (
     DesignParams,
+    batch_inverse_jacobian,
     forward_kinematics,
     inverse_jacobian,
     inverse_kinematics,
@@ -26,6 +28,7 @@ from orthoglide.kinematics import (
     leg_states,
     within_stroke,
 )
+from orthoglide.workspace import CubeSpec, evaluate_grid
 
 L = 310.58
 D = DesignParams(leg_length=L)
@@ -312,6 +315,53 @@ class TestInverseJacobian:
         rho = inverse_kinematics(p, D)
         jinv = inverse_jacobian(p, rho, D)
         assert all(jinv[i, i] == 1.0 for i in range(3))
+
+
+def three_pass_jacobian(points, rho):
+    """Rows (p - rho_i e_i) / eta_i in three broadcast passes, the formula
+    `batch_inverse_jacobian` was first written with."""
+    points, rho = np.asarray(points, dtype=float), np.asarray(rho, dtype=float)
+    rows = points[..., None, :] - rho[..., :, None] * np.eye(3)
+    rows /= (points - rho)[..., :, None]
+    return rows
+
+
+class TestOnePassJacobian:
+    """`batch_inverse_jacobian` builds the rows in one pass, with the bits
+    of the leg-vector formula."""
+
+    @staticmethod
+    def assert_same(points, rho):
+        got, want = batch_inverse_jacobian(points, rho), three_pass_jacobian(points, rho)
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert np.array_equal(got.view(np.uint64)[nonzero], want.view(np.uint64)[nonzero])
+        return got, want
+
+    @pytest.mark.parametrize("case", ["map-export", "1.8x-prototype"])
+    def test_reachable_grid_nodes(self, design, proto, case):
+        if case == "map-export":
+            corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+            cube = CubeSpec(corner, corner + 230.0)
+        else:
+            cube = CubeSpec(1.8 * proto.q1, 1.8 * proto.q2)
+        nodes = evaluate_grid(design, cube, 41)
+        assert case == "map-export" or 0 < np.count_nonzero(~nodes.reachable)
+        p = nodes.xyz[nodes.reachable]
+        self.assert_same(p, inverse_kinematics(p, design))
+
+    def test_signed_zero_coordinates(self, design):
+        # every pose with a +-0.0 coordinate; at a reachable pose rho_i < 0
+        # wherever p_j = 0, so the old formula gave every zero entry +0.0
+        # and the bits agree in full, zero signs included
+        values = [0.0, -0.0, 37.5, -12.25]
+        p = np.array([v for v in itertools.product(values, repeat=3) if 0.0 in v])
+        rho = inverse_kinematics(p, design)
+        got, want = self.assert_same(p, rho)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for k in range(len(p)):
+            for one in (batch_inverse_jacobian(p[k], rho[k]), inverse_jacobian(p[k], rho[k], design)):
+                assert np.array_equal(one.view(np.uint64), want[k].view(np.uint64))
 
 
 class TestEquivariance:

@@ -180,6 +180,14 @@ def _cross_route_batch(rng, kind):
         mats = [1e300 * _invariance_batch(rng, k) for k in ("random", "integer-ties")]
         mid_sweep = [[-1.2e154, 1.34e154, -1.2e154], [1.0, -1.2e154, 0.0], [5e153, 0.0, 1.0]]
         return np.concatenate(mats + [np.array([mid_sweep])])
+    if kind == "overflow-pair":
+        # a batch of two: every Gram entry overflows to inf
+        return np.full((2, 3, 3), 1e300)
+    if kind == "inf-pair":
+        # a batch of two, one inf entry: inf * 0 in a Gram entry is NaN
+        mats = np.array([np.eye(3), np.eye(3)])
+        mats[1, 0, 2] = np.inf
+        return mats
     if kind == "non-finite":
         # NaN and +-inf entries among random and integer ones
         mats = np.concatenate([_invariance_batch(rng, k) for k in ("random", "integer-ties")])
@@ -190,14 +198,23 @@ def _cross_route_batch(rng, kind):
 
 @pytest.mark.parametrize(
     "kind",
-    ["random", "integer-ties", "rank-deficient", "scale-1e-200", "scale-1e300", "non-finite"],
+    [
+        "random",
+        "integer-ties",
+        "rank-deficient",
+        "scale-1e-200",
+        "scale-1e300",
+        "overflow-pair",
+        "inf-pair",
+        "non-finite",
+    ],
 )
 def test_one_matrix_route_has_the_bits_of_the_batch(rng, kind):
     # one matrix runs the rotations on Python floats, a batch on arrays:
-    # each matrix must get exactly the bits of its row in the batch
+    # each matrix must get exactly the bits of its row in the batch, and
+    # neither route warns on overflow or NaN (warnings fail the suite)
     mats = _cross_route_batch(rng, kind)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = singular_values3(mats).view(np.uint64)
+    want = singular_values3(mats).view(np.uint64)
     for k, m in enumerate(mats):
         assert np.array_equal(singular_values3(m).view(np.uint64), want[k]), m
 

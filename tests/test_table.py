@@ -12,8 +12,12 @@ CHUNK = _table._CHUNK_ROWS
 
 
 def reference(header, columns):
-    """The plain row loop: `%d` for bools, `%.12g` for everything else."""
-    cols = [np.asarray(c) for c in columns]
+    """The plain row loop: `%d` for bools, `%.12g` for everything else; a
+    coded column (levels, index) is expanded to levels[index] first."""
+    cols = [
+        np.asarray(c[0], dtype=float)[c[1]] if isinstance(c, tuple) else np.asarray(c)
+        for c in columns
+    ]
     row = ",".join("%d" if c.dtype == bool else "%.12g" for c in cols) + "\n"
     return header + "\n" + "".join(row % r for r in zip(*[c.tolist() for c in cols]))
 
@@ -179,3 +183,66 @@ class TestChunks:
         x = rng.standard_normal(CHUNK + 5)
         write_table(tmp_path / "t.csv", "x,neg", [x, x < 0])
         assert (tmp_path / "t.csv").read_bytes() == reference("x,neg", [x, x < 0]).encode()
+
+
+class TestCodedColumns:
+    """A coded column (levels, index) writes the values levels[index], with
+    each level formatted once."""
+
+    @pytest.fixture()
+    def formatted_cells(self, monkeypatch):
+        seen = []
+        real = _table._cell_words
+
+        def counting(x):
+            seen.append(len(x))
+            return real(x)
+
+        monkeypatch.setattr(_table, "_cell_words", counting)
+        return seen
+
+    def test_wide_levels_beside_narrow_floats(self, rng, formatted_cells):
+        # levels of 8 words (integer parts of 10^4 and more, and small
+        # levels that fill every fraction word) beside float columns of 6
+        big = rng.uniform(-1e11, 1e11, 30)
+        small = rng.uniform(-1.0, 1.0, 8) * 1e-3
+        levels = np.concatenate([[1e4, -12345.678, 99999999999.5], big, small])
+        x = rng.standard_normal(3 * CHUNK)
+        assert _table._cell_words(levels).shape[1] == 8
+        assert _table._cell_words(x).shape[1] == 6
+        index = rng.integers(0, len(levels), (2, len(x))).astype(np.uint8)
+        formatted_cells.clear()
+        assert_same([(levels, index[0]), x, (levels[::-1], index[1]), -x])
+        # the levels once per column, the floats once per row
+        assert sum(formatted_cells) == 2 * len(levels) + 2 * len(x)
+
+    def test_levels_that_fall_back(self, rng, formatted_cells):
+        ties = decimal_ties(rng, per_exponent=3)
+        special = [1e-7, 1e15, 0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -2.5e-3]
+        levels = np.concatenate([special, ties])
+        index = np.concatenate([np.arange(len(levels)), rng.integers(0, len(levels), 500)])
+        assert_same([(levels, index), rng.standard_normal(len(index))])
+        assert written("h", [(np.array(special), np.arange(len(special)))]).splitlines()[1:] == [
+            "1e-07", "1e+15", "0", "-0", "nan", "inf", "-inf", "1", "-0.0025"
+        ]
+
+    def test_bool_column_between_coded_and_float(self, rng):
+        levels = np.linspace(-93.0893393937, 136.910660606, 41)
+        index = rng.integers(0, 41, CHUNK + 7).astype(np.uint8)
+        x = rng.standard_normal(len(index))
+        assert_same([(levels, index), x > 0, x, x < 0, (levels, index[::-1])])
+
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+    def test_chunk_boundaries(self, rng, n, dtype):
+        levels = rng.uniform(-300.0, 300.0, 121)
+        index = rng.integers(0, len(levels), n).astype(dtype)
+        x = rng.standard_normal(n)
+        assert_same([(levels, index), x, x < 0])
+
+    def test_no_rows(self):
+        assert written("a,b", [(np.zeros(0), np.zeros(0, dtype=np.uint8)), np.zeros(0)]) == "a,b\n"
+
+    def test_length_is_that_of_the_index(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_table(io.StringIO(), "a,b", [(np.zeros(3), np.zeros(3, dtype=int)), np.zeros(2)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from orthoglide import workspace
+from orthoglide._table import write_table
 from orthoglide.errors import RangeOutsideWorkspace, SerialSingularity, Unreachable
 from orthoglide.kinematics import (
     SERIAL_TOL,
@@ -251,6 +252,37 @@ class TestWorkspaceMap:
         assert bufs[0] == bufs[1]
         assert bufs[0].splitlines()[0] == "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,kappa"
 
+    @pytest.mark.parametrize("case", ["coordinates-to-2e4", "zero-side"])
+    def test_csv_is_the_table_of_the_expanded_columns(self, design, case):
+        # the coordinates go out as coded columns (axis, index); the bytes
+        # are those of writing nodes.xyz as three float columns
+        if case == "coordinates-to-2e4":
+            # 8-word coordinates beside 6-word factors
+            d, q1, n = DesignParams(leg_length=1e5), np.array([1e4, -2e4, 2.5e3]), 23
+            cube = CubeSpec(q1, q1 + 1e4)
+        else:
+            d, p, n = design, np.array([12.5, 0.0, -7.25]), 3
+            cube = CubeSpec(p, p)
+        nodes = verify_cube(d, cube, B, n).nodes
+        got, want = io.StringIO(), io.StringIO()
+        write_grid_csv(nodes, got)
+        columns = [nodes.reachable, nodes.within_stroke, nodes.sigma_min, nodes.sigma_max]
+        write_table(want, workspace.GRID_CSV_HEADER, [*nodes.xyz.T, *columns, nodes.kappa])
+        assert got.getvalue() == want.getvalue()
+        if case == "zero-side":
+            assert got.getvalue().splitlines()[1].startswith("12.5,0,-7.25,1,1,")
+
+    def test_export_builds_no_coordinate_array(self, design, proto):
+        # GridNodes keeps the three axes; xyz is built only when read
+        corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+        report = verify_cube(design, CubeSpec(corner, corner + 230.0), B, 9)
+        write_grid_csv(report.nodes, io.StringIO())
+        assert "xyz" not in vars(report.nodes)
+        assert report.nodes.xyz.shape == (9**3, 3)
+        assert [tuple(a) for a in report.nodes.axes] == [
+            tuple(np.unique(report.nodes.xyz[:, k])) for k in range(3)
+        ]
+
 
 def reference_loop(nodes, b, rel_tol=BOUND_REL_TOL):
     """The per-node loop verify_cube once ran, as a plain Python oracle:
@@ -469,7 +501,8 @@ class TestSlabs:
         # off-diagonal: map-export's cube, no wedge, every node reachable;
         # wedge: the prototype's own cube.  tracemalloc counts numpy's
         # allocations, not time, so the bound does not depend on the host;
-        # a whole-grid IK and stroke pass peaks at about 183 and 113 B/node
+        # a whole-grid IK and stroke pass peaks at about 183 and 113 B/node,
+        # and a whole-grid (N, 3) coordinate array at about 67 and 70
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
@@ -480,7 +513,7 @@ class TestSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100 * n**3
+        assert peak <= 50 * n**3
 
 
 class TestReachableMatchesIK:
