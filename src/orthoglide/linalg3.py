@@ -6,13 +6,13 @@ mat^T mat to machine precision, including for clustered eigenvalues where
 closed-form cubic formulas lose accuracy.  Both routines broadcast over
 leading batch dimensions.
 
-`singular_values3` runs an eigenvalue-only Jacobi kernel with one rotation
-body, `_rotate`.  A batch runs it on the six unique entries of each matrix
-as (N,) arrays, and drops the matrices that are exactly diagonal from the
-sweeps, once, when they are at least half the batch.  One matrix runs it on
-Python floats, which skips numpy's per-call cost on (1,) arrays.  Every
-matrix gets the same bits whatever batch it is in, and on either route, so
-the grid sweep and the single-pose report agree exactly.  Each matrix is
+`singular_values3` runs an eigenvalue-only Jacobi kernel: one sweep body,
+`_sweep`, and one NaN-last sort, `np.sort`.  A batch sweeps the six unique
+entries of each matrix as (N,) arrays, and drops the matrices that are exactly
+diagonal from the sweeps, once, when they are at least half the batch.  One
+matrix sweeps Python floats, which skips numpy's per-call cost on (1,) arrays.
+Every matrix gets the same bits whatever batch it is in, and on either route,
+so the grid sweep and the single-pose report agree exactly.  Each matrix is
 first reordered to a canonical one of its six simultaneous row/column
 permutations, which makes the result exactly permutation-invariant.  No
 routine here computes eigenvectors: the manipulability ellipsoid, the one
@@ -84,6 +84,18 @@ _Floats = SimpleNamespace(
 )
 
 
+def _sweep(diag, off, xp, zero) -> None:
+    """One cyclic Jacobi sweep, `_rotate` on the pairs (0, 1), (0, 2) and
+    (1, 2), updating the lists `diag` and `off` in place; the annihilated
+    entries become `zero`, which no step writes into, so they may share it."""
+    for k, (p, q) in enumerate(_PAIRS):
+        i, j = _OTHERS[k]
+        diag[p], diag[q], off[i], off[j] = _rotate(
+            diag[p], diag[q], off[k], off[i], off[j], xp
+        )
+        off[k] = zero
+
+
 def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     """Eigenvalues of N symmetric 3x3 matrices by cyclic Jacobi, values only.
 
@@ -91,14 +103,13 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     (N,) array; both lists, and the arrays in `diag`, are updated in place.
     Returns the (N, 3) ascending eigenvalues and the number of sweeps run.
 
-    Each sweep applies `_rotate` to the pairs (0, 1), (0, 2) and (1, 2).
-    Every step is elementwise, and a sweep leaves a converged matrix (all
-    off-diagonal entries zero) bit for bit unchanged, so no matrix's result
-    depends on its batch.  The batch is compacted once: from the first
-    sweep that starts with at most half of it not yet converged, the sweeps
-    run on those matrices only, and the ones among them that converge later
-    stay in.  The loop ends as soon as every off-diagonal entry of the batch
-    is exactly zero, or after _MAX_SWEEPS sweeps.
+    Every step is elementwise, and a sweep (`_sweep`) leaves a converged
+    matrix (all off-diagonal entries zero) bit for bit unchanged, so no
+    matrix's result depends on its batch.  The batch is compacted once: from
+    the first sweep that starts with at most half of it not yet converged,
+    the sweeps run on those matrices only, and the ones among them that
+    converge later stay in.  The loop ends as soon as every off-diagonal
+    entry of the batch is exactly zero, or after _MAX_SWEEPS sweeps.
     """
     # the full-size diagonal; once the batch is compacted, only its entries
     # idx are still being swept, and `diag` and `off` hold just those
@@ -117,15 +128,7 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
                 diag = [d[idx] for d in diag]
                 off = [o[idx] for o in off]
             sweeps += 1
-            # one zero array for the annihilated entries of the sweep; no
-            # step writes into an entry array, so they may share it
-            zero = np.zeros(len(diag[0]))
-            for k, (p, q) in enumerate(_PAIRS):
-                i, j = _OTHERS[k]
-                diag[p], diag[q], off[i], off[j] = _rotate(
-                    diag[p], diag[q], off[k], off[i], off[j], np
-                )
-                off[k] = zero
+            _sweep(diag, off, np, np.zeros(len(diag[0])))
     if idx is not None:
         for full, d in zip(out, diag):
             full[idx] = d
@@ -190,36 +193,30 @@ def _gram_entries(c) -> tuple[list, list]:
 
 def _float_eigenvalues(e: list[float]) -> list[float]:
     """`_jacobi_eigenvalues(*_gram_entries(_canonical(m)))` for one matrix m,
-    given as its nine row-major entries, run on Python floats.  Each step is
-    one correctly rounded IEEE-754 operation, in Python as in numpy's
-    float64 loops, so the bits are those of m's row in any batch.  NaNs
-    come last, as the quiet NaN `np.sort` writes.
+    given as its nine row-major entries, before the sort: the diagonal the
+    sweeps (`_sweep` with xp = `_Floats`) leave, unsorted.  Each step is one
+    correctly rounded IEEE-754 operation, in Python as in numpy's float64
+    loops, so the bits are those of m's row in any batch.
     """
     # the candidate `_smallest_candidate` picks; it may pick another where
     # the comparisons reach a NaN, but a NaN entry makes every value NaN
     s = min(range(6), key=lambda s: [e[f] for f in _KEYS[s]])
     c = [e[f] for f in _FLAT[s].tolist()]
     diag, off = _gram_entries((c[:3], c[3:6], c[6:]))
-    sweeps = 0
-    while any(off) and sweeps < _MAX_SWEEPS:
-        sweeps += 1
-        for k, (p, q) in enumerate(_PAIRS):
-            i, j = _OTHERS[k]
-            diag[p], diag[q], off[i], off[j] = _rotate(
-                diag[p], diag[q], off[k], off[i], off[j], _Floats
-            )
-            off[k] = 0.0
-    w = sorted(x for x in diag if x == x)
-    return w + [math.nan] * (3 - len(w))
+    for _ in range(_MAX_SWEEPS):
+        if not any(off):
+            break
+        _sweep(diag, off, _Floats, 0.0)
+    return diag
 
 
 def singular_values3(mat: np.ndarray) -> np.ndarray:
     """Ascending singular values of a (not necessarily symmetric) 3x3.
 
     Square roots of the eigenvalues of mat^T mat; negatives from rounding
-    are clipped before the square root.  Batched over leading axes.  A
-    batch runs the Jacobi rotations (`_rotate`) on arrays, and a batch of
-    one matrix runs the same rotations on Python floats, with the same bits.
+    are clipped before the square root.  Batched over leading axes.  A batch
+    runs the Jacobi sweeps (`_sweep`) on arrays, one matrix runs them on
+    Python floats, and both sort with `np.sort`: the same bits.
 
     Exactly invariant under simultaneous row/column permutation: every
     P mat P^T gives the same bits, because each matrix is first reordered
@@ -229,7 +226,7 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     """
     m = _as_matrices(mat)
     if m.size == 9:
-        w = _float_eigenvalues(m.reshape(9).tolist())
+        w = np.sort(_float_eigenvalues(m.reshape(9).tolist()))
     else:
         # Gram entries that overflow are inf, and inf - inf is NaN, silently,
         # as on the float route

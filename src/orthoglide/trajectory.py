@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._table import write_table
-from .errors import NonMonotoneTime, Unreachable
+from .errors import NonMonotoneTime, SerialSingularity, Unreachable
 from .kinematics import DesignParams, as_point, inverse_jacobian, inverse_kinematics
 
 
@@ -160,8 +160,9 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
     `times` (n,) must be finite and strictly increasing, with n >= 2;
     `poses` (n, 3) must be finite and reachable.  Joint positions come from
     one batched IK call, derivatives from finite differences of those
-    positions.  Raises ValueError naming the first waypoint whose velocity
-    or acceleration stencil weights are not sound (see _STENCIL_SUM_TOL).
+    positions.  Unreachable and SerialSingularity name the first failing
+    waypoint, and ValueError the first whose velocity or acceleration
+    stencil weights are not sound (see _STENCIL_SUM_TOL).
     """
     times = np.asarray(times, dtype=float)
     poses = np.asarray(poses, dtype=float)
@@ -185,8 +186,8 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
         as_point(poses[np.argmin(finite)])  # raises for the first non-finite pose
     try:
         joints = inverse_kinematics(poses, d)
-    except Unreachable as e:
-        raise Unreachable(f"waypoint {e.index}: {e}", leg=e.leg) from e
+    except (Unreachable, SerialSingularity) as e:
+        raise type(e)(f"waypoint {e.index}: {e}", leg=e.leg) from e
 
     vel, vel_sound = _derivative(times, joints, 1)
     acc, acc_sound = _derivative(times, joints, 2)

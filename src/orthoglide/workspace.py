@@ -323,10 +323,10 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     )
     worst_min, worst_min_at = math.nan, None
     worst_max, worst_max_at = math.nan, None
-    idx = np.flatnonzero(reach)
-    if idx.size:
-        i = idx[np.argmin(nodes.sigma_min[idx])]
-        j = idx[np.argmax(nodes.sigma_max[idx])]
+    # NaN marks the unreachable nodes: no bound comparison or nan-reduction counts it
+    if reach.any():
+        i = np.nanargmin(nodes.sigma_min)
+        j = np.nanargmax(nodes.sigma_max)
         shape = [len(a) for a in nodes.axes]
 
         def at(k: int) -> tuple[float, float, float]:
@@ -339,7 +339,7 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
         nodes=nodes,
         n_unreachable=int(np.count_nonzero(~reach)),
         n_stroke_violations=int(np.count_nonzero(reach & ~nodes.within_stroke)),
-        n_bound_violations=int(np.count_nonzero(reach & out_of_bounds)),
+        n_bound_violations=int(np.count_nonzero(out_of_bounds)),
         worst_sigma_min=worst_min,
         worst_sigma_min_at=worst_min_at,
         worst_sigma_max=worst_max,

@@ -399,7 +399,8 @@ class TestTrajCheck:
             (
                 "0,0,0,0\n0.1,0,310.58,0\n0.2,0,400,400\n",
                 3,
-                "SerialSingularity: pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0",
+                "SerialSingularity: waypoint 1: pose (0.0, 310.58, 0.0) on workspace "
+                "boundary: eta_1 = 0",
             ),
             (
                 "".join(f"{k / 100},{k / 10},0,0\n" for k in range(500)) + "5,0,230,230\n6,0,0,0\n",

@@ -220,20 +220,22 @@ def test_one_matrix_route_has_the_bits_of_the_batch(rng, kind):
 
 
 def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
-    # a batch runs `_rotate` on arrays, one matrix on Python floats, and one
-    # matrix never enters the batched kernel or `_canonical`
-    seen = []
-    rotate = linalg3._rotate
+    # a batch runs `_sweep`, and the `_rotate` calls in it, on arrays, one
+    # matrix on Python floats, and one matrix never enters the batched
+    # kernel or `_canonical`; each call's `xp` is logged under its name
+    seen = {"_sweep": [], "_rotate": []}
+    for name, xp_at in (("_sweep", 2), ("_rotate", 5)):
 
-    def counted(*args):
-        seen.append(args[-1])
-        return rotate(*args)
+        def counted(*args, body=getattr(linalg3, name), log=seen[name], xp_at=xp_at):
+            log.append(args[xp_at])
+            return body(*args)
 
-    monkeypatch.setattr(linalg3, "_rotate", counted)
+        monkeypatch.setattr(linalg3, name, counted)
     m = rng.standard_normal((3, 3))
     singular_values3(np.stack([m, m.T]))
-    assert seen and all(xp is np for xp in seen)
-    seen.clear()
+    for log in seen.values():
+        assert log and all(xp is np for xp in log)
+        log.clear()
 
     def refuse(*args):
         raise AssertionError("one matrix entered the batched route")
@@ -242,4 +244,5 @@ def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
     monkeypatch.setattr(linalg3, "_canonical", refuse)
     singular_values3(m)
     singular_values3(m[None])
-    assert seen and all(xp is linalg3._Floats for xp in seen)
+    for log in seen.values():
+        assert log and all(xp is linalg3._Floats for xp in log)

@@ -394,7 +394,8 @@ class TestClosedForm:
 
 
 class TestErrorParity:
-    """Bad paths give the messages the per-waypoint loop gave."""
+    """Bad paths give the messages the per-waypoint loop gave, and an
+    unreachable or serially singular pose names its waypoint."""
 
     @staticmethod
     def long_path(n=3000):
@@ -428,7 +429,7 @@ class TestErrorParity:
         p[1234] = (0.9 * L, 0.0, 0.9 * L)
         with pytest.raises(SerialSingularity) as e:
             profile_arrays(t, p, D)
-        assert str(e.value) == "pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0"
+        assert str(e.value) == "waypoint 800: pose (0.0, 310.58, 0.0) on workspace boundary: eta_1 = 0"
         assert e.value.leg == 0
 
     @pytest.mark.parametrize(

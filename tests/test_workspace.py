@@ -32,6 +32,8 @@ from orthoglide.workspace import (
 )
 
 B = Bounds(0.5, 2.0)
+# L / sqrt(3) for the prototype: (U, U, U) is the parallel singularity a = 1
+U = 179.3150944336107
 
 
 def on_diagonal(nodes):
@@ -327,6 +329,8 @@ class TestReferenceLoop:
         ),
         "prototype-41": (lambda r: r.cube, 41, (0, 0, 0)),
         "all-unreachable": (lambda r: CubeSpec((400.0, 400.0, 400.0), (410.0, 410.0, 410.0)), 3, (27, 0, 0)),
+        # sigma_max is +inf at the far corner (U, U, U)
+        "parallel-singular-corner": (lambda r: CubeSpec(np.full(3, U - 10.0), np.full(3, U)), 3, (0, 27, 27)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -343,6 +347,12 @@ class TestReferenceLoop:
         )
         assert report.worst_sigma_min_at == worst_min_at
         assert report.worst_sigma_max_at == worst_max_at
+
+    def test_infinite_sigma_max_is_the_worst(self, design, proto):
+        make_cube, n, _ = self.CASES["parallel-singular-corner"]
+        report = verify_cube(design, make_cube(proto), B, n)
+        assert report.worst_sigma_max == math.inf
+        assert report.worst_sigma_max_at == (U, U, U)
 
     def test_sigma_max_tie_resolves_to_first_node(self, design, proto):
         # at 41^3 sigma_max of the prototype ties at Q1 and Q2; the report
