@@ -165,17 +165,27 @@ def _canonical(m: np.ndarray) -> np.ndarray:
 
 def _smallest_candidate(e: np.ndarray) -> np.ndarray:
     """For each row-major (N, 9) matrix, the row of _FLAT of its smallest
-    candidate (see `_canonical`)."""
-    keys = e[:, _FLAT[:, _ORDER[0]]]
-    best = keys == keys.min(axis=1, keepdims=True)
-    tied = np.flatnonzero(np.count_nonzero(best, axis=1) > 1)
+    candidate (see `_canonical`): the first of the best ones, or 0 when a
+    NaN leaves none best.
+
+    The keys are component-major, (6, N) with one row per candidate, so
+    every reduction runs across rows rather than along each short one.
+    """
+    et = e.T
+    keys = et[_FLAT[:, _ORDER[0]]]
+    best = keys == np.minimum.reduce(keys)
+    tied = np.flatnonzero(best.sum(axis=0) > 1)
     if tied.size:
-        sub, alive = e[tied], best[tied]
+        sub, alive = et[:, tied], best[:, tied]
         for f in _ORDER[1:]:
-            keys = sub[:, _FLAT[:, f]]
-            alive &= keys == np.where(alive, keys, np.inf).min(axis=1, keepdims=True)
-        best[tied] = alive
-    return best.argmax(axis=1)
+            keys = sub[_FLAT[:, f]]
+            alive &= keys == np.minimum.reduce(np.where(alive, keys, np.inf))
+        best[:, tied] = alive
+    # the last write wins, so the smallest best s does
+    choice = np.zeros(len(e), dtype=np.intp)
+    for s in range(5, -1, -1):
+        choice[best[s]] = s
+    return choice
 
 
 def _gram_entries(c) -> tuple[list, list]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -122,14 +122,14 @@ class GridNodes:
 
 @dataclass
 class GridReport:
-    """Summary of a cube grid sweep; `nodes` holds the per-node arrays.
+    """Summary of a cube grid sweep; `nodes` holds the per-node arrays,
+    built on first read.
 
     Violations count reachable nodes only; the worst values and their
     locations (None when no node is reachable) are over reachable nodes.
     """
 
     n_per_axis: int
-    nodes: GridNodes
     n_unreachable: int
     n_stroke_violations: int
     n_bound_violations: int
@@ -137,10 +137,15 @@ class GridReport:
     worst_sigma_min_at: tuple[float, float, float] | None
     worst_sigma_max: float
     worst_sigma_max_at: tuple[float, float, float] | None
+    _sweep: _Sweep = field(repr=False)
 
     @property
     def n_points(self) -> int:
-        return self.nodes.n_points
+        return self._sweep.n_points
+
+    @functools.cached_property
+    def nodes(self) -> GridNodes:
+        return self._sweep.nodes()
 
     @property
     def ok(self) -> bool:
@@ -221,30 +226,107 @@ def _node_index(axes: tuple[np.ndarray, ...]) -> np.ndarray:
     return np.indices(shape, dtype=np.min_scalar_type(max(shape) - 1)).reshape(3, -1)
 
 
-def _wedge(axes: tuple[np.ndarray, ...], d: DesignParams) -> tuple[np.ndarray, np.ndarray] | None:
-    """The nodes that fix the results of a grid symmetric in x, y and z.
-
-    When the three axes are equal element for element and the strokes are
-    equal on the three axes, returns the flat indices of the nodes with grid
-    indices i <= j <= k, in grid order, and for every node the position in
-    that list of its sorted index triple.  Returns None otherwise.
-    """
-    ax = axes[0]
-    if not (
-        all(np.array_equal(ax, other) for other in axes[1:])
+def _symmetric(axes: tuple[np.ndarray, ...], d: DesignParams) -> bool:
+    """Whether the grid is symmetric in x, y and z: its three axes are equal
+    element for element and the strokes are equal on the three axes."""
+    return (
+        all(np.array_equal(axes[0], other) for other in axes[1:])
         and len(set(d.stroke_min)) == 1
         and len(set(d.stroke_max)) == 1
-    ):
-        return None
-    m = len(ax)
+    )
+
+
+def _in_wedge(m: int) -> np.ndarray:
+    """Whether each node of an m^3 grid, in grid order, has indices i <= j <= k."""
+    r = np.arange(m)
+    return ((r[:, None, None] <= r[:, None]) & (r[:, None] <= r)).ravel()
+
+
+def _wedge_slots(m: int) -> np.ndarray:
+    """For every node of a symmetric m^3 grid, the position of its sorted
+    index triple among the wedge nodes (`_in_wedge`) in grid order."""
     r = np.arange(m)
     i, j, k = r[:, None, None], r[:, None], r
     lo = np.minimum(np.minimum(i, j), k)
     hi = np.maximum(np.maximum(i, j), k)
     sorted_flat = ((lo * m + (i + j + k - lo - hi)) * m + hi).ravel()
-    in_wedge = ((i <= j) & (j <= k)).ravel()
-    slot = np.cumsum(in_wedge) - 1
-    return np.flatnonzero(in_wedge), slot[sorted_flat]
+    return (np.cumsum(_in_wedge(m)) - 1)[sorted_flat]
+
+
+@dataclass
+class _Sweep:
+    """The nodes of a grid that `_evaluate` evaluated, and their results.
+
+    `index` holds their (3, n) per-axis indices, in grid order, and
+    `results` their (n,) reachable, within_stroke, sigma_min, sigma_max
+    and kappa arrays.  That is every node of the grid, unless the grid is
+    `symmetric`: then it is the wedge i <= j <= k, and every other node
+    has the results of its sorted index triple.
+    """
+
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    index: np.ndarray
+    results: tuple[np.ndarray, ...]
+    symmetric: bool
+
+    @property
+    def n_points(self) -> int:
+        return math.prod(len(a) for a in self.axes)
+
+    def weights(self) -> np.ndarray | None:
+        """How many grid nodes each evaluated node stands for, None when
+        each stands for itself: a sorted triple with c distinct indices has
+        c (c + 1) / 2 permutations, 1, 3 or 6."""
+        if not self.symmetric:
+            return None
+        i, j, k = self.index
+        c = 1 + np.add(i < j, j < k, dtype=np.intp)
+        return c * (c + 1) // 2
+
+    def nodes(self) -> GridNodes:
+        """The results of every node of the grid, in grid order."""
+        results = self.results
+        if self.symmetric:
+            slot = _wedge_slots(len(self.axes[0]))
+            results = tuple(r[slot] for r in results)
+        return GridNodes(self.axes, *results)
+
+
+def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
+    """`evaluate_grid` on the nodes that fix its results (see there)."""
+    if n_per_axis < 2:
+        raise ValueError("need at least 2 nodes per axis")
+    if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
+        )
+    axes = _grid_axes(cube, n_per_axis)
+    symmetric = _symmetric(axes, d)
+    index = _node_index(axes)
+    if symmetric:
+        index = index[:, _in_wedge(len(axes[0]))]
+    n = index.shape[1]
+    L = d.leg_length
+    reachable = np.empty(n, dtype=bool)
+    stroke_ok = np.empty(n, dtype=bool)
+    sig_min = np.full(n, np.nan)
+    sig_max = np.full(n, np.nan)
+    kappa = np.full(n, np.nan)
+    for start in range(0, n, _SLAB_NODES):
+        slab = slice(start, start + _SLAB_NODES)
+        p = np.stack([a[i] for a, i in zip(axes, index[:, slab])], axis=-1)
+        rho, _, fail = _working_mode(p, leg_radicands(p, L), L)
+        ok = ~fail.any(axis=1)
+        reachable[slab] = ok
+        within = within_stroke(rho, d)
+        stroke_ok[slab] = ok & within[:, 0] & within[:, 1] & within[:, 2]
+        # a slab with every node reachable needs no gather or scatter
+        sel = slice(None) if ok.all() else ok
+        fwd = forward_factors(batch_inverse_jacobian(p[sel], rho[sel]))
+        sig_min[slab][sel] = fwd[:, 0]
+        sig_max[slab][sel] = fwd[:, 2]
+        kappa[slab][sel] = kappa_from_factors(fwd)
+    return _Sweep(axes, index, (reachable, stroke_ok, sig_min, sig_max, kappa), symmetric)
 
 
 def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes:
@@ -272,40 +354,7 @@ def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes
     Raises ValueError, before building anything, when n_per_axis^3 exceeds
     numpy's index range.
     """
-    if n_per_axis < 2:
-        raise ValueError("need at least 2 nodes per axis")
-    if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
-        raise ValueError(
-            f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
-        )
-    axes = _grid_axes(cube, n_per_axis)
-    wedge = _wedge(axes, d)
-    index = _node_index(axes)
-    if wedge is not None:
-        index = index[:, wedge[0]]
-    n = index.shape[1]
-    L = d.leg_length
-    reachable = np.empty(n, dtype=bool)
-    stroke_ok = np.empty(n, dtype=bool)
-    sig_min = np.full(n, np.nan)
-    sig_max = np.full(n, np.nan)
-    kappa = np.full(n, np.nan)
-    for start in range(0, n, _SLAB_NODES):
-        slab = slice(start, start + _SLAB_NODES)
-        p = np.stack([a[i] for a, i in zip(axes, index[:, slab])], axis=-1)
-        rho, _, fail = _working_mode(p, leg_radicands(p, L), L)
-        ok = ~fail.any(axis=1)
-        reachable[slab] = ok
-        stroke_ok[slab] = ok & np.all(within_stroke(rho, d), axis=1)
-        fwd = forward_factors(batch_inverse_jacobian(p[ok], rho[ok]))
-        sig_min[slab][ok] = fwd[:, 0]
-        sig_max[slab][ok] = fwd[:, 2]
-        kappa[slab][ok] = kappa_from_factors(fwd)
-
-    results = (reachable, stroke_ok, sig_min, sig_max, kappa)
-    if wedge is not None:
-        results = tuple(r[wedge[1]] for r in results)
-    return GridNodes(axes, *results)
+    return _evaluate(d, cube, n_per_axis).nodes()
 
 
 def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
@@ -315,35 +364,45 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     [s_lo, s_hi] beyond BOUND_REL_TOL) are counted in the report, never raised.
     Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
+
+    The counts and worst cases are reduced over the nodes `evaluate_grid`
+    evaluates.  On a symmetric grid each wedge node counts once per node
+    it stands for, and a worst wedge node is also the first of its
+    permutations in grid order, since its sorted triple comes first and
+    the wedge is in grid order; the report builds `nodes` on first read.
     """
-    nodes = evaluate_grid(d, cube, n_per_axis)
-    reach = nodes.reachable
-    out_of_bounds = (nodes.sigma_min < b.s_lo * (1.0 - BOUND_REL_TOL)) | (
-        nodes.sigma_max > b.s_hi * (1.0 + BOUND_REL_TOL)
+    sweep = _evaluate(d, cube, n_per_axis)
+    reach, within, sig_min, sig_max, _ = sweep.results
+    weight = sweep.weights()
+
+    def count(mask: np.ndarray) -> int:
+        return int(np.count_nonzero(mask) if weight is None else weight @ mask)
+
+    out_of_bounds = (sig_min < b.s_lo * (1.0 - BOUND_REL_TOL)) | (
+        sig_max > b.s_hi * (1.0 + BOUND_REL_TOL)
     )
     worst_min, worst_min_at = math.nan, None
     worst_max, worst_max_at = math.nan, None
     # NaN marks the unreachable nodes: no bound comparison or nan-reduction counts it
     if reach.any():
-        i = np.nanargmin(nodes.sigma_min)
-        j = np.nanargmax(nodes.sigma_max)
-        shape = [len(a) for a in nodes.axes]
+        i = np.nanargmin(sig_min)
+        j = np.nanargmax(sig_max)
 
         def at(k: int) -> tuple[float, float, float]:
-            return tuple(float(a[m]) for a, m in zip(nodes.axes, np.unravel_index(k, shape)))
+            return tuple(float(a[m]) for a, m in zip(sweep.axes, sweep.index[:, k]))
 
-        worst_min, worst_min_at = float(nodes.sigma_min[i]), at(i)
-        worst_max, worst_max_at = float(nodes.sigma_max[j]), at(j)
+        worst_min, worst_min_at = float(sig_min[i]), at(i)
+        worst_max, worst_max_at = float(sig_max[j]), at(j)
     return GridReport(
         n_per_axis=n_per_axis,
-        nodes=nodes,
-        n_unreachable=int(np.count_nonzero(~reach)),
-        n_stroke_violations=int(np.count_nonzero(reach & ~nodes.within_stroke)),
-        n_bound_violations=int(np.count_nonzero(out_of_bounds)),
+        n_unreachable=count(~reach),
+        n_stroke_violations=count(reach & ~within),
+        n_bound_violations=count(out_of_bounds),
         worst_sigma_min=worst_min,
         worst_sigma_min_at=worst_min_at,
         worst_sigma_max=worst_max,
         worst_sigma_max_at=worst_max_at,
+        _sweep=sweep,
     )
 
 

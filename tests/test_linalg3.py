@@ -8,9 +8,12 @@ import pytest
 from orthoglide import linalg3
 from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
 from orthoglide.linalg3 import (
+    _FLAT,
     _MAX_SWEEPS,
+    _ORDER,
     _gram_entries,
     _jacobi_eigenvalues,
+    _smallest_candidate,
     det3,
     singular_values3,
 )
@@ -246,3 +249,39 @@ def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
     singular_values3(m[None])
     for log in seen.values():
         assert log and all(xp is linalg3._Floats for xp in log)
+
+
+def _row_major_smallest_candidate(e):
+    # the candidate choice as it was written on (N, 6) keys, reduced along
+    # each row: the oracle of the component-major version
+    keys = e[:, _FLAT[:, _ORDER[0]]]
+    best = keys == keys.min(axis=1, keepdims=True)
+    tied = np.flatnonzero(np.count_nonzero(best, axis=1) > 1)
+    if tied.size:
+        sub, alive = e[tied], best[tied]
+        for f in _ORDER[1:]:
+            keys = sub[:, _FLAT[:, f]]
+            alive &= keys == np.where(alive, keys, np.inf).min(axis=1, keepdims=True)
+        best[tied] = alive
+    return best.argmax(axis=1)
+
+
+@pytest.mark.parametrize("kind", ["random", "integer-ties", "signed-zeros-nan", "empty"])
+def test_smallest_candidate_matches_row_major_oracle(rng, kind):
+    if kind == "random":
+        e = rng.standard_normal((2000, 9))
+    elif kind == "empty":
+        e = np.empty((0, 9))
+    else:
+        # entries from {-1, 0, 1}: most rows tie on several keys, and many
+        # on all nine (every candidate best, so the first must win)
+        e = rng.integers(-1, 2, (4000, 9)).astype(float)
+        if kind == "signed-zeros-nan":
+            special = rng.choice([-0.0, 0.0, np.nan], e.shape)
+            e = np.where(rng.random(e.shape) < 0.3, special, e)
+        e[:50] = 1.0
+    got = _smallest_candidate(e)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, _row_major_smallest_candidate(e))
+    if kind in ("integer-ties", "signed-zeros-nan"):
+        assert np.all(got[:50] == 0)

@@ -363,6 +363,48 @@ class TestReferenceLoop:
         assert report.worst_sigma_max_at == tuple(report.nodes.xyz[ties[0]].tolist())
 
 
+class TestWedgeReduction:
+    """On a symmetric grid `verify_cube` reduces over the wedge nodes it
+    evaluated, each counted once per grid node it stands for, and builds
+    the whole grid's nodes only when `nodes` is first read."""
+
+    def test_report_equals_the_loop_without_expanding(self, design, proto, monkeypatch):
+        # the oversized cube: every count is nonzero, so the weights matter
+        n = 15
+
+        def refuse(m):
+            raise AssertionError("the wedge was expanded")
+
+        monkeypatch.setattr(workspace, "_wedge_slots", refuse)
+        report = verify_cube(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), B, n)
+        assert report.n_points == n**3
+        assert "nodes" not in vars(report)
+        monkeypatch.undo()
+        counts, worst_min, worst_min_at, worst_max, worst_max_at = reference_loop(report.nodes, B)
+        assert "nodes" in vars(report)
+        assert all(counts)
+        got = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
+        assert got == counts
+        assert (report.worst_sigma_min, report.worst_sigma_min_at) == (worst_min, worst_min_at)
+        assert (report.worst_sigma_max, report.worst_sigma_max_at) == (worst_max, worst_max_at)
+
+    @pytest.mark.parametrize("n", [2, 3, 15, 41])
+    def test_weights_count_the_nodes_each_wedge_node_fills(self, design, proto, n):
+        sweep = workspace._evaluate(design, proto.cube, n)
+        assert sweep.symmetric
+        weights = sweep.weights()
+        assert weights.sum() == n**3
+        slots = workspace._wedge_slots(n)
+        assert np.array_equal(np.bincount(slots, minlength=len(weights)), weights)
+
+    def test_other_grids_count_each_node_once(self, design, proto):
+        corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+        sweep = workspace._evaluate(design, CubeSpec(corner, corner + 230.0), 5)
+        assert not sweep.symmetric
+        assert sweep.weights() is None
+        assert sweep.index.shape == (3, 5**3)
+
+
 def full_evaluation(d, cube, n):
     """Reference sweep: every node of the grid evaluated, no use of symmetry.
 
@@ -512,7 +554,8 @@ class TestSlabs:
         # wedge: the prototype's own cube.  tracemalloc counts numpy's
         # allocations, not time, so the bound does not depend on the host;
         # a whole-grid IK and stroke pass peaks at about 183 and 113 B/node,
-        # and a whole-grid (N, 3) coordinate array at about 67 and 70
+        # a whole-grid (N, 3) coordinate array at about 67 and 70, and
+        # expanding the wedge to the whole grid at about 44 on the wedge
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
@@ -523,7 +566,7 @@ class TestSlabs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 50 * n**3
+        assert peak <= (50 if case == "off-diagonal" else 25) * n**3
 
 
 class TestReachableMatchesIK:
