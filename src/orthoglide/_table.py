@@ -34,6 +34,21 @@ through the formatter once, each into its own row of words, and each chunk
 gathers its cells' word rows by index.  A coded column keeps the word width
 of its levels, which may differ from that of the chunk's float columns; the
 zero bytes are dropped all the same.
+
+A chunk holds `_CHUNK_CELLS` float cells, not a fixed number of rows, so a
+table with more float columns gets fewer rows per chunk (coded and bool
+columns do not count): 2048 rows of the grid CSV's 3 float columns, 1024 of
+`diag-profile`'s 6 and 472 of `traj-check`'s 13.  Every temporary of
+`_cell_words` then stays near 49 KB, below glibc's 128 KB mmap threshold,
+and is reused from the heap.  Fixed 2048-row chunks were once chosen as the
+fastest in cache, but that was timed on narrow tables only: on
+`traj-check`'s 13 float columns each temporary was 213 KB, mapped fresh and
+faulted in for every chunk.  A 10,000-waypoint `traj-check` in the
+benchmark's worker process took about 6,100-6,400 minor page faults and
+15-16 ms of system time per 55-60 ms command, 5,700 faults and 11.5 ms of
+them in `_cell_words`; with the cell budget it takes about 550-600 faults
+and 3-4 ms, none of them in `_cell_words` (`getrusage` around each command
+and stage, on a 2-vCPU x86-64 VM).
 """
 
 from __future__ import annotations
@@ -44,9 +59,11 @@ import sys
 
 import numpy as np
 
-# rows formatted per write: few enough that the working arrays stay in the
-# CPU cache, which makes the formatter fastest
-_CHUNK_ROWS = 2048
+# float cells formatted per chunk, whatever the table's width: a budget of
+# cells, not rows, keeps each temporary of _cell_words at 49 KB, under the
+# mmap threshold, while a narrow table still spreads numpy's per-call cost
+# over 2048 rows (see the module docstring)
+_CHUNK_CELLS = 6144
 # offsets of the pairs of word tables in _digit_words
 _LEAD, _LEAD0, _DOT, _TRAIL = 20000.0 * np.arange(4)
 # the sign word: "-" in its last byte
@@ -77,10 +94,12 @@ def write_table(out, header: str, columns) -> None:
     cols = [_column(c) for c in columns]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
+    # at least one row, however many float columns
+    rows = max(1, _CHUNK_CELLS // max(1, sum(map(_is_float, cols))))
     with open_out(out) as f:
         f.write(header)
-        for start in range(0, len(cols[0]), _CHUNK_ROWS):
-            f.write(_format_rows([c[start : start + _CHUNK_ROWS] for c in cols]))
+        for start in range(0, len(cols[0]), rows):
+            f.write(_format_rows([c[start : start + rows] for c in cols]))
         f.write("\n")
 
 
@@ -90,6 +109,11 @@ def _column(c):
         return _Coded.of(*c)
     c = np.asarray(c)
     return c if c.dtype == bool else c.astype(float, copy=False)
+
+
+def _is_float(c) -> bool:
+    """Whether `_column` made `c` a plain float column."""
+    return not isinstance(c, _Coded) and c.dtype != bool
 
 
 class _Coded:
@@ -120,7 +144,7 @@ def _format_rows(cols: list) -> str:
     """CSV text of the rows of the bool, float64 and coded columns `cols`,
     each row led by its newline."""
     n = len(cols[0])
-    floats = [c for c in cols if not isinstance(c, _Coded) and c.dtype != bool]
+    floats = [c for c in cols if _is_float(c)]
     cells = _cell_words(np.concatenate(floats or [np.zeros(0)]))
     float_cells = iter(cells.reshape(-1, n, cells.shape[1]))
     # each column's (n, w) words, or its bools

@@ -722,6 +722,13 @@ class TestGoldenBytes:
         )
         assert digest == "f62b39d2bbdfa3ab1ea3d98fc9d73ca65ce4531a09dbe5f6f8851f0318adbb6e"
 
+    def test_multi_chunk_diag_profile(self, runner, tmp_path):
+        # 5000 rows of 6 float columns: five chunks of the CSV writer
+        digest = self._digest(
+            runner, ["diag-profile", "--lw", "200", "--grid", "5000"], tmp_path / "d.csv"
+        )
+        assert digest == "f4a7ba84150fcd4d8c9999f083175cba72ed1ee0b8e354569e1a316664c1cf28"
+
     def test_flagged_traj_check(self, runner, tmp_path, proto):
         wp = tmp_path / "wp.csv"
         write_line_waypoints(wp, proto.q1, proto.q2, 1200.0, 41)

@@ -1,6 +1,7 @@
 """The CSV writer against Python's own `'%.12g'` / `'%d'` row loop, byte for byte."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,18 @@ import pytest
 from orthoglide import _table
 from orthoglide._table import write_table
 
-CHUNK = _table._CHUNK_ROWS
+
+def chunk_rows(n_float):
+    """Rows per chunk of a table with `n_float` plain float columns."""
+    return _table._CHUNK_CELLS // max(1, n_float)
+
+
+# rows per chunk of the grid CSV's width: three float columns beside coded
+# and bool ones; tests whose chunk size is part of their parameters write
+# tables of this width
+GRID = chunk_rows(3)
+# traj-check's profile: 13 float columns and 6 flag columns
+WIDE = chunk_rows(13)
 
 
 def reference(header, columns):
@@ -26,6 +38,27 @@ def written(header, columns):
     buf = io.StringIO()
     write_table(buf, header, columns)
     return buf.getvalue()
+
+
+def wide_table(rng, n):
+    """A traj-check-like table of `n` rows: 13 float columns of magnitudes
+    from 1e-3 to 1e5, then 6 bool columns."""
+    x = rng.standard_normal((13, n)) * 10.0 ** rng.integers(-3, 6, (13, 1))
+    return [*x, *(x[:6] > 0.5)]
+
+
+@pytest.fixture()
+def formatted_cells(monkeypatch):
+    """The number of values of each `_cell_words` call, in order."""
+    seen = []
+    real = _table._cell_words
+
+    def counting(x):
+        seen.append(len(x))
+        return real(x)
+
+    monkeypatch.setattr(_table, "_cell_words", counting)
+    return seen
 
 
 def assert_same(columns, header="h"):
@@ -111,7 +144,7 @@ class TestAgainstRowLoop:
 
     def test_all_nan_column(self, rng):
         # unreachable grid nodes: whole NaN columns beside finite ones
-        x = rng.standard_normal(3 * CHUNK)
+        x = rng.standard_normal(3 * chunk_rows(3))
         assert_same([x, np.full_like(x, np.nan), x > 0, np.full_like(x, np.nan)])
 
     def test_bool_columns(self, rng):
@@ -161,17 +194,33 @@ class TestChunks:
     def test_no_rows(self):
         assert written("a,b", [np.zeros(0), np.zeros(0, dtype=bool)]) == "a,b\n"
 
-    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n", [1, GRID - 1, GRID, GRID + 1, 2 * GRID + 1])
     def test_chunk_boundaries(self, rng, n):
         x = rng.standard_normal(n) * 1e3
-        assert_same([x, x < 0, -x])
+        assert_same([x, x < 0, -x, x * 1e-3])
 
     def test_integer_groups_change_between_chunks(self, rng):
-        # the first chunk's integer parts all fit in one 4-digit group, the
-        # second's need three
-        small = rng.uniform(-9999, 9999, CHUNK)
-        large = rng.uniform(-1e11, 1e11, CHUNK)
-        assert_same([np.concatenate([small, large]), np.concatenate([large, small])])
+        # one float column: the first chunk's integer parts all fit in one
+        # 4-digit group, the second's need three, and the other way round
+        small = rng.uniform(-9999, 9999, chunk_rows(1))
+        large = rng.uniform(-1e11, 1e11, chunk_rows(1))
+        x = np.concatenate([small, large])
+        assert_same([x, x > 0])
+        assert_same([x[::-1]])
+
+    @pytest.mark.parametrize(
+        "n_float, rows", [(0, 6144), (1, 6144), (3, 2048), (6, 1024), (13, 472)]
+    )
+    def test_rows_per_chunk_follow_the_float_columns(self, rng, formatted_cells, n_float, rows):
+        # 3 floats: the grid CSV; 6: diag-profile; 13: traj-check.  Coded
+        # and bool columns do not count
+        n = 2 * rows + 5
+        x = rng.standard_normal(n)
+        levels = rng.standard_normal(7)
+        write_table(
+            io.StringIO(), "h", [(levels, np.arange(n) % 7), x > 0, *[x] * n_float, x < 0]
+        )
+        assert formatted_cells == [len(levels), n_float * rows, n_float * rows, n_float * 5]
 
     def test_columns_of_different_length_are_refused(self):
         buf = io.StringIO()
@@ -180,26 +229,49 @@ class TestChunks:
         assert buf.getvalue() == ""
 
     def test_path_output_is_the_same_bytes(self, tmp_path, rng):
-        x = rng.standard_normal(CHUNK + 5)
+        x = rng.standard_normal(chunk_rows(1) + 5)
         write_table(tmp_path / "t.csv", "x,neg", [x, x < 0])
         assert (tmp_path / "t.csv").read_bytes() == reference("x,neg", [x, x < 0]).encode()
+
+
+class TestWideTables:
+    """traj-check's 13 float and 6 bool columns: chunks of fewer rows, and
+    no `_cell_words` call above the cell budget."""
+
+    @pytest.mark.parametrize("n", [WIDE - 1, WIDE, WIDE + 1, 2 * WIDE + 1])
+    def test_chunk_boundaries(self, rng, n):
+        assert_same(wide_table(rng, n))
+
+    def test_cells_per_call_stay_in_budget(self, rng, formatted_cells):
+        columns = wide_table(rng, 10_000)
+        assert_same(columns)
+        assert max(formatted_cells) <= _table._CHUNK_CELLS
+        assert sum(formatted_cells) == 13 * 10_000
+
+    def test_more_float_columns_than_the_budget(self, rng, formatted_cells):
+        # one row per chunk, never none
+        x = rng.standard_normal((_table._CHUNK_CELLS + 1, 2))
+        assert_same([*x, x[0] > 0])
+        assert formatted_cells == [len(x), len(x)]
+
+    def test_memory_peak_of_a_wide_file(self, rng, tmp_path):
+        # tracemalloc counts numpy's allocations, not time, so the bound does
+        # not depend on the host; 2048-row chunks of 13 floats peak at about
+        # 6.4 MB here, the cell budget at about 1.5 MB
+        columns = wide_table(rng, 10_000)
+        write_table(tmp_path / "warm.csv", "h", columns[:1])  # one-time set-up
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", "h", columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2_000_000
 
 
 class TestCodedColumns:
     """A coded column (levels, index) writes the values levels[index], with
     each level formatted once."""
-
-    @pytest.fixture()
-    def formatted_cells(self, monkeypatch):
-        seen = []
-        real = _table._cell_words
-
-        def counting(x):
-            seen.append(len(x))
-            return real(x)
-
-        monkeypatch.setattr(_table, "_cell_words", counting)
-        return seen
 
     def test_wide_levels_beside_narrow_floats(self, rng, formatted_cells):
         # levels of 8 words (integer parts of 10^4 and more, and small
@@ -207,7 +279,7 @@ class TestCodedColumns:
         big = rng.uniform(-1e11, 1e11, 30)
         small = rng.uniform(-1.0, 1.0, 8) * 1e-3
         levels = np.concatenate([[1e4, -12345.678, 99999999999.5], big, small])
-        x = rng.standard_normal(3 * CHUNK)
+        x = rng.standard_normal(3 * chunk_rows(2))
         assert _table._cell_words(levels).shape[1] == 8
         assert _table._cell_words(x).shape[1] == 6
         index = rng.integers(0, len(levels), (2, len(x))).astype(np.uint8)
@@ -228,17 +300,17 @@ class TestCodedColumns:
 
     def test_bool_column_between_coded_and_float(self, rng):
         levels = np.linspace(-93.0893393937, 136.910660606, 41)
-        index = rng.integers(0, 41, CHUNK + 7).astype(np.uint8)
+        index = rng.integers(0, 41, chunk_rows(1) + 7).astype(np.uint8)
         x = rng.standard_normal(len(index))
         assert_same([(levels, index), x > 0, x, x < 0, (levels, index[::-1])])
 
-    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    @pytest.mark.parametrize("n", [GRID - 1, GRID, GRID + 1, 2 * GRID + 1])
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
     def test_chunk_boundaries(self, rng, n, dtype):
         levels = rng.uniform(-300.0, 300.0, 121)
         index = rng.integers(0, len(levels), n).astype(dtype)
         x = rng.standard_normal(n)
-        assert_same([(levels, index), x, x < 0])
+        assert_same([(levels, index), x, x < 0, -x, x * 1e3])
 
     def test_no_rows(self):
         assert written("a,b", [(np.zeros(0), np.zeros(0, dtype=np.uint8)), np.zeros(0)]) == "a,b\n"
