@@ -40,15 +40,8 @@ table with more float columns gets fewer rows per chunk (coded and bool
 columns do not count): 2048 rows of the grid CSV's 3 float columns, 1024 of
 `diag-profile`'s 6 and 472 of `traj-check`'s 13.  Every temporary of
 `_cell_words` then stays near 49 KB, below glibc's 128 KB mmap threshold,
-and is reused from the heap.  Fixed 2048-row chunks were once chosen as the
-fastest in cache, but that was timed on narrow tables only: on
-`traj-check`'s 13 float columns each temporary was 213 KB, mapped fresh and
-faulted in for every chunk.  A 10,000-waypoint `traj-check` in the
-benchmark's worker process took about 6,100-6,400 minor page faults and
-15-16 ms of system time per 55-60 ms command, 5,700 faults and 11.5 ms of
-them in `_cell_words`; with the cell budget it takes about 550-600 faults
-and 3-4 ms, none of them in `_cell_words` (`getrusage` around each command
-and stage, on a 2-vCPU x86-64 VM).
+and is reused from the heap rather than mapped and faulted in anew for
+every chunk.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .performance import forward_factors, kappa_from_factors
 #: relative slack applied to bound checks so binding points do not count.
 BOUND_REL_TOL = 1e-9
 
-#: evaluated grid nodes per slab of `evaluate_grid`: the kernels' twenty or so
+#: evaluated grid nodes per slab of `_evaluate`: the kernels' twenty or so
 #: working arrays of this many doubles stay within a 2 MB L2 cache
 _SLAB_NODES = 8192
 
@@ -100,7 +100,8 @@ class GridNodes:
     `axes` holds the grid's x, y and z coordinates, and node (i, j, k) sits
     at (axes[0][i], axes[1][j], axes[2][k]); the other fields are (N,).
     sigma_min, sigma_max and kappa are NaN where a node is unreachable, and
-    within_stroke is False there.
+    within_stroke is False there.  `verify_cube(...).nodes` is the one way
+    to get them.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -109,15 +110,6 @@ class GridNodes:
     sigma_min: np.ndarray
     sigma_max: np.ndarray
     kappa: np.ndarray
-
-    @property
-    def n_points(self) -> int:
-        return len(self.reachable)
-
-    @functools.cached_property
-    def xyz(self) -> np.ndarray:
-        """(N, 3) node coordinates, built on first use."""
-        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
 @dataclass
@@ -293,7 +285,32 @@ class _Sweep:
 
 
 def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
-    """`evaluate_grid` on the nodes that fix its results (see there)."""
+    """Evaluate IK + forward factors on a closed grid over the cube, on the
+    nodes that fix the results of every node (see `_Sweep`).
+
+    Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
+    coordinates, gathered from the axes by node index, the IK solve, the
+    reach and stroke flags, then the inverse Jacobians and forward factors
+    of the slab's reachable nodes, written into its slice of the results,
+    so no working array of floats grows with the grid.  No matrix's
+    factors depend on its batch (see `linalg3`), so the slabs give the bits
+    of one whole batch.  Matches the scalar operations bit for bit because
+    both share the same radicand, working-mode solve, Jacobian and factor
+    kernels: a node is reachable exactly when `inverse_kinematics` would not
+    raise there.  Order is x-major, then y, then z, and is deterministic.
+
+    Permuting a pose's coordinates permutes its radicands and the rows and
+    columns of its inverse Jacobian exactly, and `forward_factors` is exactly
+    invariant under that, so when the three grid axes are equal element for
+    element and the strokes are equal on the three axes (every synthesized
+    cube) only the nodes i <= j <= k, about a sixth, are evaluated, and
+    every other node takes the results of its sorted index triple
+    (`_Sweep.nodes`): the same bits as evaluating it.  Any other grid is
+    evaluated node by node.
+
+    Raises ValueError, before building anything, when n_per_axis^3 exceeds
+    numpy's index range.
+    """
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
     if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
@@ -329,34 +346,6 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
     return _Sweep(axes, index, (reachable, stroke_ok, sig_min, sig_max, kappa), symmetric)
 
 
-def evaluate_grid(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> GridNodes:
-    """Evaluate IK + forward factors on a closed grid over the cube.
-
-    Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
-    coordinates, gathered from the axes by node index, the IK solve, the
-    reach and stroke flags, then the inverse Jacobians and forward factors
-    of the slab's reachable nodes, written into its slice of the results,
-    so no working array of floats grows with the grid.  No matrix's
-    factors depend on its batch (see `linalg3`), so the slabs give the bits
-    of one whole batch.  Matches the scalar operations bit for bit because
-    both share the same radicand, working-mode solve, Jacobian and factor
-    kernels: a node is reachable exactly when `inverse_kinematics` would not
-    raise there.  Order is x-major, then y, then z, and is deterministic.
-
-    Permuting a pose's coordinates permutes its radicands and the rows and
-    columns of its inverse Jacobian exactly, and `forward_factors` is exactly
-    invariant under that, so when the three grid axes are equal element for
-    element and the strokes are equal on the three axes (every synthesized
-    cube) only the nodes i <= j <= k, about a sixth, are evaluated, and
-    every other node takes the results of its sorted index triple: the same
-    bits as evaluating it.  Any other grid is evaluated node by node.
-
-    Raises ValueError, before building anything, when n_per_axis^3 exceeds
-    numpy's index range.
-    """
-    return _evaluate(d, cube, n_per_axis).nodes()
-
-
 def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
     """Check the prescribed cube against the transmission bounds on a grid.
 
@@ -365,7 +354,7 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
 
-    The counts and worst cases are reduced over the nodes `evaluate_grid`
+    The counts and worst cases are reduced over the nodes `_evaluate`
     evaluates.  On a symmetric grid each wedge node counts once per node
     it stands for, and a worst wedge node is also the first of its
     permutations in grid order, since its sorted triple comes first and

@@ -25,3 +25,9 @@ def random_cube_poses(result, rng, n):
     lo = result.q1
     hi = result.q2
     return lo + (hi - lo) * rng.random((n, 3))
+
+
+def grid_xyz(axes):
+    """(N, 3) coordinates of every node of a grid with these x, y and z
+    axes, in x-major grid order."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import grid_xyz
 
 from orthoglide.kinematics import (
     forward_kinematics,
@@ -83,7 +84,7 @@ def test_criterion_4_cube_oracle(proto, design):
     elapsed = time.perf_counter() - t0
 
     nodes = rep.nodes
-    x, y, z = nodes.xyz.T
+    x, y, z = grid_xyz(nodes.axes).T
     diag = (x == y) & (y == z)
     diag_ok = bool(
         np.all(

@@ -41,6 +41,17 @@ class TestSynthesize:
         assert v["n_unreachable"] == 0
         assert v["n_bound_violations"] == 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: on the ill-conditioned tail the kernel puts "
+        "worst_sigma_max at 10000.0000304, past s_hi = 1e4, on the command's own cube",
+    )
+    def test_wide_bounds_cube_verifies(self, runner):
+        res = runner.invoke(
+            main, ["synthesize", "--lw", "200", "--s-lo", "0.5", "--s-hi", "1e4", "--grid", "21"]
+        )
+        assert res.exit_code == 0, res.output
+
     def test_degenerate_bounds_exit_one(self, runner):
         res = runner.invoke(main, ["synthesize", "--lw", "200", "--s-lo", "1", "--s-hi", "1"])
         assert res.exit_code == 1

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import grid_xyz
 
 from orthoglide import kinematics
 from orthoglide.errors import (
@@ -28,7 +29,7 @@ from orthoglide.kinematics import (
     leg_states,
     within_stroke,
 )
-from orthoglide.workspace import CubeSpec, evaluate_grid
+from orthoglide.workspace import Bounds, CubeSpec, verify_cube
 
 L = 310.58
 D = DesignParams(leg_length=L)
@@ -345,9 +346,9 @@ class TestOnePassJacobian:
             cube = CubeSpec(corner, corner + 230.0)
         else:
             cube = CubeSpec(1.8 * proto.q1, 1.8 * proto.q2)
-        nodes = evaluate_grid(design, cube, 41)
+        nodes = verify_cube(design, cube, Bounds(0.5, 2.0), 41).nodes
         assert case == "map-export" or 0 < np.count_nonzero(~nodes.reachable)
-        p = nodes.xyz[nodes.reachable]
+        p = grid_xyz(nodes.axes)[nodes.reachable]
         self.assert_same(p, inverse_kinematics(p, design))
 
     def test_signed_zero_coordinates(self, design):

@@ -1,11 +1,13 @@
 """Grid sweeps over the prescribed cube and the diagonal profile oracle."""
 
+import dataclasses
 import io
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import grid_xyz
 
 from orthoglide import workspace
 from orthoglide._table import write_table
@@ -26,7 +28,6 @@ from orthoglide.workspace import (
     Bounds,
     CubeSpec,
     diagonal_profile,
-    evaluate_grid,
     verify_cube,
     write_grid_csv,
 )
@@ -37,7 +38,7 @@ U = 179.3150944336107
 
 
 def on_diagonal(nodes):
-    x, y, z = nodes.xyz.T
+    x, y, z = grid_xyz(nodes.axes).T
     return (x == y) & (y == z)
 
 
@@ -133,7 +134,7 @@ class TestVerifyCube:
         # reported location may be either one
         at = report.worst_sigma_max_at
         assert at == pytest.approx(q1) or at == pytest.approx(q2)
-        xyz = report.nodes.xyz
+        xyz = grid_xyz(report.nodes.axes)
         corners = np.all(xyz == q1, axis=1) | np.all(xyz == q2, axis=1)
         assert np.count_nonzero(corners) == 2
         for sigma_max in report.nodes.sigma_max[corners]:
@@ -155,9 +156,10 @@ class TestVerifyCube:
     def test_grid_matches_scalar_route(self, design, proto):
         # vectorized node evaluation == scalar IK + factor computation, at
         # every one of the 125 nodes
-        nodes = evaluate_grid(design, proto.cube, 5)
-        assert nodes.n_points == 125
-        for k, p in enumerate(nodes.xyz):
+        report = verify_cube(design, proto.cube, B, 5)
+        nodes = report.nodes
+        assert report.n_points == 125
+        for k, p in enumerate(grid_xyz(nodes.axes)):
             assert nodes.reachable[k]
             rho = inverse_kinematics(p, design)
             tf = transmission_factors(inverse_jacobian(p, rho, design))
@@ -178,19 +180,20 @@ class TestVerifyCube:
     def test_grid_matches_pose_route_off_the_prototype(self, design, proto, make_cube):
         # a grid evaluates its nodes in batches, a pose query one matrix at
         # a time: every reachable node must get the same bits either way
-        nodes = evaluate_grid(design, make_cube(proto), 15)
+        nodes = verify_cube(design, make_cube(proto), B, 15).nodes
+        xyz = grid_xyz(nodes.axes)
         reachable = np.flatnonzero(nodes.reachable)
         assert len(reachable) >= 3000
         for k in reachable:
-            p = nodes.xyz[k]
+            p = xyz[k]
             tf = transmission_factors(inverse_jacobian(p, inverse_kinematics(p, design), design))
             assert nodes.sigma_min[k] == tf.sigma_fwd[0]
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
             assert nodes.kappa[k] == tf.kappa
 
     def test_reachable_points_close_the_legs(self, design, proto):
-        nodes = evaluate_grid(design, proto.cube, 5)
-        for p, reachable in zip(nodes.xyz, nodes.reachable):
+        nodes = verify_cube(design, proto.cube, B, 5).nodes
+        for p, reachable in zip(grid_xyz(nodes.axes), nodes.reachable):
             assert reachable
             rho = inverse_kinematics(p, design)
             resid = [
@@ -204,12 +207,13 @@ class TestVerifyCube:
         # diagonal nodes; they must agree to 1e-10 there
         n = 9
         nodes = verify_cube(design, proto.cube, B, n).nodes
+        xyz = grid_xyz(nodes.axes)
         diag = np.flatnonzero(on_diagonal(nodes))
         profile = diagonal_profile(design, proto.q1[0], proto.q2[0], n)
         assert len(diag) == len(profile.u) == n
-        by_x = diag[np.argsort(nodes.xyz[diag, 0], kind="stable")]
+        by_x = diag[np.argsort(xyz[diag, 0], kind="stable")]
         for k, u, fwd, kappa in zip(by_x, profile.u, profile.sigma_fwd, profile.kappa):
-            assert nodes.xyz[k, 0] == u
+            assert xyz[k, 0] == u
             assert nodes.sigma_min[k] == pytest.approx(fwd[0], abs=1e-10)
             assert nodes.sigma_max[k] == pytest.approx(fwd[2], abs=1e-10)
             assert nodes.kappa[k] == pytest.approx(kappa, abs=1e-10)
@@ -224,9 +228,9 @@ class TestVerifyCube:
         # permuting a pose permutes the rows and columns of its inverse
         # Jacobian exactly, and the factor kernel is exactly invariant under
         # that, so the map is symmetric bit for bit
-        nodes = evaluate_grid(design, proto.cube, 6)
+        nodes = verify_cube(design, proto.cube, B, 6).nodes
         values = zip(nodes.sigma_min.tolist(), nodes.sigma_max.tolist(), nodes.kappa.tolist())
-        table = dict(zip(map(tuple, nodes.xyz.tolist()), values))
+        table = dict(zip(map(tuple, grid_xyz(nodes.axes).tolist()), values))
         for (x, y, z), vals in table.items():
             for perm in ((y, x, z), (z, y, x), (x, z, y), (y, z, x), (z, x, y)):
                 assert table[perm] == vals
@@ -257,7 +261,7 @@ class TestWorkspaceMap:
     @pytest.mark.parametrize("case", ["coordinates-to-2e4", "zero-side"])
     def test_csv_is_the_table_of_the_expanded_columns(self, design, case):
         # the coordinates go out as coded columns (axis, index); the bytes
-        # are those of writing nodes.xyz as three float columns
+        # are those of writing the node coordinates as three float columns
         if case == "coordinates-to-2e4":
             # 8-word coordinates beside 6-word factors
             d, q1, n = DesignParams(leg_length=1e5), np.array([1e4, -2e4, 2.5e3]), 23
@@ -269,20 +273,24 @@ class TestWorkspaceMap:
         got, want = io.StringIO(), io.StringIO()
         write_grid_csv(nodes, got)
         columns = [nodes.reachable, nodes.within_stroke, nodes.sigma_min, nodes.sigma_max]
-        write_table(want, workspace.GRID_CSV_HEADER, [*nodes.xyz.T, *columns, nodes.kappa])
+        write_table(want, workspace.GRID_CSV_HEADER, [*grid_xyz(nodes.axes).T, *columns, nodes.kappa])
         assert got.getvalue() == want.getvalue()
         if case == "zero-side":
             assert got.getvalue().splitlines()[1].startswith("12.5,0,-7.25,1,1,")
 
     def test_export_builds_no_coordinate_array(self, design, proto):
-        # GridNodes keeps the three axes; xyz is built only when read
+        # GridNodes keeps the three axes and the five result arrays, and no
+        # (N, 3) coordinate array, before or after the export
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         report = verify_cube(design, CubeSpec(corner, corner + 230.0), B, 9)
+        fields = ["axes", "reachable", "within_stroke", "sigma_min", "sigma_max", "kappa"]
+        assert [f.name for f in dataclasses.fields(report.nodes)] == fields
         write_grid_csv(report.nodes, io.StringIO())
-        assert "xyz" not in vars(report.nodes)
-        assert report.nodes.xyz.shape == (9**3, 3)
+        assert list(vars(report.nodes)) == fields
+        xyz = grid_xyz(report.nodes.axes)
+        assert xyz.shape == (9**3, 3)
         assert [tuple(a) for a in report.nodes.axes] == [
-            tuple(np.unique(report.nodes.xyz[:, k])) for k in range(3)
+            tuple(np.unique(xyz[:, k])) for k in range(3)
         ]
 
 
@@ -296,7 +304,7 @@ def reference_loop(nodes, b, rel_tol=BOUND_REL_TOL):
     lo_edge = b.s_lo * (1.0 - rel_tol)
     hi_edge = b.s_hi * (1.0 + rel_tol)
     for xyz, reachable, within, s_min, s_max in zip(
-        nodes.xyz.tolist(),
+        grid_xyz(nodes.axes).tolist(),
         nodes.reachable.tolist(),
         nodes.within_stroke.tolist(),
         nodes.sigma_min.tolist(),
@@ -360,7 +368,7 @@ class TestReferenceLoop:
         report = verify_cube(design, proto.cube, B, 41)
         ties = np.flatnonzero(report.nodes.sigma_max == report.worst_sigma_max)
         assert len(ties) >= 2
-        assert report.worst_sigma_max_at == tuple(report.nodes.xyz[ties[0]].tolist())
+        assert report.worst_sigma_max_at == tuple(grid_xyz(report.nodes.axes)[ties[0]].tolist())
 
 
 class TestWedgeReduction:
@@ -410,7 +418,7 @@ def full_evaluation(d, cube, n):
 
     Returns (xyz, reachable, within_stroke, sigma_min, sigma_max, kappa)."""
     axes = [np.unique(np.linspace(cube.q1[k], cube.q2[k], n)) for k in range(3)]
-    xyz = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    xyz = grid_xyz(axes)
     L = d.leg_length
     rad = leg_radicands(xyz, L)
     reachable = np.all(rad > (SERIAL_TOL * L) ** 2, axis=1)
@@ -482,13 +490,13 @@ class TestSymmetricWedge:
             return leg_radicands(p, leg_length)
 
         monkeypatch.setattr(workspace, "leg_radicands", counting_radicands)
-        nodes = evaluate_grid(d, cube, n)
+        nodes = verify_cube(d, cube, B, n).nodes
         S = workspace._SLAB_NODES
         N = n * (n + 1) * (n + 2) // 6 if uses_wedge else n**3
         assert evaluated == [min(S, N - s) for s in range(0, N, S)]
 
         xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
-        assert np.array_equal(nodes.xyz, xyz)
+        assert np.array_equal(grid_xyz(nodes.axes), xyz)
         assert np.array_equal(nodes.reachable, reachable)
         assert np.array_equal(nodes.within_stroke, within)
         for got, want in (
@@ -520,7 +528,7 @@ class TestSlabs:
 
     def test_slabs_equal_whole_batch(self):
         (d, cube), n = self._grid()
-        nodes = evaluate_grid(d, cube, n)
+        nodes = verify_cube(d, cube, B, n).nodes
         xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
         n_reach = np.count_nonzero(reachable)
         assert n_reach > 2 * workspace._SLAB_NODES and n_reach % workspace._SLAB_NODES
@@ -543,7 +551,7 @@ class TestSlabs:
             return forward_factors(jinv)
 
         monkeypatch.setattr(workspace, "forward_factors", counting_factors)
-        nodes = evaluate_grid(d, cube, n)
+        nodes = verify_cube(d, cube, B, n).nodes
         assert max(sizes) <= workspace._SLAB_NODES
         assert sum(sizes) == np.count_nonzero(nodes.reachable)
         assert len(sizes) == -(-(n**3) // workspace._SLAB_NODES)
@@ -582,9 +590,10 @@ class TestReachableMatchesIK:
         return True
 
     def test_oversized_cube(self, design, proto):
-        nodes = evaluate_grid(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), 15)
-        expected = [self._ik_succeeds(p, design) for p in nodes.xyz]
-        assert 0 < sum(expected) < nodes.n_points
+        report = verify_cube(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), B, 15)
+        nodes = report.nodes
+        expected = [self._ik_succeeds(p, design) for p in grid_xyz(nodes.axes)]
+        assert 0 < sum(expected) < report.n_points
         assert nodes.reachable.tolist() == expected
 
     POSES = {
@@ -603,8 +612,9 @@ class TestReachableMatchesIK:
         pose, zero_radicand = self.POSES[case]
         p = np.array(pose(design.leg_length))
         assert (0.0 in leg_radicands(p, design.leg_length)) == zero_radicand
-        nodes = evaluate_grid(design, CubeSpec(p, p), 2)
-        assert nodes.n_points == 1
+        report = verify_cube(design, CubeSpec(p, p), B, 2)
+        nodes = report.nodes
+        assert report.n_points == 1
         assert nodes.reachable.tolist() == [self._ik_succeeds(p, design)]
         if zero_radicand:
             assert not nodes.reachable[0]
@@ -627,15 +637,13 @@ class TestOversizedGrid:
         self._forbid_building(monkeypatch)
         message = rf"^{n}\^3 nodes exceed numpy's index range"
         with pytest.raises(ValueError, match=message):
-            evaluate_grid(design, proto.cube, n)
-        with pytest.raises(ValueError, match=message):
             verify_cube(design, proto.cube, B, n)
 
     def test_largest_indexable_size_is_attempted(self, design, proto, monkeypatch):
         # (2^21 - 1)^3 < 2^63 - 1: the check lets it through to the build
         self._forbid_building(monkeypatch)
         with pytest.raises(AssertionError, match="grid construction started"):
-            evaluate_grid(design, proto.cube, 2**21 - 1)
+            verify_cube(design, proto.cube, B, 2**21 - 1)
 
 
 class TestSpecTypes:
