@@ -129,15 +129,23 @@ class GridReport:
     worst_sigma_min_at: tuple[float, float, float] | None
     worst_sigma_max: float
     worst_sigma_max_at: tuple[float, float, float] | None
-    _sweep: _Sweep = field(repr=False)
+    # what `_evaluate` evaluated: the grid's axes, the results and whether
+    # they cover only the wedge of a symmetric grid
+    _axes: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
+    _results: tuple[np.ndarray, ...] = field(repr=False)
+    _symmetric: bool = field(repr=False)
 
     @property
     def n_points(self) -> int:
-        return self._sweep.n_points
+        return math.prod(len(a) for a in self._axes)
 
     @functools.cached_property
     def nodes(self) -> GridNodes:
-        return self._sweep.nodes()
+        results = self._results
+        if self._symmetric:
+            slot = _wedge_slots(len(self._axes[0]))
+            results = tuple(r[slot] for r in results)
+        return GridNodes(self._axes, *results)
 
     @property
     def ok(self) -> bool:
@@ -245,48 +253,25 @@ def _wedge_slots(m: int) -> np.ndarray:
     return (np.cumsum(_in_wedge(m)) - 1)[sorted_flat]
 
 
-@dataclass
-class _Sweep:
-    """The nodes of a grid that `_evaluate` evaluated, and their results.
+def _orbit_sizes(index: np.ndarray) -> np.ndarray:
+    """How many nodes of a symmetric grid each sorted index triple of the
+    (3, n) `index` stands for: a triple with c distinct indices has
+    c (c + 1) / 2 permutations, 1, 3 or 6."""
+    i, j, k = index
+    c = 1 + np.add(i < j, j < k, dtype=np.intp)
+    return c * (c + 1) // 2
 
-    `index` holds their (3, n) per-axis indices, in grid order, and
-    `results` their (n,) reachable, within_stroke, sigma_min, sigma_max
-    and kappa arrays.  That is every node of the grid, unless the grid is
+
+def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
+    """Evaluate IK + forward factors on a closed grid over the cube, on the
+    nodes that fix the results of every node.
+
+    Returns `axes, index, results, symmetric`: the grid's x, y and z, the
+    (3, n) per-axis indices of the evaluated nodes, in grid order, and
+    their (n,) reachable, within_stroke, sigma_min, sigma_max and kappa
+    arrays.  That is every node of the grid, unless the grid is
     `symmetric`: then it is the wedge i <= j <= k, and every other node
     has the results of its sorted index triple.
-    """
-
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
-    index: np.ndarray
-    results: tuple[np.ndarray, ...]
-    symmetric: bool
-
-    @property
-    def n_points(self) -> int:
-        return math.prod(len(a) for a in self.axes)
-
-    def weights(self) -> np.ndarray | None:
-        """How many grid nodes each evaluated node stands for, None when
-        each stands for itself: a sorted triple with c distinct indices has
-        c (c + 1) / 2 permutations, 1, 3 or 6."""
-        if not self.symmetric:
-            return None
-        i, j, k = self.index
-        c = 1 + np.add(i < j, j < k, dtype=np.intp)
-        return c * (c + 1) // 2
-
-    def nodes(self) -> GridNodes:
-        """The results of every node of the grid, in grid order."""
-        results = self.results
-        if self.symmetric:
-            slot = _wedge_slots(len(self.axes[0]))
-            results = tuple(r[slot] for r in results)
-        return GridNodes(self.axes, *results)
-
-
-def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
-    """Evaluate IK + forward factors on a closed grid over the cube, on the
-    nodes that fix the results of every node (see `_Sweep`).
 
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
     coordinates, gathered from the axes by node index, the IK solve, the
@@ -305,7 +290,7 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
     element and the strokes are equal on the three axes (every synthesized
     cube) only the nodes i <= j <= k, about a sixth, are evaluated, and
     every other node takes the results of its sorted index triple
-    (`_Sweep.nodes`): the same bits as evaluating it.  Any other grid is
+    (`GridReport.nodes`): the same bits as evaluating it.  Any other grid is
     evaluated node by node.
 
     Raises ValueError, before building anything, when n_per_axis^3 exceeds
@@ -343,7 +328,7 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Sweep:
         sig_min[slab][sel] = fwd[:, 0]
         sig_max[slab][sel] = fwd[:, 2]
         kappa[slab][sel] = kappa_from_factors(fwd)
-    return _Sweep(axes, index, (reachable, stroke_ok, sig_min, sig_max, kappa), symmetric)
+    return axes, index, (reachable, stroke_ok, sig_min, sig_max, kappa), symmetric
 
 
 def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
@@ -360,9 +345,9 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     permutations in grid order, since its sorted triple comes first and
     the wedge is in grid order; the report builds `nodes` on first read.
     """
-    sweep = _evaluate(d, cube, n_per_axis)
-    reach, within, sig_min, sig_max, _ = sweep.results
-    weight = sweep.weights()
+    axes, index, results, symmetric = _evaluate(d, cube, n_per_axis)
+    reach, within, sig_min, sig_max, _ = results
+    weight = _orbit_sizes(index) if symmetric else None
 
     def count(mask: np.ndarray) -> int:
         return int(np.count_nonzero(mask) if weight is None else weight @ mask)
@@ -378,7 +363,7 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
         j = np.nanargmax(sig_max)
 
         def at(k: int) -> tuple[float, float, float]:
-            return tuple(float(a[m]) for a, m in zip(sweep.axes, sweep.index[:, k]))
+            return tuple(float(a[m]) for a, m in zip(axes, index[:, k]))
 
         worst_min, worst_min_at = float(sig_min[i]), at(i)
         worst_max, worst_max_at = float(sig_max[j]), at(j)
@@ -391,7 +376,9 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
         worst_sigma_min_at=worst_min_at,
         worst_sigma_max=worst_max,
         worst_sigma_max_at=worst_max_at,
-        _sweep=sweep,
+        _axes=axes,
+        _results=results,
+        _symmetric=symmetric,
     )
 
 

@@ -834,6 +834,71 @@ class TestUsageErrors:
         assert res.output
 
 
+class TestFlagChecks:
+    """Each check of the flags and the config gives one `error:` line and
+    exit 1."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["synthesize", "--lw", "200", "--grid", "1"], "--grid must be at least 2"),
+            (["synthesize", "--lw", "200", "--vmax=-1"], "--vmax and --amax must be positive"),
+            (
+                ["synthesize", "--lw", "200", "--s-lo", "2"],
+                "bounds must satisfy 0 < s_lo <= 1 <= s_hi, got Bounds(s_lo=2.0, s_hi=2.0)",
+            ),
+            (
+                ["analyze", "0", "0", "0", "--lw", "200", "--leg-length", "300"],
+                "give either --leg-length or --lw, not both",
+            ),
+            (
+                ["analyze", "0", "0", "0", "--leg-length", "300"],
+                "explicit design needs --stroke-min and --stroke-max",
+            ),
+            (
+                ["diag-profile", "--leg-length", "300", "--stroke-min", "-100", "--stroke-max", "100"],
+                "give --u-min/--u-max or a synthesis request",
+            ),
+            (
+                ["diag-profile", "--lw", "200", "--u-min", "10", "--u-max", "0"],
+                "ValueError: u_min must not exceed u_max",
+            ),
+        ],
+    )
+    def test_exit_one(self, runner, args, message):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.stdout == ""
+        assert res.stderr == f"error: {message}\n"
+
+    def test_config_not_an_object(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        res = runner.invoke(main, ["synthesize", "--config", str(cfg)])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output == "error: config file must hold a JSON object\n"
+
+
+def test_stdout_closed_early_exits_quietly(tmp_path):
+    # a reader that stops after 100 bytes of a 6 MB grid CSV: exit 1, no traceback
+    src = str(Path(orthoglide.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    err = tmp_path / "stderr"
+    with open(err, "wb") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "orthoglide.cli", "workspace-map", "--lw", "200", "--grid", "41"],
+            stdout=subprocess.PIPE, stderr=stderr, env=env, cwd=tmp_path,
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    assert head.startswith(b"x_mm,y_mm,z_mm,")
+    assert code == 1
+    assert err.read_bytes() == b""
+
+
 class TestUnreadableFiles:
     """An --out that cannot be opened, or a config that is not UTF-8 JSON,
     gives one `error:` line and exit 1."""

@@ -201,7 +201,10 @@ class TestErrorMessages:
             inverse_kinematics(np.array([0.0, 0.0, L]), D)
         assert f"pose (0.0, 0.0, {L!r}) on workspace boundary" in str(e.value)
 
-    @pytest.mark.parametrize("rho", [(-3 * L, -3 * L, -3 * L), (-1e-3, 5.0, 7.0)])
+    # the quadratic, its admissibility check, and one zero slider
+    @pytest.mark.parametrize(
+        "rho", [(-3 * L, -3 * L, -3 * L), (-1e-3, 5.0, 7.0), (0.0, -2 * L, -2 * L)]
+    )
     def test_forward_kinematics_messages(self, rho):
         with pytest.raises(NoAssemblyMode) as e:
             forward_kinematics(np.array(rho), D)
@@ -227,6 +230,7 @@ class TestDesignParams:
             {"leg_length": 100.0, "stroke_min": 10.0, "stroke_max": -10.0},
             {"leg_length": 100.0, "motor_vmax": 0.0},
             {"leg_length": 100.0, "motor_amax": -1.0},
+            {"leg_length": 100.0, "stroke_min": [1.0, 2.0]},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -122,6 +122,10 @@ class TestReferencePoints:
         assert np.array_equal(q1, np.zeros(3))
         assert np.array_equal(q2, np.zeros(3))
 
+    def test_zero_leg_length_rejected(self):
+        with pytest.raises(ValueError, match="leg_length must be positive"):
+            reference_points(0.0, diagonal_limits(Bounds(0.5, 2.0)))
+
     def test_linear_in_leg_length(self):
         lims = diagonal_limits(Bounds(0.5, 2.0))
         q1a, q2a = reference_points(310.0, lims)

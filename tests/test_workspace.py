@@ -116,6 +116,10 @@ class TestVerifyCube:
         assert report.n_bound_violations == 0
         assert report.ok
 
+    def test_one_node_per_axis_rejected(self, design, proto):
+        with pytest.raises(ValueError, match="need at least 2 nodes per axis"):
+            verify_cube(design, proto.cube, B, 1)
+
     def test_diagonal_within_bounds(self, design, proto):
         report = verify_cube(design, proto.cube, B, 21)
         diag = on_diagonal(report.nodes)
@@ -398,19 +402,23 @@ class TestWedgeReduction:
 
     @pytest.mark.parametrize("n", [2, 3, 15, 41])
     def test_weights_count_the_nodes_each_wedge_node_fills(self, design, proto, n):
-        sweep = workspace._evaluate(design, proto.cube, n)
-        assert sweep.symmetric
-        weights = sweep.weights()
+        _, index, _, symmetric = workspace._evaluate(design, proto.cube, n)
+        assert symmetric
+        weights = workspace._orbit_sizes(index)
         assert weights.sum() == n**3
         slots = workspace._wedge_slots(n)
         assert np.array_equal(np.bincount(slots, minlength=len(weights)), weights)
 
     def test_other_grids_count_each_node_once(self, design, proto):
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
-        sweep = workspace._evaluate(design, CubeSpec(corner, corner + 230.0), 5)
-        assert not sweep.symmetric
-        assert sweep.weights() is None
-        assert sweep.index.shape == (3, 5**3)
+        cube = CubeSpec(corner, corner + 230.0)
+        _, index, _, symmetric = workspace._evaluate(design, cube, 5)
+        assert not symmetric
+        assert index.shape == (3, 5**3)
+        report = verify_cube(design, cube, B, 5)
+        counts = reference_loop(report.nodes, B)[0]
+        assert counts == (0, 46, 24)
+        assert (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations) == counts
 
 
 def full_evaluation(d, cube, n):
@@ -656,6 +664,8 @@ class TestSpecTypes:
             CubeSpec((np.nan, 0, 0), (np.nan, 1.0, 1.0))
         with pytest.raises(ValueError, match="cube edges overflow"):
             CubeSpec([-1e308] * 3, [1e308] * 3)
+        with pytest.raises(ValueError, match="cube corners must be length-3 points"):
+            CubeSpec((0.0, 0.0), (1.0, 1.0))
 
     def test_bounds_validation(self):
         with pytest.raises(ValueError):
