@@ -281,7 +281,10 @@ def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Inverse Jacobians for consistent (points, rho) arrays of shape (..., 3).
 
     No singularity guard: rows blow up near serial singularities, which grid
-    sweeps treat as data.  Returns shape (..., 3, 3).
+    sweeps treat as data.  Returns shape (..., 3, 3), a view of axis-first
+    storage: each of the nine entries (i, j) is one contiguous row across
+    the poses, the rows stored column by column (the order `linalg3` reads
+    them in), so callers must not assume C order.
 
     One broadcast pass: off the diagonal, entry (i, j) of the rows
     (p - rho_i e_i)^T / eta_i is p_j / eta_i, and the diagonal is
@@ -292,7 +295,10 @@ def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, dtype=float)
     rho = np.asarray(rho, dtype=float)
-    eta = points - rho
-    rows = (points + 0.0)[..., None, :] / eta[..., :, None]
-    rows.reshape(rows.shape[:-2] + (9,))[..., ::4] = eta / eta
-    return rows
+    eta = (points - rho).T
+    # flat[3 j + i] is entry (i, j); flat is fresh, so cols is a view of it
+    flat = np.empty((9,) + eta.shape[1:])
+    cols = flat.reshape((3, 3) + eta.shape[1:])
+    np.divide((points.T + 0.0)[:, None], eta, out=cols)
+    np.divide(eta, eta, out=flat[::4])
+    return cols.T

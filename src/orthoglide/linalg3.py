@@ -7,7 +7,7 @@ closed-form cubic formulas lose accuracy.  Both routines broadcast over
 leading batch dimensions.
 
 `singular_values3` runs an eigenvalue-only Jacobi kernel: one sweep body,
-`_sweep`, and one NaN-last sort, `np.sort`.  A batch sweeps the six unique
+`_sweep`, and one NaN-last ascending order.  A batch sweeps the six unique
 entries of each matrix as (N,) arrays, and drops the matrices that are exactly
 diagonal from the sweeps, once, when they are at least half the batch.  One
 matrix sweeps Python floats, which skips numpy's per-call cost on (1,) arrays.
@@ -17,6 +17,14 @@ first reordered to a canonical one of its six simultaneous row/column
 permutations, which makes the result exactly permutation-invariant.  No
 routine here computes eigenvectors: the manipulability ellipsoid, the one
 place that needs them, takes them from `np.linalg.eigh`.
+
+A batch is stored axis-first: one contiguous (N,) row per matrix entry and
+per eigenvalue, read without a copy from the Jacobians that
+`batch_inverse_jacobian` builds.  The (..., 3, 3) arrays it takes and the
+(..., 3) arrays it returns may be views of such rows, so no caller may
+assume C order.  A min/max network sorts a batch's eigenvalues; its rows
+holding a NaN are sorted by `np.sort`, as one matrix's are, so NaNs come
+last, as `np.sort` writes them.
 """
 
 from __future__ import annotations
@@ -36,18 +44,19 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 # a_rq in the off-diagonal list (a01, a02, a12)
 _OTHERS = ((1, 2), (0, 2), (0, 1))
 # one row per simultaneous row/column permutation s, identity first: entry
-# (a, b) of the candidate P M P^T for s is M[s_a, s_b], at row-major
-# position _FLAT[s, 3a + b] of M
+# (a, b) of the candidate P M P^T for s is M[s_a, s_b], at position
+# _FLAT[s, 3a + b] of M's entries in column-major (transposed) order, the
+# order in which both routes read them
 _FLAT = np.array(
     [
-        [3 * s[a] + s[b] for a in range(3) for b in range(3)]
+        [3 * s[b] + s[a] for a in range(3) for b in range(3)]
         for s in itertools.permutations(range(3))
     ]
 )
-# the row-major positions in the order candidates are compared: the
-# off-diagonal entries, (0, 1) leading, then the diagonal
+# a candidate's row-major indices 3a + b in the order candidates are
+# compared: the off-diagonal entries, (0, 1) leading, then the diagonal
 _ORDER = (1, 2, 3, 5, 6, 7, 0, 4, 8)
-# each candidate's row-major positions in _ORDER, for the one-matrix route
+# each candidate's positions of M, in _ORDER, for the one-matrix route
 _KEYS = _FLAT[:, _ORDER].tolist()
 
 
@@ -101,7 +110,8 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
 
     `diag` holds (a00, a11, a22) and `off` holds (a01, a02, a12), each an
     (N,) array; both lists, and the arrays in `diag`, are updated in place.
-    Returns the (N, 3) ascending eigenvalues and the number of sweeps run.
+    Returns the (N, 3) ascending eigenvalues, a view of (3, N) rows, and the
+    number of sweeps run.
 
     Every step is elementwise, and a sweep (`_sweep`) leaves a converged
     matrix (all off-diagonal entries zero) bit for bit unchanged, so no
@@ -110,6 +120,12 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     the sweeps run on those matrices only, and the ones among them that
     converge later stay in.  The loop ends as soon as every off-diagonal
     entry of the batch is exactly zero, or after _MAX_SWEEPS sweeps.
+
+    Three compare-exchanges sort the eigenvalues.  They agree with `np.sort`
+    on every row without a NaN: no diagonal entry is ever -0.0 (the Gram
+    entries add +0.0), so there is no tie of +-0 to break.  np.maximum
+    carries a NaN to the last row, and the rows holding one are sorted by
+    `np.sort`, as one matrix is, NaN last.
     """
     # the full-size diagonal; once the batch is compacted, only its entries
     # idx are still being swept, and `diag` and `off` hold just those
@@ -132,7 +148,17 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     if idx is not None:
         for full, d in zip(out, diag):
             full[idx] = d
-    return np.sort(np.stack(out, axis=-1), axis=-1), sweeps
+    a, b, c = out
+    w = np.empty((3, len(a)))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    np.maximum(hi, c, out=w[2])
+    np.minimum(hi, c, out=hi)
+    np.minimum(lo, hi, out=w[0])
+    np.maximum(lo, hi, out=w[1])
+    nan = np.flatnonzero(np.isnan(w[2]))
+    if nan.size:
+        w[:, nan] = np.sort(np.stack([r[nan] for r in out], axis=-1), axis=-1).T
+    return w.T, sweeps
 
 
 def _canonical(m: np.ndarray) -> np.ndarray:
@@ -151,20 +177,28 @@ def _canonical(m: np.ndarray) -> np.ndarray:
     entries.  A row whose comparisons reach a NaN keeps its order.  The
     result c is (3, 3, N): c[k, p] holds entry (k, p) of every matrix,
     contiguous across the batch, which is how `_gram_entries` reads them.
+
+    The nine entries are read as (9, N) rows in column-major order, the
+    order of _FLAT: without a copy when m is a view of axis-first storage,
+    as `batch_inverse_jacobian` returns, with one transposing copy otherwise.
     """
-    e = m.reshape(-1, 9)
-    choice = _smallest_candidate(e)
-    start = 9 * np.arange(len(e))
+    m = m.reshape(-1, 3, 3)
+    n = len(m)
+    e = m.T.reshape(9, n)
+    choice = _smallest_candidate(e.T)
+    flat = e.ravel()
+    start = np.arange(n)
     index = np.empty_like(start)
-    out = np.empty((9, len(e)))
-    for f, source in enumerate(_FLAT.T):
+    out = np.empty((9, n))
+    for f, source in enumerate(_FLAT.T * n):
         np.add(source.take(choice), start, out=index)
-        e.take(index, out=out[f])
-    return out.reshape(3, 3, -1)
+        flat.take(index, out=out[f])
+    return out.reshape(3, 3, n)
 
 
 def _smallest_candidate(e: np.ndarray) -> np.ndarray:
-    """For each row-major (N, 9) matrix, the row of _FLAT of its smallest
+    """For each row of `e`, (N, 9), one matrix's entries in column-major
+    order (the positions _FLAT gives), the row of _FLAT of its smallest
     candidate (see `_canonical`): the first of the best ones, or 0 when a
     NaN leaves none best.
 
@@ -203,10 +237,11 @@ def _gram_entries(c) -> tuple[list, list]:
 
 def _float_eigenvalues(e: list[float]) -> list[float]:
     """`_jacobi_eigenvalues(*_gram_entries(_canonical(m)))` for one matrix m,
-    given as its nine row-major entries, before the sort: the diagonal the
-    sweeps (`_sweep` with xp = `_Floats`) leave, unsorted.  Each step is one
-    correctly rounded IEEE-754 operation, in Python as in numpy's float64
-    loops, so the bits are those of m's row in any batch.
+    given as its nine column-major entries (the order of _FLAT), before the
+    sort: the diagonal the sweeps (`_sweep` with xp = `_Floats`) leave,
+    unsorted.  Each step is one correctly rounded IEEE-754 operation, in
+    Python as in numpy's float64 loops, so the bits are those of m's row in
+    any batch.
     """
     # the candidate `_smallest_candidate` picks; it may pick another where
     # the comparisons reach a NaN, but a NaN entry makes every value NaN
@@ -226,7 +261,8 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     Square roots of the eigenvalues of mat^T mat; negatives from rounding
     are clipped before the square root.  Batched over leading axes.  A batch
     runs the Jacobi sweeps (`_sweep`) on arrays, one matrix runs them on
-    Python floats, and both sort with `np.sort`: the same bits.
+    Python floats, and both sort NaN last (see `_jacobi_eigenvalues`): the
+    same bits.  The result may be a view of (3, ...) rows, not C-ordered.
 
     Exactly invariant under simultaneous row/column permutation: every
     P mat P^T gives the same bits, because each matrix is first reordered
@@ -236,7 +272,7 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     """
     m = _as_matrices(mat)
     if m.size == 9:
-        w = np.sort(_float_eigenvalues(m.reshape(9).tolist()))
+        w = np.sort(_float_eigenvalues(m.reshape(3, 3).T.reshape(9).tolist()))
     else:
         # Gram entries that overflow are inf, and inf - inf is NaN, silently,
         # as on the float route

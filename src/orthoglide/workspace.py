@@ -277,12 +277,17 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     coordinates, gathered from the axes by node index, the IK solve, the
     reach and stroke flags, then the inverse Jacobians and forward factors
     of the slab's reachable nodes, written into its slice of the results,
-    so no working array of floats grows with the grid.  No matrix's
-    factors depend on its batch (see `linalg3`), so the slabs give the bits
-    of one whole batch.  Matches the scalar operations bit for bit because
-    both share the same radicand, working-mode solve, Jacobian and factor
-    kernels: a node is reachable exactly when `inverse_kinematics` would not
-    raise there.  Order is x-major, then y, then z, and is deterministic.
+    so no working array of floats grows with the grid.  Every per-node array
+    of a slab is stored axis-first: the coordinates are the (n, 3) view `.T`
+    of (3, n) rows, which the elementwise IK, flag and reduction stages
+    keep, and the Jacobians and factors are views of rows too (see
+    `batch_inverse_jacobian`), so each coordinate, joint, flag and matrix
+    entry is one contiguous row and no stage reads a strided column.  No
+    matrix's factors depend on its batch (see `linalg3`), so the slabs give
+    the bits of one whole batch.  Matches the scalar operations bit for bit
+    because both share the same radicand, working-mode solve, Jacobian and
+    factor kernels: a node is reachable exactly when `inverse_kinematics`
+    would not raise there.  Order is x-major, then y, then z, and is deterministic.
 
     Permuting a pose's coordinates permutes its radicands and the rows and
     columns of its inverse Jacobian exactly, and `forward_factors` is exactly
@@ -316,7 +321,7 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     kappa = np.full(n, np.nan)
     for start in range(0, n, _SLAB_NODES):
         slab = slice(start, start + _SLAB_NODES)
-        p = np.stack([a[i] for a, i in zip(axes, index[:, slab])], axis=-1)
+        p = np.stack([a[i] for a, i in zip(axes, index[:, slab])]).T
         rho, _, fail = _working_mode(p, leg_radicands(p, L), L)
         ok = ~fail.any(axis=1)
         reachable[slab] = ok

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import grid_xyz
+from conftest import grid_xyz, random_cube_poses
 
 from orthoglide import kinematics
 from orthoglide.errors import (
@@ -367,6 +367,30 @@ class TestOnePassJacobian:
         for k in range(len(p)):
             for one in (batch_inverse_jacobian(p[k], rho[k]), inverse_jacobian(p[k], rho[k], design)):
                 assert np.array_equal(one.view(np.uint64), want[k].view(np.uint64))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "axis-first", "leading-2k", "one-pose"])
+    def test_input_layouts(self, design, proto, rng, layout):
+        # the result is a view of axis-first storage whatever the input's
+        # layout; its diagonal is written through a view of that storage,
+        # so it can never land in a copy and leave p_i / eta_i behind
+        p = random_cube_poses(proto, rng, 64)
+        rho = inverse_kinematics(p, design)
+        if layout == "F":
+            p, rho = np.asfortranarray(p), np.asfortranarray(rho)
+        elif layout == "axis-first":
+            p, rho = np.ascontiguousarray(p.T).T, np.ascontiguousarray(rho.T).T
+        elif layout == "leading-2k":
+            p, rho = p.reshape(2, -1, 3), rho.reshape(2, -1, 3)
+        elif layout == "one-pose":
+            p, rho = p[5], rho[5]
+        got, want = self.assert_same(p, rho)
+        assert got.shape == p.shape + (3,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.all(np.diagonal(got, axis1=-2, axis2=-1) == 1.0)
+        if p.ndim == 2:
+            # entry (i, j) of every matrix is one contiguous row
+            rows = np.moveaxis(got, (-2, -1), (0, 1))
+            assert rows.flags.c_contiguous or rows.swapaxes(0, 1).flags.c_contiguous
 
 
 class TestEquivariance:

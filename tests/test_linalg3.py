@@ -253,7 +253,10 @@ def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
 
 def _row_major_smallest_candidate(e):
     # the candidate choice as it was written on (N, 6) keys, reduced along
-    # each row: the oracle of the component-major version
+    # each row: the oracle of the component-major version.  Row n of e holds
+    # a matrix's nine entries at the positions _FLAT gives, which are in
+    # column-major (transposed) order; both sides read e through _FLAT, so
+    # the oracle does not depend on that order
     keys = e[:, _FLAT[:, _ORDER[0]]]
     best = keys == keys.min(axis=1, keepdims=True)
     tied = np.flatnonzero(np.count_nonzero(best, axis=1) > 1)
@@ -285,3 +288,36 @@ def test_smallest_candidate_matches_row_major_oracle(rng, kind):
     assert np.array_equal(got, _row_major_smallest_candidate(e))
     if kind in ("integer-ties", "signed-zeros-nan"):
         assert np.all(got[:50] == 0)
+
+
+def _sort_rows(rng, n=600):
+    """(n, 3) rows of random values, +-inf, equal values and NaNs, some with
+    the sign bit or a payload set.  No -0.0: the kernel never makes one."""
+    rows = rng.standard_normal((n, 3))
+    payload = np.array([0x7FF8000000000123, 0xFFF8000000000000], dtype=np.uint64).view(float)
+    special = rng.choice(np.concatenate([[np.nan, np.inf, -np.inf, 1.0, 2.0], payload]), rows.shape)
+    return np.where(rng.random(rows.shape) < 0.4, special, rows)
+
+
+@pytest.mark.parametrize("with_nan", [True, False])
+def test_eigenvalue_sort_has_the_bits_of_np_sort(rng, monkeypatch, with_nan):
+    rows = _sort_rows(rng)
+    if not with_nan:
+        rows = np.where(np.isnan(rows), 0.5, rows)
+    want = np.sort(rows, axis=-1).view(np.uint64)
+    calls = []
+
+    def counted(*args, body=np.sort, **kwargs):
+        calls.append(args[0].shape)
+        return body(*args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", counted)
+    # exactly diagonal matrices: no sweep runs, so the kernel only sorts
+    zeros = [np.zeros(len(rows)) for _ in range(3)]
+    got, sweeps = _jacobi_eigenvalues([np.array(r) for r in rows.T], zeros)
+    assert sweeps == 0
+    assert np.array_equal(got.view(np.uint64), want)
+    # the min/max network sorts a NaN-free batch alone; np.sort sees only
+    # the rows holding a NaN
+    n_nan = np.count_nonzero(np.isnan(rows).any(axis=1))
+    assert calls == ([(n_nan, 3)] if with_nan else [])
