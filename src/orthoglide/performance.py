@@ -72,19 +72,25 @@ class Ellipsoid:
     directions: np.ndarray
 
 
+def _reciprocal_factors(s_inv: np.ndarray) -> np.ndarray:
+    """Forward transmission factors 1/s of singular values s of Jinv,
+    elementwise; +inf where s vanishes.  The single place where singular
+    values become factors: `forward_factors` (the pose report and the grid
+    sweep) and the diagonal's closed form both go through it."""
+    out = np.full_like(s_inv, np.inf)
+    np.divide(1.0, s_inv, out=out, where=s_inv > 0.0)
+    return out
+
+
 def forward_factors(jinv: np.ndarray) -> np.ndarray:
     """Ascending forward transmission factors, batched over (..., 3, 3).
 
-    Reciprocals of the singular values of Jinv; +inf where a singular value
-    vanishes.  The single place where singular values become factors: the
-    pose report and the grid sweep both go through it.  Exactly invariant
-    under P Jinv P^T for a permutation P (see `singular_values3`), so poses
-    whose coordinates are permutations of each other get the same bits.
+    The `_reciprocal_factors` of the singular values of Jinv.  Exactly
+    invariant under P Jinv P^T for a permutation P (see `singular_values3`),
+    so poses whose coordinates are permutations of each other get the same
+    bits.
     """
-    s_inv = singular_values3(jinv)
-    out = np.full_like(s_inv, np.inf)
-    np.divide(1.0, s_inv, out=out, where=s_inv > 0.0)
-    return out[..., ::-1]
+    return _reciprocal_factors(singular_values3(jinv))[..., ::-1]
 
 
 def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:

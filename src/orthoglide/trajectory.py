@@ -1,14 +1,15 @@
 """Joint-space motion profiling and motor-capability checks.
 
 Tool velocities map to joint velocities through the inverse Jacobian.
-Joint rates and accelerations along a sampled path are estimated by finite
-differences of the IK joint positions in time, with one-sided stencils at
-the path ends, and checked against the motor velocity/acceleration
-capability.  `profile_arrays` profiles a path given as arrays of times and
-poses; IK and the interior stencils each run once, batched over the whole
-path.  `read_waypoints_csv` reads a waypoint file straight into those
-arrays.  Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint rate
-is rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
+Joint rates and accelerations along a sampled path are the derivatives of
+the polynomial through the IK joint positions of a few samples (centred
+stencils inside, one-sided at the ends), taken from divided differences so
+that a path at rest reads exactly zero, and are checked against the motor
+velocity/acceleration capability.  `profile_arrays` profiles a path given
+as arrays of times and poses, batched over the whole path;
+`read_waypoints_csv` reads a waypoint file straight into those arrays.
+Closed forms exist (with s_i = p_j v_j + p_k v_k, the joint rate is
+rho_dot_i = v_i + s_i / eta_i), but they need the tool velocity and
 acceleration at each sample, which timed waypoints do not carry.
 """
 
@@ -72,86 +73,30 @@ class PathProfile:
         return bool(self.velocity_flags.any() or self.acceleration_flags.any())
 
 
-def fd_weights(nodes, x0, order: int) -> np.ndarray:
-    """Finite-difference weights for the `order`-th derivative at x0.
+def _interpolant_derivatives(nodes, values, x0) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives at x0 of the polynomial through (nodes,
+    values), each (m, ...) with one stencil along the first axis; x0
+    broadcasts against nodes[0] and values[0].
 
-    Fornberg's recursion on arbitrary (distinct) nodes; exact for
-    polynomials up to degree len(nodes) - 1.  Nodes (..., n) and x0 (...)
-    broadcast to weights (..., n), bit for bit those of one call per set.
+    Newton divided differences, then Horner's rule on the Newton form.  The
+    derivatives read only differences of the values, so constant values
+    give exactly 0 at any node spacing.  Elementwise, so a batch gives the
+    bits of one call per stencil.
     """
-    x = np.moveaxis(np.asarray(nodes, dtype=float), -1, 0)
-    n = len(x)
-    if order >= n:
-        raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, order + 1, *np.broadcast_shapes(x.shape[1:], np.shape(x0))))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return np.moveaxis(c[:, order], 0, -1)
-
-
-#: the weights of a derivative sum to zero (they annihilate constants); weights
-#: that miss by more than this share of their magnitudes have lost their
-#: digits to products of time steps that underflow (steps below about 1e-100 s)
-_STENCIL_SUM_TOL = 1e-9
-
-
-def _sound(w: np.ndarray) -> np.ndarray:
-    """Per stencil of weights (..., m): whether the weights are finite and sum
-    to zero within _STENCIL_SUM_TOL of their magnitudes."""
-    size = np.abs(w).sum(axis=-1)
-    return np.isfinite(size) & (np.abs(w.sum(axis=-1)) <= _STENCIL_SUM_TOL * size)
-
-
-def _derivative(
-    times: np.ndarray, values: np.ndarray, order: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample derivative of values (n, 3) by local FD stencils.
-
-    Interior samples use the 3-point centred stencil, all in one batch;
-    endpoints use one-sided stencils (3 points for velocity, 4 for
-    acceleration, so both stay second order where enough samples exist).
-    Returns the derivative and, per sample, whether its weights are sound
-    (`_sound`); an unsound sample's derivative is meaningless, and the
-    overflow or invalid values behind it are not warned about.
-    """
-    n = len(times)
-    out = np.zeros_like(values)
-    sound = np.ones(n, dtype=bool)
-    if n == 2:
-        if order == 1:
-            out[:] = (values[1] - values[0]) / (times[1] - times[0])
-        return out, sound  # curvature is indeterminate from two samples
-    sel = np.arange(n - 2)[:, None] + np.arange(3)
-    with np.errstate(all="ignore"):
-        w = fd_weights(times[sel], times[1:-1], order)
-        sound[1:-1] = _sound(w)
-        # batched matmul rounds as the per-sample w @ values[sel] does; einsum
-        # or an explicit sum would change the last digits, which cancellation
-        # exposes
-        out[1:-1] = np.matmul(w[:, None, :], values[sel])[:, 0, :]
-        end_w = 3 if order == 1 else min(4, n)
-        for i, ends in ((0, slice(0, end_w)), (n - 1, slice(n - end_w, n))):
-            w = fd_weights(times[ends], times[i], order)
-            sound[i] = _sound(w)
-            out[i] = w @ values[ends]
-    return out, sound
+    c = list(values)
+    m = len(c)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (nodes[i] - nodes[i - j])
+    p = c[-1]
+    d1 = d2 = np.zeros(np.broadcast_shapes(np.shape(x0), np.shape(nodes[0]), np.shape(p)))
+    for k in range(m - 2, -1, -1):
+        dx = x0 - nodes[k]
+        d2 = d2 * dx + 2.0 * d1
+        d1 = d1 * dx + p
+        if k:
+            p = p * dx + c[k]
+    return d1, d2
 
 
 def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
@@ -159,10 +104,13 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
 
     `times` (n,) must be finite and strictly increasing, with n >= 2;
     `poses` (n, 3) must be finite and reachable.  Joint positions come from
-    one batched IK call, derivatives from finite differences of those
-    positions.  Unreachable and SerialSingularity name the first failing
-    waypoint, and ValueError the first whose velocity or acceleration
-    stencil weights are not sound (see _STENCIL_SUM_TOL).
+    one batched IK call.  Rates, and accelerations inside, come from the
+    3-point stencil centred on each sample (the first or last three at an
+    end), end accelerations from one-sided 4-point stencils, so all are
+    second order; two samples give the slope and zero curvature.
+    Unreachable and SerialSingularity name the first failing waypoint, and
+    ValueError the first whose joint rate or acceleration overflows (time
+    steps too small).
     """
     times = np.asarray(times, dtype=float)
     poses = np.asarray(poses, dtype=float)
@@ -189,13 +137,21 @@ def profile_arrays(times, poses, d: DesignParams) -> PathProfile:
     except (Unreachable, SerialSingularity) as e:
         raise type(e)(f"waypoint {e.index}: {e}", leg=e.leg) from e
 
-    vel, vel_sound = _derivative(times, joints, 1)
-    acc, acc_sound = _derivative(times, joints, 2)
-    sound = vel_sound & acc_sound
-    if not sound.all():
-        k = int(np.argmin(sound))
+    n = len(times)
+    m = min(3, n)
+    sel = np.arange(m)[:, None] + np.clip(np.arange(n) - 1, 0, n - m)
+    with np.errstate(all="ignore"):  # an overflow raises below
+        vel, acc = _interpolant_derivatives(times[sel, None], joints[sel], times[:, None])
+        if n >= 4:
+            ends = np.arange(4)[:, None] + [0, n - 4]
+            acc[[0, -1]] = _interpolant_derivatives(
+                times[ends, None], joints[ends], times[[0, -1], None]
+            )[1]
+    finite = np.isfinite(np.hstack([vel, acc])).all(axis=1)
+    if not finite.all():
+        k = int(np.argmin(finite))
         raise ValueError(
-            f"waypoint {k}: finite-difference weights lost to rounding; "
+            f"waypoint {k}: joint rate or acceleration overflows; "
             f"time steps too small near t[{k}] = {times[k]:g}"
         )
     return PathProfile(

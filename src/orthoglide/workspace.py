@@ -27,7 +27,7 @@ from .kinematics import (
     leg_radicands,
     within_stroke,
 )
-from .performance import forward_factors, kappa_from_factors
+from .performance import _reciprocal_factors, forward_factors, kappa_from_factors
 
 #: relative slack applied to bound checks so binding points do not count.
 BOUND_REL_TOL = 1e-9
@@ -172,9 +172,7 @@ def diagonal_factors(a) -> np.ndarray:
     s_inv = np.stack(
         [np.abs(1.0 + 2.0 * a), np.abs(1.0 - a), np.abs(1.0 - a)], axis=-1
     )
-    fwd = np.full_like(s_inv, np.inf)
-    np.divide(1.0, s_inv, out=fwd, where=s_inv > 0.0)
-    return np.sort(fwd, axis=-1)
+    return np.sort(_reciprocal_factors(s_inv), axis=-1)
 
 
 def diagonal_profile(d: DesignParams, u_min: float, u_max: float, n: int) -> DiagonalProfile:

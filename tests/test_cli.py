@@ -435,19 +435,18 @@ class TestTrajCheck:
                 1,
                 "ValueError: waypoint times must be finite (t[1] = inf)",
             ),
-            # stationary paths with steps this small printed RuntimeWarnings,
-            # rates of +-1.7e157 (or +-inf) mm/s and NaN accelerations with
-            # unset flags, and exited 2
+            # a path gaining 1e-3 mm per step: accelerations of order
+            # 1e-3 / step^2 mm/s^2 overflow
             (
-                "0,0,0,0\n1e-160,0,0,0\n2e-160,0,0,0\n3e-160,0,0,0\n",
+                "0,0,0,0\n1e-160,0.001,0,0\n2e-160,0.003,0,0\n3e-160,0.006,0,0\n",
                 1,
-                "ValueError: waypoint 0: finite-difference weights lost to rounding; "
+                "ValueError: waypoint 0: joint rate or acceleration overflows; "
                 "time steps too small near t[0] = 0",
             ),
             (
-                "0,0,0,0\n1e-300,0,0,0\n2e-300,0,0,0\n3e-300,0,0,0\n",
+                "0,0,0,0\n1e-300,0.001,0,0\n2e-300,0.003,0,0\n3e-300,0.006,0,0\n",
                 1,
-                "ValueError: waypoint 0: finite-difference weights lost to rounding; "
+                "ValueError: waypoint 0: joint rate or acceleration overflows; "
                 "time steps too small near t[0] = 0",
             ),
         ],
@@ -466,6 +465,20 @@ class TestTrajCheck:
         )
         assert res.exit_code == code
         assert res.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("step", ["1e-160", "1e-300"])
+    def test_tiny_steps_at_rest_exit_zero(self, runner, tmp_path, step):
+        # a path at rest reads exactly zero, and no warning is printed,
+        # however small its time steps
+        wp = tmp_path / "wp.csv"
+        wp.write_text("t_s,x_mm,y_mm,z_mm\n" + "".join(f"{k}{step},0,0,0\n" for k in range(4)))
+        out = tmp_path / "p.csv"
+        args = ["traj-check", "--out", str(out), "--waypoints", str(wp), *EXPLICIT]
+        res = runner.invoke(main, args)
+        assert (res.exit_code, res.output) == (0, "")
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (4, 19)
+        assert np.array_equal(rows[:, 7:], np.zeros((4, 12)))
 
 
 EXPLICIT = ["--leg-length", "310.58", "--stroke-min", "-383.8", "--stroke-max", "-126.8"]
@@ -645,10 +658,12 @@ class TestLegLengthOutOfRange:
 
 class TestGoldenBytes:
     """SHA-256 of CSV outputs recorded before the numpy formatter replaced
-    the row-by-row `%.12g` writer (the seeded traj-check digest: before
-    the waypoint reader parsed with np.loadtxt), and of JSON outputs
-    recorded before the Jacobi kernel's sort became `np.sort`: every byte
-    must stay the same."""
+    the row-by-row `%.12g` writer, and of JSON outputs recorded before the
+    Jacobi kernel's sort became `np.sort`: every byte must stay the same.
+    The traj-check digests were re-recorded when the joint rates and
+    accelerations came to be taken from divided differences: the moved
+    cells changed by rounding only, with the same flags and the same error
+    against the closed-form rates and accelerations."""
 
     @staticmethod
     def _digest(runner, args, out, code=0):
@@ -749,7 +764,7 @@ class TestGoldenBytes:
             tmp_path / "p.csv",
             code=2,
         )
-        assert digest == "142000d98114fac336402a62b7da7dbd3c36fca1595b914b77a726ab34e596dc"
+        assert digest == "015b472dce7992efd77d14073e20a3fbc7a66944bef6e1f10c5ab75d0d0de404"
 
     @pytest.mark.parametrize("plain", [True, False], ids=["loadtxt-pass", "row-loop"])
     def test_seeded_traj_check(self, runner, tmp_path, proto, plain, monkeypatch):
@@ -763,7 +778,7 @@ class TestGoldenBytes:
             runner, ["traj-check", "--waypoints", str(wp), "--lw", "200"], tmp_path / "p.csv", code=2
         )
         assert row_loop == ([] if plain else [1])
-        assert digest == "b0071bda95e450ee7ffdac19cdac4b0f936be7c3b761806ab82167b042412404"
+        assert digest == "90216711128519f69aa38353015a40d867c8a4f5584f369b4c5659f2cb512d54"
 
 
 DESIGN_OPTIONS = {"--lw", "--s-lo", "--s-hi", "--leg-length", "--stroke-min", "--stroke-max"}

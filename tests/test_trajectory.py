@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from orthoglide.errors import NonMonotoneTime, SerialSingularity, Unreachable
 from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics
 from orthoglide.trajectory import (
-    fd_weights,
+    _interpolant_derivatives,
     joint_velocity,
     max_feasible_tool_speed,
     profile_arrays,
@@ -28,43 +28,90 @@ pose_coords = st.floats(min_value=-70.0, max_value=120.0)
 poses = st.tuples(pose_coords, pose_coords, pose_coords)
 
 
-class TestFdWeights:
+class TestInterpolantDerivatives:
+    """Derivatives of the polynomial through one stencil, from divided
+    differences."""
+
     def test_standard_stencils(self):
         h = 0.25
-        w = fd_weights([-h, 0.0, h], 0.0, 1)
-        assert np.allclose(w, [-1 / (2 * h), 0.0, 1 / (2 * h)])
-        w2 = fd_weights([-h, 0.0, h], 0.0, 2)
-        assert np.allclose(w2, np.array([1.0, -2.0, 1.0]) / h**2)
-        w4 = fd_weights([0.0, h, 2 * h, 3 * h], 0.0, 2)
-        assert np.allclose(w4, np.array([2.0, -5.0, 4.0, -1.0]) / h**2)
+        f = np.array([3.0, -1.0, 2.5, 7.0])
+        d1, d2 = _interpolant_derivatives(h * np.arange(-1.0, 2.0), f[:3], 0.0)
+        assert d1 == pytest.approx((f[2] - f[0]) / (2 * h), rel=1e-14)
+        assert d2 == pytest.approx((f[0] - 2 * f[1] + f[2]) / h**2, rel=1e-14)
+        d1, _ = _interpolant_derivatives(h * np.arange(3.0), f[:3], 0.0)
+        assert d1 == pytest.approx((-3 * f[0] + 4 * f[1] - f[2]) / (2 * h), rel=1e-14)
+        _, d2 = _interpolant_derivatives(h * np.arange(4.0), f, 0.0)
+        assert d2 == pytest.approx((2 * f[0] - 5 * f[1] + 4 * f[2] - f[3]) / h**2, rel=1e-14)
 
-    def test_exact_on_cubic_with_uneven_nodes(self):
-        nodes = np.array([0.0, 0.13, 0.31, 0.72])
-        poly = lambda t: 2 * t**3 - t**2 + 0.5 * t - 4
-        dpoly = lambda t: 6 * t**2 - 2 * t + 0.5
-        d2poly = lambda t: 12 * t - 2
-        x0 = 0.31
-        assert fd_weights(nodes, x0, 1) @ poly(nodes) == pytest.approx(dpoly(x0), rel=1e-10)
-        assert fd_weights(nodes, x0, 2) @ poly(nodes) == pytest.approx(d2poly(x0), rel=1e-10)
+    def test_two_nodes_give_slope_and_zero_curvature(self):
+        for x0 in (0.5, 0.75):
+            d1, d2 = _interpolant_derivatives(np.array([0.5, 0.75]), np.array([2.0, -1.0]), x0)
+            assert (d1, d2) == (-12.0, 0.0)
 
-    def test_too_few_nodes(self):
-        with pytest.raises(ValueError):
-            fd_weights([0.0, 1.0], 0.0, 2)
+    @given(
+        # coefficients in [-10, 10] to 1e-5: subnormal terms would lose digits
+        coefficients=st.lists(
+            st.integers(-10**6, 10**6).map(lambda i: i / 1e5), min_size=2, max_size=4
+        ),
+        start=st.floats(-1.0, 1.0),
+        gaps=st.lists(st.floats(0.2, 1.0), min_size=3, max_size=3),
+        at=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reproduces_polynomials_on_uneven_nodes(self, coefficients, start, gaps, at):
+        # m nodes reproduce every polynomial of degree below m, to 1e-10 of
+        # the size of its terms (differences cancel the values' digits)
+        a = np.array(coefficients)
+        m = len(a)
+        nodes = start + np.cumsum([0.0, *gaps[: m - 1]])
+        x0 = nodes[0] + at * (nodes[-1] - nodes[0])
+        k = np.arange(m)
+        d1, d2 = _interpolant_derivatives(nodes, np.polyval(a[::-1], nodes), x0)
+        size = (np.abs(a) * (1 + k * k) * max(1.0, *np.abs(nodes)) ** k).sum()
+        for got, w, power in ((d1, k, k - 1), (d2, k * (k - 1), k - 2)):
+            want = (w * a * x0 ** np.maximum(power, 0)).sum()
+            assert abs(got - want) <= 1e-10 * size
+
+    @given(
+        value=st.floats(-1e3, 1e3),
+        exponent=st.floats(-300.0, 0.0),
+        gaps=st.lists(st.floats(1.0, 2.0), min_size=2, max_size=4),
+        at=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_constant_values_give_exact_zeros(self, value, exponent, gaps, at):
+        # every term is a difference of the values: no product of tiny steps
+        # can leave a residue, from steps of 1e-300 s to 1 s
+        nodes = 10.0**exponent * np.cumsum(gaps)
+        x0 = nodes[at % len(nodes)]
+        d1, d2 = _interpolant_derivatives(nodes, np.full(len(nodes), value), x0)
+        assert (d1, d2) == (0.0, 0.0)
+
+
+class TestFdWeights:
+    """A batch of stencils against one call per stencil, for each stencil
+    width n and derivative order the profile uses."""
 
     @pytest.mark.parametrize("n, order", [(3, 1), (3, 2), (4, 1), (4, 2), (5, 2)])
     def test_broadcast_equals_scalar_calls(self, rng, n, order):
-        nodes = np.cumsum(rng.uniform(0.01, 0.3, (2, 25, n)), axis=-1) - 0.4
-        x0 = rng.uniform(-0.4, 0.4, (2, 25))
-        x0[:, :5] = nodes[:, :5, 1]  # at a node, as the profile stencils are
-        w = fd_weights(nodes, x0, order)
-        assert w.shape == (2, 25, n)
-        for b in np.ndindex(2, 25):
-            assert np.array_equal(w[b], fd_weights(nodes[b], x0[b], order))
-            assert np.array_equal(w[b], fornberg(nodes[b], x0[b], order))
-        # one x0 for every node set
-        w0 = fd_weights(nodes[0], 0.0, order)
-        for b in range(25):
-            assert np.array_equal(w0[b], fd_weights(nodes[0, b], 0.0, order))
+        # as the profile calls it: nodes (n, b, 1), values (n, b, 3), x0 (b, 1)
+        nodes = np.cumsum(rng.uniform(0.01, 0.3, (n, 40, 1)), axis=0) - 0.4
+        values = rng.normal(-300.0, 100.0, (n, 40, 3))
+        x0 = rng.uniform(-0.4, 0.4, (40, 1))
+        x0[:10, 0] = nodes[1, :10, 0]  # at a node, as the profile stencils are
+        got = _interpolant_derivatives(nodes, values, x0)[order - 1]
+        assert got.shape == (40, 3)
+        for b in range(40):
+            one = _interpolant_derivatives(nodes[:, b, 0], values[:, b], x0[b, 0])[order - 1]
+            assert np.array_equal(got[b], one)
+            for col in range(3):
+                want = stencil_derivatives(nodes[:, b, 0], values[:, b, col], x0[b, 0])
+                assert got[b, col] == want[order - 1]
+        # one x0 for every stencil
+        got0 = _interpolant_derivatives(nodes, values, 0.0)[order - 1]
+        for b in range(40):
+            one = _interpolant_derivatives(nodes[:, b, 0], values[:, b], 0.0)[order - 1]
+            assert np.array_equal(got0[b], one)
 
 
 class TestJointVelocity:
@@ -132,54 +179,38 @@ class TestMaxFeasibleToolSpeed:
             max_feasible_tool_speed((0, 0, 0), (1.0, 1.0, 0.0), D)
 
 
-def fornberg(nodes, x0, order):
-    """Fornberg's recursion for one node set in plain Python floats."""
+def stencil_derivatives(nodes, values, x0):
+    """First and second derivatives at x0 of the polynomial through one
+    stencil, in plain Python floats: Newton divided differences, then
+    Horner's rule on the Newton form."""
     x = [float(v) for v in nodes]
+    c = [float(v) for v in values]
     x0 = float(x0)
-    n = len(x)
-    c = [[0.0] * (order + 1) for _ in range(n)]
-    c[0][0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i][k] = c1 * (k * c[i - 1][k - 1] - c5 * c[i - 1][k]) / c2
-                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
-            for k in range(mn, 0, -1):
-                c[j][k] = (c4 * c[j][k] - k * c[j][k - 1]) / c3
-            c[j][0] = c4 * c[j][0] / c3
-        c1 = c2
-    # a column view, as the library returns: numpy's vector-matrix product
-    # rounds a strided vector differently from a contiguous one
-    return np.array(c)[:, order]
+    m = len(x)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (x[i] - x[i - j])
+    p, d1, d2 = c[-1], 0.0, 0.0
+    for k in range(m - 2, -1, -1):
+        dx = x0 - x[k]
+        d2 = d2 * dx + 2.0 * d1
+        d1 = d1 * dx + p
+        p = p * dx + c[k]
+    return d1, d2
 
 
 def reference_derivative(times, values, order):
-    """The per-sample stencil loop: 3-point centred inside, one-sided
-    3-point (velocity) or 4-point (acceleration) stencils at the ends."""
+    """The per-sample, per-joint stencil loop: 3-point centred inside,
+    one-sided 3-point (velocity) or 4-point (acceleration) stencils at the
+    ends, and every sample of a shorter path."""
     n = len(times)
     out = np.zeros_like(values)
-    if n == 2:
-        if order == 1:
-            out[:] = (values[1] - values[0]) / (times[1] - times[0])
-        return out
-    end_w = 3 if order == 1 else min(4, n)
     for i in range(n):
-        if 0 < i < n - 1:
-            sel = slice(i - 1, i + 2)
-        elif i == 0:
-            sel = slice(0, end_w)
-        else:
-            sel = slice(n - end_w, n)
-        out[i] = fornberg(times[sel], times[i], order) @ values[sel]
+        width = min(3 if order == 1 or 0 < i < n - 1 else 4, n)
+        lo = min(max(i - 1, 0), n - width)
+        sel = slice(lo, lo + width)
+        for col in range(values.shape[1]):
+            out[i, col] = stencil_derivatives(times[sel], values[sel, col], times[i])[order - 1]
     return out
 
 
@@ -214,11 +245,6 @@ class TestProfilePath:
         assert np.array_equal(prof.joint_accelerations, np.zeros((2, 3)))
         assert not prof.any_flags
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 8: the stencils difference absolute joint positions, so a "
-        "path at rest gets rates of rounding size, 2.97e5 mm/s^2 and flags at 1e-9 s",
-    )
     def test_stationary_path_is_exactly_at_rest(self, design):
         for step in (1e-9, 1e-8, 1e-3):
             poses = np.tile([10.0, -20.0, 30.0], (6, 1))
@@ -295,25 +321,33 @@ class TestProfilePath:
 
     @pytest.mark.parametrize("step", [1e-106, 1e-160, 1e-300])
     def test_tiny_time_steps_raise(self, step):
-        # Fornberg's products underflow into subnormals: at 1e-106 the
-        # 4-point acceleration weights stay finite but miss a zero sum by
-        # 3e-8 of their magnitude; at 1e-160 and 1e-300 the weights overflow
-        # too.  A stationary path got accelerations of 1e208 mm/s^2 or NaN,
-        # and rates up to inf, instead of an error
+        # differences of equal positions are exactly zero at any step, so a
+        # path at rest passes; a path gaining 1e-3 mm a step is refused, as
+        # the third divided difference of the 4-point end stencil, about
+        # 1e-3 mm / step^3, overflows
+        times = step * np.arange(4.0)
+        prof = profile_arrays(times, np.zeros((4, 3)), D)
+        assert np.array_equal(prof.joint_velocities, np.zeros((4, 3)))
+        assert np.array_equal(prof.joint_accelerations, np.zeros((4, 3)))
+        assert not prof.any_flags
+        poses = np.zeros((4, 3))
+        poses[:, 0] = [0.0, 1e-3, 3e-3, 6e-3]
         with pytest.raises(ValueError) as e:
-            profile_arrays(step * np.arange(4.0), np.zeros((4, 3)), D)
+            profile_arrays(times, poses, D)
         assert str(e.value) == (
-            "waypoint 0: finite-difference weights lost to rounding; "
+            "waypoint 0: joint rate or acceleration overflows; "
             "time steps too small near t[0] = 0"
         )
 
     def test_first_unsound_waypoint_across_orders(self):
-        # steps of 1e-155 overflow the acceleration weights (1/h^2) at
-        # waypoints 4 and 5 while their velocity weights stay sound; steps of
-        # 1e-160 from waypoint 5 on spoil the velocity weights at waypoint 6
+        # a 0.03 mm step between waypoints 4 and 5, 1e-155 s apart: at
+        # waypoint 4 the rate (1.5e153 mm/s) is finite but the acceleration
+        # overflows, and it is named before waypoint 5, where both do
         times = [-3.0, -2.0, -1.0, -2e-155, -1e-155, 0.0, 1e-160, 2e-160, 1.0, 2.0]
+        poses = np.zeros((10, 3))
+        poses[5:, 0] = 0.03
         with pytest.raises(ValueError, match=r"^waypoint 4: .* near t\[4\] = -1e-155$"):
-            profile_arrays(times, np.zeros((10, 3)), D)
+            profile_arrays(times, poses, D)
 
     def test_fd_velocity_convergence(self):
         # halving the step should cut the midpoint error by ~4 (2nd order);
