@@ -39,6 +39,9 @@ _EYE = np.eye(3)
 # the other two axes j, k of each leg i
 _J = np.array([1, 0, 0])
 _K = np.array([2, 2, 1])
+# column c: the axes in ascending order for c = (x > y) + 2 (y > z) + 4 (x > z),
+# ties in axis order; no pose has c = 3 or 4 (x > y > z >= x, or the reverse)
+_SORTED = np.array([[0, 1, 0, 0, 0, 1, 2, 2], [1, 0, 2, 1, 1, 2, 0, 1], [2, 2, 1, 2, 2, 0, 1, 0]])
 
 
 def _floats(v) -> tuple[float, ...]:
@@ -131,6 +134,16 @@ def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
         sq = np.asarray(p, dtype=float) ** 2
         cross = sq[..., _J] + sq[..., _K]
     return leg_length**2 - cross
+
+
+def pose_order(p) -> np.ndarray:
+    """Indices that sort a pose (3,), or axis-first (3, n) for poses (n, 3).
+    The grid sweep and `analyze` take a pose's factors from its sorted
+    pose's Jacobian, P Jinv P^T as the IK and `batch_inverse_jacobian` are
+    exactly equivariant, so every permutation of a pose gets the same bits
+    (ties differ at most in the sign of a zero, which neither sees)."""
+    x, y, z = np.asarray(p).T
+    return _SORTED[:, (x > y) + 2 * (y > z) + 4 * (x > z)]
 
 
 def inverse_kinematics(p, d: DesignParams) -> np.ndarray:

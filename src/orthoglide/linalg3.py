@@ -12,24 +12,23 @@ entries of each matrix as (N,) arrays, and drops the matrices that are exactly
 diagonal from the sweeps, once, when they are at least half the batch.  One
 matrix sweeps Python floats, which skips numpy's per-call cost on (1,) arrays.
 Every matrix gets the same bits whatever batch it is in, and on either route,
-so the grid sweep and the single-pose report agree exactly.  Each matrix is
-first reordered to a canonical one of its six simultaneous row/column
-permutations, which makes the result exactly permutation-invariant.  No
+so the grid sweep and the single-pose report agree exactly.  A bare matrix
+gets the values of that matrix; exact invariance under permuting a pose's
+x, y and z is a promise of the pose routes (`kinematics.pose_order`).  No
 routine here computes eigenvectors: the manipulability ellipsoid, the one
 place that needs them, takes them from `np.linalg.eigh`.
 
 A batch is stored axis-first: one contiguous (N,) row per matrix entry and
-per eigenvalue, read without a copy from the Jacobians that
-`batch_inverse_jacobian` builds.  The (..., 3, 3) arrays it takes and the
-(..., 3) arrays it returns may be views of such rows, so no caller may
-assume C order.  A min/max network sorts a batch's eigenvalues; its rows
+per eigenvalue, read without a copy (`m.transpose(1, 2, 0)`) from the
+Jacobians `batch_inverse_jacobian` builds.  The (..., 3, 3) arrays it takes
+and the (..., 3) arrays it returns may be views of such rows, so no caller
+may assume C order.  A min/max network sorts a batch's eigenvalues; its rows
 holding a NaN are sorted by `np.sort`, as one matrix's are, so NaNs come
 last, as `np.sort` writes them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from types import SimpleNamespace
 
@@ -43,21 +42,6 @@ _PAIRS = ((0, 1), (0, 2), (1, 2))
 # for the k-th pair (p, q) with remaining index r: the positions of a_rp and
 # a_rq in the off-diagonal list (a01, a02, a12)
 _OTHERS = ((1, 2), (0, 2), (0, 1))
-# one row per simultaneous row/column permutation s, identity first: entry
-# (a, b) of the candidate P M P^T for s is M[s_a, s_b], at position
-# _FLAT[s, 3a + b] of M's entries in column-major (transposed) order, the
-# order in which both routes read them
-_FLAT = np.array(
-    [
-        [3 * s[b] + s[a] for a in range(3) for b in range(3)]
-        for s in itertools.permutations(range(3))
-    ]
-)
-# a candidate's row-major indices 3a + b in the order candidates are
-# compared: the off-diagonal entries, (0, 1) leading, then the diagonal
-_ORDER = (1, 2, 3, 5, 6, 7, 0, 4, 8)
-# each candidate's positions of M, in _ORDER, for the one-matrix route
-_KEYS = _FLAT[:, _ORDER].tolist()
 
 
 def _rotate(app, aqq, apq, arp, arq, xp):
@@ -161,67 +145,6 @@ def _jacobi_eigenvalues(diag, off) -> tuple[np.ndarray, int]:
     return w.T, sweeps
 
 
-def _canonical(m: np.ndarray) -> np.ndarray:
-    """The lexicographically smallest P m P^T of each (N, 3, 3) matrix.
-
-    Candidates are compared entry by entry in _ORDER.  Every P m P^T has
-    the same six candidates, so all of them map to the same representative.
-    Comparisons treat -0.0 and +0.0 as equal, so the representatives of two
-    permutations may differ in the signs of zero entries, but no more: the
-    Gram entries then differ at most in the sign of a zero, which
-    `_gram_entries` drops, so the singular values agree bit for bit.
-
-    The (0, 1) entry of the candidate for permutation s is m[s0, s1], so the
-    candidate that puts the smallest off-diagonal entry there wins unless
-    that value occurs more than once; only such rows compare further
-    entries.  A row whose comparisons reach a NaN keeps its order.  The
-    result c is (3, 3, N): c[k, p] holds entry (k, p) of every matrix,
-    contiguous across the batch, which is how `_gram_entries` reads them.
-
-    The nine entries are read as (9, N) rows in column-major order, the
-    order of _FLAT: without a copy when m is a view of axis-first storage,
-    as `batch_inverse_jacobian` returns, with one transposing copy otherwise.
-    """
-    m = m.reshape(-1, 3, 3)
-    n = len(m)
-    e = m.T.reshape(9, n)
-    choice = _smallest_candidate(e.T)
-    flat = e.ravel()
-    start = np.arange(n)
-    index = np.empty_like(start)
-    out = np.empty((9, n))
-    for f, source in enumerate(_FLAT.T * n):
-        np.add(source.take(choice), start, out=index)
-        flat.take(index, out=out[f])
-    return out.reshape(3, 3, n)
-
-
-def _smallest_candidate(e: np.ndarray) -> np.ndarray:
-    """For each row of `e`, (N, 9), one matrix's entries in column-major
-    order (the positions _FLAT gives), the row of _FLAT of its smallest
-    candidate (see `_canonical`): the first of the best ones, or 0 when a
-    NaN leaves none best.
-
-    The keys are component-major, (6, N) with one row per candidate, so
-    every reduction runs across rows rather than along each short one.
-    """
-    et = e.T
-    keys = et[_FLAT[:, _ORDER[0]]]
-    best = keys == np.minimum.reduce(keys)
-    tied = np.flatnonzero(best.sum(axis=0) > 1)
-    if tied.size:
-        sub, alive = et[:, tied], best[:, tied]
-        for f in _ORDER[1:]:
-            keys = sub[_FLAT[:, f]]
-            alive &= keys == np.minimum.reduce(np.where(alive, keys, np.inf))
-        best[:, tied] = alive
-    # the last write wins, so the smallest best s does
-    choice = np.zeros(len(e), dtype=np.intp)
-    for s in range(5, -1, -1):
-        choice[best[s]] = s
-    return choice
-
-
 def _gram_entries(c) -> tuple[list, list]:
     """Diagonal and off-diagonal entries of m^T m, the dot products of the
     columns of m, where c[k][p] is entry (k, p) of m: (N,) arrays for a
@@ -235,26 +158,6 @@ def _gram_entries(c) -> tuple[list, list]:
     return [dot(k, k) for k in range(3)], [dot(p, q) for p, q in _PAIRS]
 
 
-def _float_eigenvalues(e: list[float]) -> list[float]:
-    """`_jacobi_eigenvalues(*_gram_entries(_canonical(m)))` for one matrix m,
-    given as its nine column-major entries (the order of _FLAT), before the
-    sort: the diagonal the sweeps (`_sweep` with xp = `_Floats`) leave,
-    unsorted.  Each step is one correctly rounded IEEE-754 operation, in
-    Python as in numpy's float64 loops, so the bits are those of m's row in
-    any batch.
-    """
-    # the candidate `_smallest_candidate` picks; it may pick another where
-    # the comparisons reach a NaN, but a NaN entry makes every value NaN
-    s = min(range(6), key=lambda s: [e[f] for f in _KEYS[s]])
-    c = [e[f] for f in _FLAT[s].tolist()]
-    diag, off = _gram_entries((c[:3], c[3:6], c[6:]))
-    for _ in range(_MAX_SWEEPS):
-        if not any(off):
-            break
-        _sweep(diag, off, _Floats, 0.0)
-    return diag
-
-
 def singular_values3(mat: np.ndarray) -> np.ndarray:
     """Ascending singular values of a (not necessarily symmetric) 3x3.
 
@@ -264,20 +167,24 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
     Python floats, and both sort NaN last (see `_jacobi_eigenvalues`): the
     same bits.  The result may be a view of (3, ...) rows, not C-ordered.
 
-    Exactly invariant under simultaneous row/column permutation: every
-    P mat P^T gives the same bits, because each matrix is first reordered
-    to the canonical one of its six permutations (`_canonical`).  The
-    machine's Jacobian at a permuted pose is P Jinv P^T, so poses that
-    differ by a permutation of x, y and z get identical factors.
+    The values of `mat` as given: P mat P^T may round differently.  Permuted
+    poses get identical factors because the pose routes hand this kernel
+    the Jacobian of the sorted pose (`kinematics.pose_order`).
     """
     m = _as_matrices(mat)
     if m.size == 9:
-        w = np.sort(_float_eigenvalues(m.reshape(3, 3).T.reshape(9).tolist()))
+        # Python floats round each step as numpy's float64 loops do
+        diag, off = _gram_entries(m.reshape(3, 3).tolist())
+        for _ in range(_MAX_SWEEPS):
+            if not any(off):
+                break
+            _sweep(diag, off, _Floats, 0.0)
+        w = np.sort(diag)
     else:
         # Gram entries that overflow are inf, and inf - inf is NaN, silently,
         # as on the float route
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = _gram_entries(_canonical(m.reshape(-1, 3, 3)))
+            gram = _gram_entries(m.reshape(-1, 3, 3).transpose(1, 2, 0))
         w = _jacobi_eigenvalues(*gram)[0]
     return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
 

@@ -85,10 +85,9 @@ def _reciprocal_factors(s_inv: np.ndarray) -> np.ndarray:
 def forward_factors(jinv: np.ndarray) -> np.ndarray:
     """Ascending forward transmission factors, batched over (..., 3, 3).
 
-    The `_reciprocal_factors` of the singular values of Jinv.  Exactly
-    invariant under P Jinv P^T for a permutation P (see `singular_values3`),
-    so poses whose coordinates are permutations of each other get the same
-    bits.
+    The `_reciprocal_factors` of the singular values of Jinv as given (see
+    `singular_values3`); the pose routes pass the sorted pose's Jinv
+    (`kinematics.pose_order`), so permuted poses get the same bits.
     """
     return _reciprocal_factors(singular_values3(jinv))[..., ::-1]
 
@@ -104,20 +103,23 @@ def kappa_from_factors(sigma_fwd: np.ndarray) -> np.ndarray:
     return out
 
 
-def transmission_factors(jinv) -> TransmissionReport:
+def transmission_factors(jinv, order=None) -> TransmissionReport:
     """Full conditioning report for one inverse Jacobian.
 
     Singular input never raises: rank deficiency shows up as +inf entries
     in sigma_fwd and the parallel flag (|det| at or below DET_TOL).  Serial
     flags fire when a row norm reaches 1/SERIAL_TOL (row i norm is L/eta_i
     for this machine).  Raises ValueError unless Jinv is a finite 3x3.
+    Given the pose's `kinematics.pose_order`, sigma_fwd and kappa are those
+    of P Jinv P^T = Jinv[order][:, order], the sorted pose's; det_inv and
+    the serial flags stay Jinv's, in leg order.
     """
     jinv = np.asarray(jinv, dtype=float)
     if jinv.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
     if not np.all(np.isfinite(jinv)):
         raise ValueError("inverse Jacobian entries must be finite")
-    sigma_fwd = forward_factors(jinv)
+    sigma_fwd = forward_factors(jinv if order is None else jinv.take(order, 0).take(order, 1))
     kappa = float(kappa_from_factors(sigma_fwd))
     det_inv = float(det3(jinv))
     row_norms = np.linalg.norm(jinv, axis=1)

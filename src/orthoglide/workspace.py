@@ -25,6 +25,7 @@ from .kinematics import (
     _working_mode,
     batch_inverse_jacobian,
     leg_radicands,
+    pose_order,
     within_stroke,
 )
 from .performance import _reciprocal_factors, forward_factors, kappa_from_factors
@@ -274,26 +275,29 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
     coordinates, gathered from the axes by node index, the IK solve, the
     reach and stroke flags, then the inverse Jacobians and forward factors
-    of the slab's reachable nodes, written into its slice of the results,
-    so no working array of floats grows with the grid.  Every per-node array
-    of a slab is stored axis-first: the coordinates are the (n, 3) view `.T`
-    of (3, n) rows, which the elementwise IK, flag and reduction stages
-    keep, and the Jacobians and factors are views of rows too (see
+    of the slab's reachable nodes, written into its slice of the results, so
+    no working array of floats grows with the grid.  The flags are the pose's
+    own (strokes may differ per axis), the Jacobian and factors the sorted
+    pose's (`pose_order`).  Every per-node array of a slab is stored
+    axis-first: the coordinates are the (n, 3) view `.T` of (3, n) rows,
+    which the elementwise IK, flag and reduction stages keep, and the
+    Jacobians and factors are views of rows too (see
     `batch_inverse_jacobian`), so each coordinate, joint, flag and matrix
     entry is one contiguous row and no stage reads a strided column.  No
     matrix's factors depend on its batch (see `linalg3`), so the slabs give
     the bits of one whole batch.  Matches the scalar operations bit for bit
     because both share the same radicand, working-mode solve, Jacobian and
     factor kernels: a node is reachable exactly when `inverse_kinematics`
-    would not raise there.  Order is x-major, then y, then z, and is deterministic.
+    would not raise there.  Order is x-major, then y, then z, and is
+    deterministic.
 
-    Permuting a pose's coordinates permutes its radicands and the rows and
-    columns of its inverse Jacobian exactly, and `forward_factors` is exactly
-    invariant under that, so when the three grid axes are equal element for
-    element and the strokes are equal on the three axes (every synthesized
-    cube) only the nodes i <= j <= k, about a sixth, are evaluated, and
-    every other node takes the results of its sorted index triple
-    (`GridReport.nodes`): the same bits as evaluating it.  Any other grid is
+    Permuting a pose's coordinates permutes its radicands and joints
+    exactly, and its factors are those of its sorted pose, so when the three
+    grid axes are equal element for element and the strokes are equal on
+    the three axes (every synthesized cube) only the nodes i <= j <= k,
+    about a sixth, are evaluated, and every other node takes the results of
+    its sorted index triple (`GridReport.nodes`): the same bits as
+    evaluating it; a wedge node is sorted already.  Any other grid is
     evaluated node by node.
 
     Raises ValueError, before building anything, when n_per_axis^3 exceeds
@@ -325,6 +329,9 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
         reachable[slab] = ok
         within = within_stroke(rho, d)
         stroke_ok[slab] = ok & within[:, 0] & within[:, 1] & within[:, 2]
+        if not symmetric:  # a wedge node has x <= y <= z already
+            order = pose_order(p)
+            p, rho = (np.take_along_axis(v.T, order, axis=0).T for v in (p, rho))
         # a slab with every node reachable needs no gather or scatter
         sel = slice(None) if ok.all() else ok
         fwd = forward_factors(batch_inverse_jacobian(p[sel], rho[sel]))

@@ -663,7 +663,10 @@ class TestGoldenBytes:
     The traj-check digests were re-recorded when the joint rates and
     accelerations came to be taken from divided differences: the moved
     cells changed by rounding only, with the same flags and the same error
-    against the closed-form rates and accelerations."""
+    against the closed-form rates and accelerations.  The two off-diagonal
+    workspace-map digests were re-recorded when the factors came to be
+    taken from the sorted pose's Jacobian, with each moved cell checked
+    against the exact singular values of `orthoglide._exact`."""
 
     @staticmethod
     def _digest(runner, args, out, code=0):
@@ -718,7 +721,7 @@ class TestGoldenBytes:
         out = tmp_path / "big.csv"
         digest = self._digest(runner, ["workspace-map", "--config", str(cfg)], out, code=2)
         assert "nan" in out.read_text()
-        assert digest == "fb8aeea72b9dda6b6253e070255f7485eab066c8e7521c62bf2a4612aa6e1bf9"
+        assert digest == "33738728bd11fdeec6d4b68479351c469a1462350df5c36f7d4bf286bbc3df38"
 
     def test_off_diagonal_multi_slab_cube(self, runner, tmp_path, design, proto):
         # map-export's cube: no wedge, and 41^3 nodes fill several slabs
@@ -740,7 +743,7 @@ class TestGoldenBytes:
         digest = self._digest(
             runner, ["workspace-map", "--config", str(cfg)], tmp_path / "off.csv", code=2
         )
-        assert digest == "16ad15b250c923e764952ffb1eaef81e12f5108377adeb0a6627b9f82fe82f70"
+        assert digest == "f12b673de554fa46d45b0cee5d0565c0dbcde361c3631472aaaa9be45f4719b6"
 
     def test_diag_profile(self, runner, tmp_path):
         digest = self._digest(

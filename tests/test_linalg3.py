@@ -1,19 +1,14 @@
 """Jacobi 3x3 eigensolver against the dense numpy decompositions."""
 
-import itertools
-
 import numpy as np
 import pytest
 
 from orthoglide import linalg3
 from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
 from orthoglide.linalg3 import (
-    _FLAT,
     _MAX_SWEEPS,
-    _ORDER,
     _gram_entries,
     _jacobi_eigenvalues,
-    _smallest_candidate,
     det3,
     singular_values3,
 )
@@ -67,7 +62,7 @@ def cube_jinv(lw, s_lo, s_hi, n=41):
 
 
 def gram(mats):
-    """`_gram_entries` of an (N, 3, 3) batch, without canonical reordering."""
+    """`_gram_entries` of an (N, 3, 3) batch, as `singular_values3` forms them."""
     return _gram_entries(mats.transpose(1, 2, 0))
 
 
@@ -140,12 +135,11 @@ def test_leading_shape_is_kept(rng):
         singular_values3(np.eye(2))
 
 
-def _invariance_batch(rng, kind, n=400):
+def _matrix_batch(rng, kind, n=400):
     if kind == "random":
         return rng.standard_normal((n, 3, 3))
     if kind == "integer-ties":
-        # few distinct values, so candidate permutations tie on many entries;
-        # zeros of both signs
+        # few distinct values, so many entries tie; zeros of both signs
         mats = rng.integers(-2, 3, (n, 3, 3)).astype(float)
         return np.where(mats == 0.0, rng.choice([0.0, -0.0], mats.shape), mats)
     # rank 0, 1 and 2: products of random or integer factors, and matrices
@@ -158,29 +152,17 @@ def _invariance_batch(rng, kind, n=400):
     return np.concatenate([rank_one.astype(float), rank_two, zero_cross, np.zeros((1, 3, 3))])
 
 
-@pytest.mark.parametrize("kind", ["random", "integer-ties", "rank-deficient"])
-def test_singular_values_exactly_permutation_invariant(rng, kind):
-    # every simultaneous row/column permutation P m P^T gives the same bits
-    mats = _invariance_batch(rng, kind)
-    want = singular_values3(mats).view(np.uint64)
-    for perm in itertools.permutations(range(3)):
-        p = list(perm)
-        got = singular_values3(mats[:, p][:, :, p])
-        assert np.array_equal(got.view(np.uint64), want), perm
-        assert np.array_equal(singular_values3(mats[7][p][:, p]).view(np.uint64), want[7])
-
-
 def _cross_route_batch(rng, kind):
     if kind == "scale-1e-200":
         # the Gram entries underflow to subnormals and zeros
-        return 1e-200 * np.concatenate([_invariance_batch(rng, k) for k in ("random", "integer-ties")])
+        return 1e-200 * np.concatenate([_matrix_batch(rng, k) for k in ("random", "integer-ties")])
     if kind == "scale-1e300":
         # the Gram entries overflow to inf, and inf - inf gives NaN.  In the
         # last matrix, with entries near sqrt(DBL_MAX), the first rotation
         # overflows a_00 and a_02 and cancels a_12 to 0, and the second
         # leaves a_00 and a_22 NaN next to a_11 = a_12 = 0: only a `minimum`
         # that returns NaN, as np.minimum does, makes the third rotate
-        mats = [1e300 * _invariance_batch(rng, k) for k in ("random", "integer-ties")]
+        mats = [1e300 * _matrix_batch(rng, k) for k in ("random", "integer-ties")]
         mid_sweep = [[-1.2e154, 1.34e154, -1.2e154], [1.0, -1.2e154, 0.0], [5e153, 0.0, 1.0]]
         return np.concatenate(mats + [np.array([mid_sweep])])
     if kind == "overflow-pair":
@@ -193,10 +175,10 @@ def _cross_route_batch(rng, kind):
         return mats
     if kind == "non-finite":
         # NaN and +-inf entries among random and integer ones
-        mats = np.concatenate([_invariance_batch(rng, k) for k in ("random", "integer-ties")])
+        mats = np.concatenate([_matrix_batch(rng, k) for k in ("random", "integer-ties")])
         special = rng.choice([np.nan, np.inf, -np.inf], mats.shape)
         return np.where(rng.random(mats.shape) < 0.15, special, mats)
-    return _invariance_batch(rng, kind)
+    return _matrix_batch(rng, kind)
 
 
 @pytest.mark.parametrize(
@@ -225,7 +207,7 @@ def test_one_matrix_route_has_the_bits_of_the_batch(rng, kind):
 def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
     # a batch runs `_sweep`, and the `_rotate` calls in it, on arrays, one
     # matrix on Python floats, and one matrix never enters the batched
-    # kernel or `_canonical`; each call's `xp` is logged under its name
+    # kernel; each call's `xp` is logged under its name
     seen = {"_sweep": [], "_rotate": []}
     for name, xp_at in (("_sweep", 2), ("_rotate", 5)):
 
@@ -244,50 +226,10 @@ def test_one_rotation_body_serves_both_routes(rng, monkeypatch):
         raise AssertionError("one matrix entered the batched route")
 
     monkeypatch.setattr(linalg3, "_jacobi_eigenvalues", refuse)
-    monkeypatch.setattr(linalg3, "_canonical", refuse)
     singular_values3(m)
     singular_values3(m[None])
     for log in seen.values():
         assert log and all(xp is linalg3._Floats for xp in log)
-
-
-def _row_major_smallest_candidate(e):
-    # the candidate choice as it was written on (N, 6) keys, reduced along
-    # each row: the oracle of the component-major version.  Row n of e holds
-    # a matrix's nine entries at the positions _FLAT gives, which are in
-    # column-major (transposed) order; both sides read e through _FLAT, so
-    # the oracle does not depend on that order
-    keys = e[:, _FLAT[:, _ORDER[0]]]
-    best = keys == keys.min(axis=1, keepdims=True)
-    tied = np.flatnonzero(np.count_nonzero(best, axis=1) > 1)
-    if tied.size:
-        sub, alive = e[tied], best[tied]
-        for f in _ORDER[1:]:
-            keys = sub[:, _FLAT[:, f]]
-            alive &= keys == np.where(alive, keys, np.inf).min(axis=1, keepdims=True)
-        best[tied] = alive
-    return best.argmax(axis=1)
-
-
-@pytest.mark.parametrize("kind", ["random", "integer-ties", "signed-zeros-nan", "empty"])
-def test_smallest_candidate_matches_row_major_oracle(rng, kind):
-    if kind == "random":
-        e = rng.standard_normal((2000, 9))
-    elif kind == "empty":
-        e = np.empty((0, 9))
-    else:
-        # entries from {-1, 0, 1}: most rows tie on several keys, and many
-        # on all nine (every candidate best, so the first must win)
-        e = rng.integers(-1, 2, (4000, 9)).astype(float)
-        if kind == "signed-zeros-nan":
-            special = rng.choice([-0.0, 0.0, np.nan], e.shape)
-            e = np.where(rng.random(e.shape) < 0.3, special, e)
-        e[:50] = 1.0
-    got = _smallest_candidate(e)
-    assert got.dtype == np.intp
-    assert np.array_equal(got, _row_major_smallest_candidate(e))
-    if kind in ("integer-ties", "signed-zeros-nan"):
-        assert np.all(got[:50] == 0)
 
 
 def _sort_rows(rng, n=600):

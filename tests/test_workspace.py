@@ -2,14 +2,16 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from conftest import grid_xyz
 
-from orthoglide import workspace
+from orthoglide import cli, workspace
 from orthoglide._table import write_table
 from orthoglide.errors import RangeOutsideWorkspace, SerialSingularity, Unreachable
 from orthoglide.kinematics import (
@@ -19,6 +21,7 @@ from orthoglide.kinematics import (
     inverse_jacobian,
     inverse_kinematics,
     leg_radicands,
+    pose_order,
     within_stroke,
 )
 from orthoglide.performance import forward_factors, kappa_from_factors, transmission_factors
@@ -158,15 +161,15 @@ class TestVerifyCube:
         assert report.n_bound_violations + report.n_unreachable > 0
 
     def test_grid_matches_scalar_route(self, design, proto):
-        # vectorized node evaluation == scalar IK + factor computation, at
-        # every one of the 125 nodes
+        # vectorized node evaluation == scalar IK + factor computation of
+        # the sorted pose, as `analyze` runs them, at every one of the 125 nodes
         report = verify_cube(design, proto.cube, B, 5)
         nodes = report.nodes
         assert report.n_points == 125
         for k, p in enumerate(grid_xyz(nodes.axes)):
             assert nodes.reachable[k]
             rho = inverse_kinematics(p, design)
-            tf = transmission_factors(inverse_jacobian(p, rho, design))
+            tf = transmission_factors(inverse_jacobian(p, rho, design), pose_order(p))
             assert nodes.sigma_min[k] == tf.sigma_fwd[0]
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
             assert nodes.kappa[k] == tf.kappa
@@ -183,14 +186,16 @@ class TestVerifyCube:
     )
     def test_grid_matches_pose_route_off_the_prototype(self, design, proto, make_cube):
         # a grid evaluates its nodes in batches, a pose query one matrix at
-        # a time: every reachable node must get the same bits either way
+        # a time, as `analyze` does: every reachable node must get the same
+        # bits either way
         nodes = verify_cube(design, make_cube(proto), B, 15).nodes
         xyz = grid_xyz(nodes.axes)
         reachable = np.flatnonzero(nodes.reachable)
         assert len(reachable) >= 3000
         for k in reachable:
             p = xyz[k]
-            tf = transmission_factors(inverse_jacobian(p, inverse_kinematics(p, design), design))
+            jinv = inverse_jacobian(p, inverse_kinematics(p, design), design)
+            tf = transmission_factors(jinv, pose_order(p))
             assert nodes.sigma_min[k] == tf.sigma_fwd[0]
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
             assert nodes.kappa[k] == tf.kappa
@@ -229,15 +234,48 @@ class TestVerifyCube:
         assert fine.worst_sigma_max >= coarse.worst_sigma_max
 
     def test_octant_symmetry(self, design, proto):
-        # permuting a pose permutes the rows and columns of its inverse
-        # Jacobian exactly, and the factor kernel is exactly invariant under
-        # that, so the map is symmetric bit for bit
+        # permuting a pose permutes its joints exactly, and its factors are
+        # those of the sorted pose, so the map is symmetric bit for bit
         nodes = verify_cube(design, proto.cube, B, 6).nodes
         values = zip(nodes.sigma_min.tolist(), nodes.sigma_max.tolist(), nodes.kappa.tolist())
         table = dict(zip(map(tuple, grid_xyz(nodes.axes).tolist()), values))
         for (x, y, z), vals in table.items():
             for perm in ((y, x, z), (z, y, x), (x, z, y), (y, z, x), (z, x, y)):
                 assert table[perm] == vals
+
+    POSES = {
+        "equal-coordinates": [(10.0, 10.0, 90.0), (90.0, 10.0, 90.0), (-50.0, 10.0, 10.0), (-50.0,) * 3],
+        "signed-zeros": [(0.0, -0.0, 40.0), (-0.0, 40.0, -0.0), (-0.0, -60.0, 0.0), (0.0, -0.0, -0.0)],
+    }
+
+    @pytest.mark.parametrize("kind", ["random", "equal-coordinates", "signed-zeros"])
+    def test_pose_permutations_get_identical_factors(self, design, proto, rng, monkeypatch, kind):
+        # exact invariance is a promise of the pose routes, which take the
+        # factors from the sorted pose: every permutation of a pose, ties and
+        # zeros of either sign included, gets the same bits from a grid node
+        # (a one-node cube) and from `analyze`
+        if kind == "random":
+            poses = (proto.q1 + (proto.q2 - proto.q1) * rng.random((4, 3))).tolist()
+        else:
+            poses = self.POSES[kind]
+        docs = []
+        monkeypatch.setattr(cli, "_emit_json", lambda doc, out, exact_keys=None: docs.append(doc))
+        explicit = [
+            *("--leg-length", repr(design.leg_length)),
+            *("--stroke-min", repr(design.stroke_min[0]), "--stroke-max", repr(design.stroke_max[0])),
+        ]
+        for pose in poses:
+            bits = set()
+            for perm in itertools.permutations(pose):
+                nodes = verify_cube(design, CubeSpec(perm, perm), B, 2).nodes
+                res = CliRunner().invoke(cli.main, ["analyze", *explicit, "--", *map(repr, perm)])
+                assert res.exit_code == 0, res.output
+                doc = docs.pop()
+                grid = [nodes.sigma_min[0], nodes.sigma_max[0], nodes.kappa[0]]
+                analyzed = [doc["sigma_fwd"][0], doc["sigma_fwd"][2], doc["kappa"]]
+                assert np.array_equal(np.array(grid).view(np.uint64), np.array(analyzed).view(np.uint64))
+                bits.add(np.array(grid).tobytes())
+            assert len(bits) == 1, pose
 
 
 class TestWorkspaceMap:
@@ -423,6 +461,8 @@ class TestWedgeReduction:
 
 def full_evaluation(d, cube, n):
     """Reference sweep: every node of the grid evaluated, no use of symmetry.
+    The stroke flags are the node's own, its factors those of the pose with
+    its coordinates sorted by `np.sort`.
 
     Returns (xyz, reachable, within_stroke, sigma_min, sigma_max, kappa)."""
     axes = [np.unique(np.linspace(cube.q1[k], cube.q2[k], n)) for k in range(3)]
@@ -435,7 +475,8 @@ def full_evaluation(d, cube, n):
     kappa = np.full(len(xyz), np.nan)
     rho = xyz[reachable] - np.sqrt(rad[reachable])
     within[reachable] = np.all(within_stroke(rho, d), axis=1)
-    fwd[reachable] = forward_factors(batch_inverse_jacobian(xyz[reachable], rho))
+    xs = np.sort(xyz[reachable], axis=1)
+    fwd[reachable] = forward_factors(batch_inverse_jacobian(xs, xs - np.sqrt(leg_radicands(xs, L))))
     kappa[reachable] = kappa_from_factors(fwd[reachable])
     return xyz, reachable, within, fwd[:, 0], fwd[:, 2], kappa
 
