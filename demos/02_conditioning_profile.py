@@ -6,7 +6,7 @@ The transmission factors on the diagonal x = y = z = u follow a one-scalar
 closed form: the coupling ratio a = u / sqrt(L^2 - 2 u^2) fixes the whole
 spectrum.  The profile below sweeps the synthesized cube diagonal and shows
 the factors binding exactly at the reference points, plus the
-manipulability ellipsoid distorting away from the unit sphere.
+manipulability ellipsoid at Q2, whose semi-axes are the transmission factors.
 """
 
 import numpy as np
@@ -14,10 +14,10 @@ import numpy as np
 from orthoglide import (
     inverse_jacobian,
     inverse_kinematics,
-    manipulability_ellipsoid,
     diagonal_profile,
     prototype_design,
     prototype_synthesis,
+    transmission_factors,
 )
 
 np.set_printoptions(precision=4, suppress=True)
@@ -33,9 +33,8 @@ for u, a, fwd, kappa in zip(*prof):
 
 print("\nfactors touch 2.0 at Q1 (a = -1/4) and both 0.5 and 2.0 at Q2 (a = 1/2)\n")
 
-# the ellipsoid at Q2: a slow axis along the diagonal, two fast axes across
+# the ellipsoid at Q2: one slow axis (along the diagonal), two fast axes
 p = tuple(res.q2)
-ell = manipulability_ellipsoid(inverse_jacobian(p, inverse_kinematics(p, d), d))
+tf = transmission_factors(inverse_jacobian(p, inverse_kinematics(p, d)))
 print("manipulability ellipsoid at Q2:")
-print("  semi-axes:", ell.semi_axes)
-print("  slow-axis direction:", ell.directions[:, 0], " (the cube diagonal)")
+print("  semi-axes:", tf.sigma_fwd)

@@ -8,30 +8,24 @@ library; unit conversion happens only at the command-line boundary.
 from .errors import (
     DegenerateBounds,
     DegenerateInput,
-    InconsistentPair,
     NoAssemblyMode,
     NonMonotoneTime,
     OrthoglideError,
-    ParallelSingularity,
     RangeOutsideWorkspace,
     SerialSingularity,
     Unreachable,
 )
 from .kinematics import (
     DesignParams,
-    LegStates,
     forward_kinematics,
     inverse_jacobian,
     inverse_kinematics,
-    leg_states,
     within_stroke,
 )
 from .performance import (
-    Ellipsoid,
     IsotropyResidual,
     TransmissionReport,
     isotropy_residual,
-    manipulability_ellipsoid,
     transmission_factors,
 )
 from .synthesis import (
@@ -69,16 +63,12 @@ __all__ = [
     "DesignParams",
     "DiagonalLimits",
     "DiagonalProfile",
-    "Ellipsoid",
     "GridNodes",
     "GridReport",
-    "InconsistentPair",
     "IsotropyResidual",
-    "LegStates",
     "NoAssemblyMode",
     "NonMonotoneTime",
     "OrthoglideError",
-    "ParallelSingularity",
     "PathProfile",
     "RangeOutsideWorkspace",
     "SerialSingularity",
@@ -92,8 +82,6 @@ __all__ = [
     "inverse_kinematics",
     "isotropy_residual",
     "joint_velocity",
-    "leg_states",
-    "manipulability_ellipsoid",
     "max_feasible_tool_speed",
     "profile_arrays",
     "prototype_design",

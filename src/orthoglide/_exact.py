@@ -46,23 +46,31 @@ def count_above(m, tau) -> int:
 
 def brackets(m, bits: int = 64) -> list[tuple[float, float]]:
     """Floats lo <= sigma_k <= hi around each singular value of m, ascending:
-    `bits` bisection steps leave hi^2 - lo^2 at most 2^-bits of tr(M^T M),
-    before the outward rounding to floats."""
+    bisection leaves hi^2 - lo^2 at most 2^-bits of lo^2 before the outward
+    rounding to floats, and a zero singular value gets exactly (0.0, 0.0)."""
     g, s = gram(m)
+    tr = g[0][0] + g[1][1] + g[2][2]
     out = []
     for k in range(3):
-        # lambda_k, the k-th smallest eigenvalue of G, is above mid iff 3 - k are
-        lo, hi = Fraction(0), Fraction(g[0][0] + g[1][1] + g[2][2])
-        for _ in range(bits):
+        # lambda_k, the k-th smallest eigenvalue of G, is above mid iff 3 - k
+        # are; a positive one is at least 1/tr^2, as the product of G's
+        # positive eigenvalues is a positive integer and each is at most tr
+        lo, hi = Fraction(0), Fraction(tr)
+        while hi - lo > lo / 2**bits and hi * tr * tr >= 1:
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if _count(g, mid) > 2 - k else (lo, mid)
+        if hi * tr * tr < 1:
+            lo = hi = Fraction(0)
         out.append((_root(lo / s, -math.inf), _root(hi / s, math.inf)))
     return out
 
 
 def _root(x: Fraction, away: float) -> float:
-    """The float nearest sqrt(x) on the side of `away`: outward rounding."""
-    r = math.sqrt(x)
+    """The float nearest sqrt(x) on the side of `away`: outward rounding.
+    x is scaled by 4^e into [1, 4) first, so x beyond the float range, as
+    sigma^2 of a sigma below 1e-154 is, needs no long walk from 0 or inf."""
+    e = (x.denominator.bit_length() - x.numerator.bit_length()) // 2
+    r = math.ldexp(math.sqrt(x * Fraction(4) ** e), -e)
     while Fraction(r) ** 2 > x if away < 0 else Fraction(r) ** 2 < x:
         r = math.nextafter(r, away)
     return r

@@ -331,8 +331,7 @@ def cmd_analyze(x, y, z, **flags):
     _require_finite("pose", pose, vector=True)
     design, _ = cfg.design_and_cube()
     rho = kinematics.inverse_kinematics(pose, design)
-    # inverse_kinematics has already refused every eta at or below SERIAL_TOL * L
-    jinv = kinematics.batch_inverse_jacobian(pose, rho)
+    jinv = kinematics.inverse_jacobian(pose, rho)
     tf = performance.transmission_factors(jinv, kinematics.pose_order(pose))
     iso = performance.isotropy_residual(pose, rho)
     doc = {

@@ -24,20 +24,12 @@ class SerialSingularity(_PoseError):
     """A leg's parallelogram is perpendicular to its slider (eta_i ~ 0)."""
 
 
-class ParallelSingularity(OrthoglideError):
-    """det(Jinv) ~ 0: the tool gains uncontrolled mobility."""
-
-
 class NoAssemblyMode(OrthoglideError):
     """The three leg spheres have no common point in the working mode."""
 
 
 class DegenerateInput(OrthoglideError):
     """Slider coordinates leave the forward problem underdetermined."""
-
-
-class InconsistentPair(OrthoglideError):
-    """Pose and joint vector do not satisfy the leg closure constraint."""
 
 
 class DegenerateBounds(OrthoglideError):

@@ -18,22 +18,13 @@ All lengths are millimetres, speeds mm/s, accelerations mm/s^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    InconsistentPair,
-    NoAssemblyMode,
-    SerialSingularity,
-    Unreachable,
-)
+from .errors import DegenerateInput, NoAssemblyMode, SerialSingularity, Unreachable
 
 #: eta_i below SERIAL_TOL * L counts as a serial singularity.
 SERIAL_TOL = 1e-9
-#: pose/joint pairs with closure residual above CLOSURE_TOL * L are rejected.
-CLOSURE_TOL = 1e-6
 
 _EYE = np.eye(3)
 # the other two axes j, k of each leg i
@@ -107,16 +98,6 @@ def _per_axis(value) -> tuple[float, float, float]:
     raise ValueError("per-axis value must be a scalar or length 3")
 
 
-class LegStates(NamedTuple):
-    """The three legs at a consistent pose: row i of `vectors` is the leg
-    vector c_i - b_i = p - rho_i e_i, eta[i] = (c_i - b_i) . e_i and
-    closure_residual[i] = | ||c_i - b_i|| - L |."""
-
-    vectors: np.ndarray
-    eta: np.ndarray
-    closure_residual: np.ndarray
-
-
 def _leg_vectors(p: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Leg vectors p - rho_i e_i as the rows of (..., 3, 3) arrays."""
     return p[..., None, :] - rho[..., :, None] * _EYE
@@ -139,7 +120,7 @@ def leg_radicands(p: np.ndarray, leg_length: float) -> np.ndarray:
 def pose_order(p) -> np.ndarray:
     """Indices that sort a pose (3,), or axis-first (3, n) for poses (n, 3).
     The grid sweep and `analyze` take a pose's factors from its sorted
-    pose's Jacobian, P Jinv P^T as the IK and `batch_inverse_jacobian` are
+    pose's Jacobian, P Jinv P^T as the IK and `inverse_jacobian` are
     exactly equivariant, so every permutation of a pose gets the same bits
     (ties differ at most in the sign of a zero, which neither sees)."""
     x, y, z = np.asarray(p).T
@@ -252,52 +233,17 @@ def _fk_accept(candidates, rho: np.ndarray, L: float) -> np.ndarray:
     return min(admissible, key=lambda sp: sp[0])[1]
 
 
-def leg_states(p, rho, d: DesignParams) -> LegStates:
-    """Leg vectors c_i - b_i, transmission scalars eta_i and closure residuals.
+def inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Inverse Jacobians, row i = (c_i - b_i)^T / eta_i, mapping tool velocity
+    to joint velocity, for (points, rho) of shape (..., 3), rho as
+    `inverse_kinematics` returned it; the diagonal entries are exactly 1.
 
-    Raises InconsistentPair when the pose/joint pair violates leg closure
-    by more than CLOSURE_TOL * L.
-    """
-    p = as_point(p)
-    rho = as_point(rho)
-    L = d.leg_length
-    vectors = _leg_vectors(p, rho)
-    # one norm per leg: a row-wise axis=1 norm may differ in the last bit
-    resid = np.array([abs(float(np.linalg.norm(v)) - L) for v in vectors])
-    bad = np.flatnonzero(resid > CLOSURE_TOL * L)
-    if bad.size:
-        i = int(bad[0])
-        raise InconsistentPair(
-            f"leg {i}: closure residual {resid[i]:.6g} mm exceeds {CLOSURE_TOL * L:.6g} mm"
-        )
-    return LegStates(vectors, vectors.diagonal().copy(), resid)
-
-
-def inverse_jacobian(p, rho, d: DesignParams) -> np.ndarray:
-    """3x3 inverse Jacobian: row i = (c_i - b_i)^T / eta_i.
-
-    Maps tool velocity to joint velocity.  Diagonal entries are exactly 1
-    in the working mode.  Raises SerialSingularity when some eta_i falls
-    below SERIAL_TOL * L.
-    """
-    p = as_point(p)
-    rho = as_point(rho)
-    eta = p - rho
-    low = np.where(eta <= SERIAL_TOL * d.leg_length)[0]
-    if low.size:
-        i = int(low[0])
-        raise SerialSingularity(f"eta_{i + 1} = {eta[i]:.6g} mm too small", leg=i)
-    return batch_inverse_jacobian(p, rho)
-
-
-def batch_inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Inverse Jacobians for consistent (points, rho) arrays of shape (..., 3).
-
-    No singularity guard: rows blow up near serial singularities, which grid
-    sweeps treat as data.  Returns shape (..., 3, 3), a view of axis-first
-    storage: each of the nine entries (i, j) is one contiguous row across
-    the poses, the rows stored column by column (the order `linalg3` reads
-    them in), so callers must not assume C order.
+    No singularity guard: `inverse_kinematics` has refused every eta at or
+    below SERIAL_TOL * L, and rows blow up near serial singularities, which
+    grid sweeps treat as data.  Returns shape (..., 3, 3), a view of
+    axis-first storage: each of the nine entries (i, j) is one contiguous
+    row across the poses, the rows stored column by column (the order
+    `linalg3` reads them in), so callers must not assume C order.
 
     One broadcast pass: off the diagonal, entry (i, j) of the rows
     (p - rho_i e_i)^T / eta_i is p_j / eta_i, and the diagonal is

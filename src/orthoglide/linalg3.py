@@ -15,16 +15,16 @@ Every matrix gets the same bits whatever batch it is in, and on either route,
 so the grid sweep and the single-pose report agree exactly.  A bare matrix
 gets the values of that matrix; exact invariance under permuting a pose's
 x, y and z is a promise of the pose routes (`kinematics.pose_order`).  No
-routine here computes eigenvectors: the manipulability ellipsoid, the one
-place that needs them, takes them from `np.linalg.eigh`.
+routine here computes eigenvectors, and no module of the package calls a
+general eigen-solver or SVD: this kernel is its one spectral routine.
 
 A batch is stored axis-first: one contiguous (N,) row per matrix entry and
 per eigenvalue, read without a copy (`m.transpose(1, 2, 0)`) from the
-Jacobians `batch_inverse_jacobian` builds.  The (..., 3, 3) arrays it takes
-and the (..., 3) arrays it returns may be views of such rows, so no caller
-may assume C order.  A min/max network sorts a batch's eigenvalues; its rows
-holding a NaN are sorted by `np.sort`, as one matrix's are, so NaNs come
-last, as `np.sort` writes them.
+Jacobians `kinematics.inverse_jacobian` builds.  The (..., 3, 3) arrays it
+takes and the (..., 3) arrays it returns may be views of such rows, so no
+caller may assume C order.  A min/max network sorts a batch's eigenvalues;
+its rows holding a NaN are sorted by `np.sort`, as one matrix's are, so
+NaNs come last, as `np.sort` writes them.
 """
 
 from __future__ import annotations

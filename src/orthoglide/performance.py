@@ -1,4 +1,4 @@
-"""Transmission factors, conditioning, isotropy and manipulability.
+"""Transmission factors, conditioning and isotropy.
 
 Convention note: the condition number used throughout is the SMALLEST over
 LARGEST singular value, a number in [0, 1] where 1 means isotropic and 0
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kinematics
-from .errors import ParallelSingularity
 from .kinematics import SERIAL_TOL
 from .linalg3 import det3, singular_values3
 
@@ -58,18 +57,6 @@ class IsotropyResidual:
 
     def is_isotropic(self) -> bool:
         return self.ratio_dev <= ISOTROPY_TOL and self.ortho_dev <= ISOTROPY_TOL
-
-
-@dataclass
-class Ellipsoid:
-    """Manipulability ellipsoid: image of the unit joint-speed sphere.
-
-    semi_axes are the forward transmission factors, ascending; direction
-    column k is the unit vector along semi_axes[k].
-    """
-
-    semi_axes: np.ndarray
-    directions: np.ndarray
 
 
 def _reciprocal_factors(s_inv: np.ndarray) -> np.ndarray:
@@ -151,20 +138,3 @@ def isotropy_residual(p, rho) -> IsotropyResidual:
         for i, j in ((0, 1), (1, 2), (2, 0))
     ]
     return IsotropyResidual(ratio_dev=ratio_dev, ortho_dev=float(max(ortho)))
-
-
-def manipulability_ellipsoid(jinv) -> Ellipsoid:
-    """Semi-axes and principal directions of the velocity ellipsoid.
-
-    The semi-axes are the forward transmission factors (`forward_factors`).
-    Direction column k is the eigenvector of Jinv^T Jinv (the forward map's
-    output principal axes), from `np.linalg.eigh`, with eigenvalue
-    1/semi_axes[k]^2.  Raises ParallelSingularity when |det(Jinv)| is at or
-    below DET_TOL, and ValueError unless Jinv is a finite 3x3.
-    """
-    tf = transmission_factors(jinv)
-    if tf.parallel_flag:
-        raise ParallelSingularity(f"|det(Jinv)| = {abs(tf.det_inv):.3g} <= {DET_TOL:.3g}")
-    jinv = np.asarray(jinv, dtype=float)
-    directions = np.linalg.eigh(jinv.T @ jinv)[1][:, ::-1]
-    return Ellipsoid(semi_axes=tf.sigma_fwd, directions=directions)

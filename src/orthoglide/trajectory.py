@@ -31,9 +31,8 @@ def joint_velocity(p, v, d: DesignParams) -> np.ndarray:
 
     Reachability and singularity errors propagate from the kinematics.
     """
-    v = as_point(v)
-    rho = inverse_kinematics(p, d)
-    return inverse_jacobian(p, rho, d) @ v
+    p, v = as_point(p), as_point(v)
+    return inverse_jacobian(p, inverse_kinematics(p, d)) @ v
 
 
 def max_feasible_tool_speed(p, direction, d: DesignParams) -> float:

@@ -23,7 +23,7 @@ from .kinematics import (
     SERIAL_TOL,
     DesignParams,
     _working_mode,
-    batch_inverse_jacobian,
+    inverse_jacobian,
     leg_radicands,
     pose_order,
     within_stroke,
@@ -281,15 +281,14 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     pose's (`pose_order`).  Every per-node array of a slab is stored
     axis-first: the coordinates are the (n, 3) view `.T` of (3, n) rows,
     which the elementwise IK, flag and reduction stages keep, and the
-    Jacobians and factors are views of rows too (see
-    `batch_inverse_jacobian`), so each coordinate, joint, flag and matrix
-    entry is one contiguous row and no stage reads a strided column.  No
-    matrix's factors depend on its batch (see `linalg3`), so the slabs give
-    the bits of one whole batch.  Matches the scalar operations bit for bit
-    because both share the same radicand, working-mode solve, Jacobian and
-    factor kernels: a node is reachable exactly when `inverse_kinematics`
-    would not raise there.  Order is x-major, then y, then z, and is
-    deterministic.
+    Jacobians and factors are views of rows too (see `inverse_jacobian`),
+    so each coordinate, joint, flag and matrix entry is one contiguous row
+    and no stage reads a strided column.  No matrix's factors depend on its
+    batch (see `linalg3`), so the slabs give the bits of one whole batch.
+    Matches the scalar operations bit for bit because both share the same
+    radicand, working-mode solve, Jacobian and factor kernels: a node is
+    reachable exactly when `inverse_kinematics` would not raise there.
+    Order is x-major, then y, then z, and is deterministic.
 
     Permuting a pose's coordinates permutes its radicands and joints
     exactly, and its factors are those of its sorted pose, so when the three
@@ -334,7 +333,7 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
             p, rho = (np.take_along_axis(v.T, order, axis=0).T for v in (p, rho))
         # a slab with every node reachable needs no gather or scatter
         sel = slice(None) if ok.all() else ok
-        fwd = forward_factors(batch_inverse_jacobian(p[sel], rho[sel]))
+        fwd = forward_factors(inverse_jacobian(p[sel], rho[sel]))
         sig_min[slab][sel] = fwd[:, 0]
         sig_max[slab][sel] = fwd[:, 2]
         kappa[slab][sel] = kappa_from_factors(fwd)

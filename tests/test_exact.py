@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orthoglide import _exact
-from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
+from orthoglide.kinematics import inverse_jacobian, leg_radicands
 from orthoglide.linalg3 import singular_values3
 from orthoglide.synthesis import synthesize
 from orthoglide.workspace import Bounds
@@ -30,11 +30,34 @@ def test_brackets_contain_svd_on_well_conditioned_matrices(rng):
         assert outside(w, br) <= 4 * EPS * w[2]
 
 
+def test_brackets_are_relative_on_a_wide_spectrum():
+    # an absolute bisection over [0, tr G] bracketed 1e-9 here only to 2.7%
+    m = np.diag([1.0, 1e-6, 1e-9])
+    for want, (lo, hi) in zip([1e-9, 1e-6, 1.0], _exact.brackets(m)):
+        assert Fraction(lo) <= Fraction(want) <= Fraction(hi)
+        assert hi - lo <= 4 * EPS * lo
+
+
+@pytest.mark.parametrize(
+    "m, zeros",
+    [
+        (np.zeros((3, 3)), 3),
+        (np.diag([2.0, 0.0, 1.0]), 1),
+        (np.outer([1.0, -2.0, 0.5], [3.0, 1e-9, 1.0]), 2),
+    ],
+    ids=["zero", "rank-2", "rank-1"],
+)
+def test_brackets_are_exactly_zero_on_singular_matrices(m, zeros):
+    br = _exact.brackets(m)
+    assert br[:zeros] == [(0.0, 0.0)] * zeros
+    assert all(0.0 < lo <= hi for lo, hi in br[zeros:])
+
+
 def diagonal_jinv(u, leg_length):
     """The inverse Jacobian at the diagonal pose (u, u, u), as the pose
     routes build it: a unit diagonal and the float coupling a off it."""
     p = np.full(3, u)
-    return batch_inverse_jacobian(p, p - np.sqrt(leg_radicands(p, leg_length)))
+    return inverse_jacobian(p, p - np.sqrt(leg_radicands(p, leg_length)))
 
 
 @pytest.mark.parametrize("u", [-120.0, -73.2, -20.0, 0.0, 35.5, 90.0, 126.8, 170.0])
@@ -93,7 +116,7 @@ def test_sorted_pose_route_within_3_eps_of_exact(rng, lw, s_lo, s_hi):
     corners = np.array(np.meshgrid(*[axis[[0, -1]]] * 3, indexing="ij")).reshape(3, -1).T
     nodes = np.concatenate([corners, axis[rng.integers(0, 41, (200, 3))]])
     p = np.sort(nodes, axis=1)
-    jinv = batch_inverse_jacobian(p, p - np.sqrt(leg_radicands(p, res.leg_length)))
+    jinv = inverse_jacobian(p, p - np.sqrt(leg_radicands(p, res.leg_length)))
     for m, got in zip(jinv, singular_values3(jinv)):
         br = _exact.brackets(m)
         assert outside(got, br) <= 3 * EPS * br[2][1]

@@ -12,21 +12,13 @@ from hypothesis import strategies as st
 from conftest import grid_xyz, random_cube_poses
 
 from orthoglide import kinematics
-from orthoglide.errors import (
-    DegenerateInput,
-    InconsistentPair,
-    NoAssemblyMode,
-    SerialSingularity,
-    Unreachable,
-)
+from orthoglide.errors import DegenerateInput, NoAssemblyMode, SerialSingularity, Unreachable
 from orthoglide.kinematics import (
     DesignParams,
-    batch_inverse_jacobian,
     forward_kinematics,
     inverse_jacobian,
     inverse_kinematics,
     leg_radicands,
-    leg_states,
     within_stroke,
 )
 from orthoglide.workspace import Bounds, CubeSpec, verify_cube
@@ -246,30 +238,27 @@ class TestDesignParams:
 
 
 class TestLegStates:
+    """eta_i = (c_i - b_i) . e_i = p_i - rho_i, each leg's transmission
+    scalar, at the joints `inverse_kinematics` returns."""
+
     def test_isotropic_etas(self):
-        states = leg_states((0, 0, 0), (-L, -L, -L), D)
-        assert list(states.eta) == pytest.approx([L, L, L])
+        eta = np.subtract((0, 0, 0), inverse_kinematics((0, 0, 0), D))
+        assert list(eta) == pytest.approx([L, L, L])
 
     def test_q2_etas_match_dot_product_oracle(self):
-        rho = inverse_kinematics((U2, U2, U2), D)
-        states = leg_states((U2, U2, U2), rho, D)
-        for i, eta in enumerate(states.eta):
-            oracle = float(states.vectors[i] @ np.eye(3)[i])
-            assert eta == pytest.approx(oracle, rel=1e-15)
-            assert eta == pytest.approx(2 * U2, rel=1e-12)
+        p = (U2, U2, U2)
+        rho = inverse_kinematics(p, D)
+        legs, eta = np.subtract(p, np.diag(rho)), np.subtract(p, rho)
+        for i in range(3):
+            assert eta[i] == pytest.approx(float(legs[i] @ np.eye(3)[i]), rel=1e-15)
+            assert eta[i] == pytest.approx(2 * U2, rel=1e-12)
         # 2u = 253.58 for the spec's rounded u
-        assert states.eta[0] == pytest.approx(253.58, abs=2e-2)
+        assert eta[0] == pytest.approx(253.58, abs=2e-2)
 
     def test_eta_vanishes_at_boundary(self):
-        eps = 1e-7 * L
-        p = (0.0, 0.0, L - eps)
-        rho = inverse_kinematics(p, D)
-        states = leg_states(p, rho, D)
-        assert 0 < states.eta[0] < 1e-3 * L
-
-    def test_inconsistent_pair_raises(self):
-        with pytest.raises(InconsistentPair):
-            leg_states((0, 0, 0), (-L + 1.0, -L, -L), D)
+        p = (0.0, 0.0, L - 1e-7 * L)
+        eta = np.subtract(p, inverse_kinematics(p, D))
+        assert 0 < eta[0] < 1e-3 * L
 
 
 def fd_jacobian(p, d, step):
@@ -286,7 +275,7 @@ def fd_jacobian(p, d, step):
 class TestInverseJacobian:
     def test_identity_at_origin(self):
         rho = inverse_kinematics((0, 0, 0), D)
-        jinv = inverse_jacobian((0, 0, 0), rho, D)
+        jinv = inverse_jacobian((0, 0, 0), rho)
         assert np.array_equal(jinv, np.eye(3))
 
     def test_diagonal_pose_closed_form(self):
@@ -295,36 +284,27 @@ class TestInverseJacobian:
             a = u / math.sqrt(L**2 - 2 * u * u)
             want = np.full((3, 3), a) + (1 - a) * np.eye(3)
             rho = inverse_kinematics(p, D)
-            assert np.allclose(inverse_jacobian(p, rho, D), want, rtol=1e-12)
+            assert np.allclose(inverse_jacobian(p, rho), want, rtol=1e-12)
 
     def test_matches_finite_differences(self, rng):
         for _ in range(100):
             p = rng.uniform(-70.0, 120.0, 3)
             rho = inverse_kinematics(p, D)
-            jinv = inverse_jacobian(p, rho, D)
+            jinv = inverse_jacobian(p, rho)
             jfd = fd_jacobian(p, D, 1e-6 * L)
             assert np.abs(jfd - jinv).max() / np.abs(jinv).max() <= 1e-6
-
-    def test_serial_singularity_raises(self):
-        # the consistent joints at the boundary pose (0, 0, L) are (0, 0, 0),
-        # where legs 1 and 2 are perpendicular to their sliders
-        p = np.array([0.0, 0.0, L])
-        rho = np.array([0.0, 0.0, 0.0])
-        with pytest.raises(SerialSingularity) as e:
-            inverse_jacobian(p, rho, D)
-        assert e.value.leg == 0
 
     @given(poses)
     @settings(max_examples=60, deadline=None)
     def test_diagonal_entries_exactly_one(self, p):
         rho = inverse_kinematics(p, D)
-        jinv = inverse_jacobian(p, rho, D)
+        jinv = inverse_jacobian(p, rho)
         assert all(jinv[i, i] == 1.0 for i in range(3))
 
 
 def three_pass_jacobian(points, rho):
     """Rows (p - rho_i e_i) / eta_i in three broadcast passes, the formula
-    `batch_inverse_jacobian` was first written with."""
+    `inverse_jacobian` was first written with."""
     points, rho = np.asarray(points, dtype=float), np.asarray(rho, dtype=float)
     rows = points[..., None, :] - rho[..., :, None] * np.eye(3)
     rows /= (points - rho)[..., :, None]
@@ -332,12 +312,12 @@ def three_pass_jacobian(points, rho):
 
 
 class TestOnePassJacobian:
-    """`batch_inverse_jacobian` builds the rows in one pass, with the bits
+    """`inverse_jacobian` builds the rows in one pass, with the bits
     of the leg-vector formula."""
 
     @staticmethod
     def assert_same(points, rho):
-        got, want = batch_inverse_jacobian(points, rho), three_pass_jacobian(points, rho)
+        got, want = inverse_jacobian(points, rho), three_pass_jacobian(points, rho)
         assert np.array_equal(got, want)
         nonzero = want != 0.0
         assert np.array_equal(got.view(np.uint64)[nonzero], want.view(np.uint64)[nonzero])
@@ -365,8 +345,8 @@ class TestOnePassJacobian:
         got, want = self.assert_same(p, rho)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         for k in range(len(p)):
-            for one in (batch_inverse_jacobian(p[k], rho[k]), inverse_jacobian(p[k], rho[k], design)):
-                assert np.array_equal(one.view(np.uint64), want[k].view(np.uint64))
+            one = inverse_jacobian(p[k], rho[k])
+            assert np.array_equal(one.view(np.uint64), want[k].view(np.uint64))
 
     @pytest.mark.parametrize("layout", ["C", "F", "axis-first", "leading-2k", "one-pose"])
     def test_input_layouts(self, design, proto, rng, layout):
@@ -401,8 +381,8 @@ class TestEquivariance:
         rho = inverse_kinematics(p, D)
         rho_p = inverse_kinematics(p[perm], D)
         assert np.array_equal(rho_p, rho[perm])
-        jinv = inverse_jacobian(p, rho, D)
-        jinv_p = inverse_jacobian(p[perm], rho_p, D)
+        jinv = inverse_jacobian(p, rho)
+        jinv_p = inverse_jacobian(p[perm], rho_p)
         assert np.array_equal(jinv_p, jinv[np.ix_(perm, perm)])
 
     @given(poses, st.floats(min_value=0.1, max_value=10.0))
@@ -414,8 +394,8 @@ class TestEquivariance:
         rho_s = inverse_kinematics(lam * p, scaled)
         assert np.allclose(rho_s, lam * rho, rtol=1e-12)
         assert np.allclose(
-            inverse_jacobian(lam * p, rho_s, scaled),
-            inverse_jacobian(p, rho, D),
+            inverse_jacobian(lam * p, rho_s),
+            inverse_jacobian(p, rho),
             rtol=0,
             atol=1e-12,
         )

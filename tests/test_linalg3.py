@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orthoglide import linalg3
-from orthoglide.kinematics import batch_inverse_jacobian, leg_radicands
+from orthoglide.kinematics import inverse_jacobian, leg_radicands
 from orthoglide.linalg3 import (
     _MAX_SWEEPS,
     _gram_entries,
@@ -58,7 +58,7 @@ def cube_jinv(lw, s_lo, s_hi, n=41):
     axis = np.linspace(res.q1[0], res.q2[0], n)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     rho = pts - np.sqrt(leg_radicands(pts, res.leg_length))
-    return batch_inverse_jacobian(pts, rho)
+    return inverse_jacobian(pts, rho)
 
 
 def gram(mats):

@@ -11,13 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoglide.errors import ParallelSingularity
-from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics, leg_states
-from orthoglide.performance import (
-    isotropy_residual,
-    manipulability_ellipsoid,
-    transmission_factors,
-)
+from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics
+from orthoglide.performance import isotropy_residual, transmission_factors
 
 L = 310.58
 D = DesignParams(leg_length=L)
@@ -79,6 +74,20 @@ class TestTransmissionFactors:
             assert np.allclose(tf.sigma_fwd, svd_oracle(m), rtol=1e-9)
             assert tf.det_inv == pytest.approx(np.linalg.det(m), rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "jinv, message",
+        [
+            (np.full((3, 3), np.nan), "inverse Jacobian entries must be finite"),
+            (np.diag([1.0, np.inf, 1.0]), "inverse Jacobian entries must be finite"),
+            (np.eye(4), "expected a 3x3 matrix, got shape (4, 4)"),
+        ],
+        ids=["nan", "inf", "4x4"],
+    )
+    def test_rejects_invalid_input(self, jinv, message):
+        with pytest.raises(ValueError) as err:
+            transmission_factors(jinv)
+        assert str(err.value) == message
+
 
 class TestConditionNumber:
     def test_identity(self):
@@ -125,13 +134,12 @@ class TestIsotropyResidual:
         rho = inverse_kinematics((U2, U2, U2), D)
         res = isotropy_residual((U2, U2, U2), rho)
         # all three per-leg ratios are equal on the diagonal ...
-        states = leg_states((U2, U2, U2), rho, D)
-        ratios = [np.linalg.norm(v) / eta for v, eta in zip(states.vectors, states.eta)]
+        legs = np.subtract((U2, U2, U2), np.diag(rho))
+        ratios = [np.linalg.norm(v) / v[i] for i, v in enumerate(legs)]
         assert max(ratios) - min(ratios) <= 1e-14
         # ... at the common value L/(2u), so the deviation from unity is
         assert res.ratio_dev == pytest.approx(L / (2 * U2) - 1.0, rel=1e-12)
         # orthogonality fails: oracle = normalized leg dot products
-        legs = states.vectors
         dots = [
             abs(legs[i] @ legs[j]) / (np.linalg.norm(legs[i]) * np.linalg.norm(legs[j]))
             for i, j in ((0, 1), (1, 2), (2, 0))
@@ -152,7 +160,7 @@ class TestDiagonalSpectrum:
             a = u / math.sqrt(L**2 - 2 * u * u)
             p = (u, u, u)
             rho = inverse_kinematics(p, D)
-            jinv = inverse_jacobian(p, rho, D)
+            jinv = inverse_jacobian(p, rho)
             tf = transmission_factors(jinv)
             want_inv = np.sort([1 + 2 * a, abs(1 - a), abs(1 - a)])
             got_inv = np.sort(1.0 / tf.sigma_fwd)
@@ -164,68 +172,8 @@ class TestDiagonalSpectrum:
         for u in np.linspace(-73.0, 126.0, 21):
             p = (u, u, u)
             rho = inverse_kinematics(p, D)
-            kappas.append(transmission_factors(inverse_jacobian(p, rho, D)).kappa)
+            kappas.append(transmission_factors(inverse_jacobian(p, rho)).kappa)
         origin = transmission_factors(np.eye(3)).kappa
         assert origin == 1.0
         assert all(k < 1.0 for u, k in zip(np.linspace(-73.0, 126.0, 21), kappas) if u != 0.0)
 
-
-class TestManipulabilityEllipsoid:
-    def test_unit_sphere_at_identity(self):
-        ell = manipulability_ellipsoid(np.eye(3))
-        assert np.allclose(ell.semi_axes, 1.0, atol=1e-15)
-        assert np.allclose(ell.directions @ ell.directions.T, np.eye(3), atol=1e-12)
-
-    def test_a_half_axes_and_directions(self):
-        ell = manipulability_ellipsoid(diag_pose_matrix(0.5))
-        assert np.allclose(ell.semi_axes, [0.5, 2.0, 2.0], atol=1e-12)
-        # the short axis (gain 0.5) lies along (1,1,1); the long axes span its
-        # orthogonal complement
-        short = ell.directions[:, 0]
-        assert abs(abs(short @ (np.ones(3) / math.sqrt(3)))) == pytest.approx(1.0, abs=1e-12)
-        for k in (1, 2):
-            assert abs(ell.directions[:, k] @ np.ones(3)) <= 1e-9
-
-    def test_directions_orthonormal_and_volume(self, rng):
-        for _ in range(20):
-            m = np.eye(3) + 0.4 * rng.standard_normal((3, 3))
-            det = np.linalg.det(m)
-            if abs(det) < 1e-2:
-                continue
-            ell = manipulability_ellipsoid(m)
-            assert np.allclose(ell.directions.T @ ell.directions, np.eye(3), atol=1e-12)
-            assert np.prod(ell.semi_axes) == pytest.approx(1.0 / abs(det), rel=1e-9)
-            # semi-axes are exactly the forward transmission factors
-            assert np.allclose(ell.semi_axes, transmission_factors(m).sigma_fwd, rtol=1e-13)
-            # each direction maps through m with gain 1/semi-axis
-            for k in range(3):
-                gain = np.linalg.norm(m @ ell.directions[:, k])
-                assert gain == pytest.approx(1.0 / ell.semi_axes[k], rel=1e-9)
-
-    def test_semi_axes_are_the_transmission_factors_exactly(self, rng):
-        # both come from forward_factors, so they agree bit for bit
-        mats = np.eye(3) + 0.4 * rng.standard_normal((200, 3, 3))
-        mats = mats[np.abs(np.linalg.det(mats)) > 1e-2]
-        assert len(mats) > 150
-        for m in mats:
-            want = transmission_factors(m).sigma_fwd
-            assert np.array_equal(manipulability_ellipsoid(m).semi_axes, want)
-
-    def test_singular_raises(self):
-        with pytest.raises(ParallelSingularity):
-            manipulability_ellipsoid(diag_pose_matrix(-0.5))
-
-    @pytest.mark.parametrize("report", [manipulability_ellipsoid, transmission_factors])
-    @pytest.mark.parametrize(
-        "jinv, message",
-        [
-            (np.full((3, 3), np.nan), "inverse Jacobian entries must be finite"),
-            (np.diag([1.0, np.inf, 1.0]), "inverse Jacobian entries must be finite"),
-            (np.eye(4), "expected a 3x3 matrix, got shape (4, 4)"),
-        ],
-        ids=["nan", "inf", "4x4"],
-    )
-    def test_rejects_what_transmission_factors_rejects(self, report, jinv, message):
-        with pytest.raises(ValueError) as err:
-            report(jinv)
-        assert str(err.value) == message

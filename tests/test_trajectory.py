@@ -137,7 +137,7 @@ class TestJointVelocity:
         if nv < 1e-6:
             return
         rho = inverse_kinematics(p, D)
-        jinv = inverse_jacobian(p, rho, D)
+        jinv = inverse_jacobian(p, rho)
         s = np.linalg.svd(jinv, compute_uv=False)
         ratio = np.linalg.norm(joint_velocity(p, v, D)) / nv
         assert s.min() * (1 - 1e-9) <= ratio <= s.max() * (1 + 1e-9)
@@ -167,7 +167,7 @@ class TestMaxFeasibleToolSpeed:
     def test_floor_is_vmax_over_sigma_max(self, rng):
         p = (40.0, -30.0, 80.0)
         rho = inverse_kinematics(p, D)
-        smax = np.linalg.svd(inverse_jacobian(p, rho, D), compute_uv=False).max()
+        smax = np.linalg.svd(inverse_jacobian(p, rho), compute_uv=False).max()
         floor = D.motor_vmax / smax
         for _ in range(100):
             d = rng.standard_normal(3)

@@ -17,7 +17,6 @@ from orthoglide.errors import RangeOutsideWorkspace, SerialSingularity, Unreacha
 from orthoglide.kinematics import (
     SERIAL_TOL,
     DesignParams,
-    batch_inverse_jacobian,
     inverse_jacobian,
     inverse_kinematics,
     leg_radicands,
@@ -69,7 +68,7 @@ class TestDiagonalProfile:
         for u, fwd, kappa in zip(prof.u, prof.sigma_fwd, prof.kappa):
             p = (u, u, u)
             rho = inverse_kinematics(p, design)
-            tf = transmission_factors(inverse_jacobian(p, rho, design))
+            tf = transmission_factors(inverse_jacobian(p, rho))
             assert np.allclose(fwd, tf.sigma_fwd, atol=1e-10)
             assert kappa == pytest.approx(tf.kappa, abs=1e-10)
 
@@ -169,7 +168,7 @@ class TestVerifyCube:
         for k, p in enumerate(grid_xyz(nodes.axes)):
             assert nodes.reachable[k]
             rho = inverse_kinematics(p, design)
-            tf = transmission_factors(inverse_jacobian(p, rho, design), pose_order(p))
+            tf = transmission_factors(inverse_jacobian(p, rho), pose_order(p))
             assert nodes.sigma_min[k] == tf.sigma_fwd[0]
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
             assert nodes.kappa[k] == tf.kappa
@@ -194,7 +193,7 @@ class TestVerifyCube:
         assert len(reachable) >= 3000
         for k in reachable:
             p = xyz[k]
-            jinv = inverse_jacobian(p, inverse_kinematics(p, design), design)
+            jinv = inverse_jacobian(p, inverse_kinematics(p, design))
             tf = transmission_factors(jinv, pose_order(p))
             assert nodes.sigma_min[k] == tf.sigma_fwd[0]
             assert nodes.sigma_max[k] == tf.sigma_fwd[2]
@@ -476,7 +475,7 @@ def full_evaluation(d, cube, n):
     rho = xyz[reachable] - np.sqrt(rad[reachable])
     within[reachable] = np.all(within_stroke(rho, d), axis=1)
     xs = np.sort(xyz[reachable], axis=1)
-    fwd[reachable] = forward_factors(batch_inverse_jacobian(xs, xs - np.sqrt(leg_radicands(xs, L))))
+    fwd[reachable] = forward_factors(inverse_jacobian(xs, xs - np.sqrt(leg_radicands(xs, L))))
     kappa[reachable] = kappa_from_factors(fwd[reachable])
     return xyz, reachable, within, fwd[:, 0], fwd[:, 2], kappa
 
