@@ -161,6 +161,32 @@ class TestAnalyze:
         value = {"a": [math.nan, 1.5], "b": np.array([np.inf, -np.inf]), "c": np.float64("nan")}
         assert cli._jsonable(value, rounded) == {"a": [None, 1.5], "b": [None, None], "c": None}
 
+    @pytest.mark.parametrize("rounded", [True, False])
+    def test_plain_values_from_numpy(self, rounded):
+        # numpy scalars become Python ones, tuples lists, and a bool array
+        # floats (0.0/1.0); only `rounded` cuts a float to 12 digits
+        third = 1.0 / 3.0
+        value = {
+            "flag": np.bool_(True),
+            "count": np.int64(7),
+            "x": np.float64(third),
+            "pair": (third, np.float64(-np.inf)),
+            "mask": np.array([True, False]),
+            "nested": [{"y": [third, np.nan]}],
+        }
+        f = float(f"{third:.12g}") if rounded else third
+        got = cli._jsonable(value, rounded)
+        assert got == {
+            "flag": True,
+            "count": 7,
+            "x": f,
+            "pair": [f, None],
+            "mask": [1.0, 0.0],
+            "nested": [{"y": [f, None]}],
+        }
+        assert type(got["flag"]) is bool and type(got["count"]) is int
+        assert type(got["x"]) is float and type(got["mask"][0]) is float
+
     def test_one_ik_solve(self, runner, monkeypatch):
         # the isotropy residual reads the rho the command solved for
         solve, calls = kinematics.inverse_kinematics, []
@@ -701,6 +727,29 @@ class TestGoldenBytes:
     )
     def test_json(self, runner, tmp_path, args, want):
         assert self._digest(runner, args, tmp_path / "out.json") == want
+
+    def test_analyze_parallel_singular(self, runner, tmp_path):
+        # a null factor, kappa 0 and the parallel flag set
+        u = "179.3150944336107"
+        args = ["analyze", "--lw", "200", "--", u, u, u]
+        digest = self._digest(runner, args, tmp_path / "a.json")
+        assert digest == "3c5f3bd4dbc39ea023f6a9a069607c5068d74fa0de320c96fa0c84dcd07e0cce"
+
+    def test_analyze_outside_strokes(self, runner, tmp_path):
+        # the first slider leaves its stroke: within_stroke is [false, true, true]
+        strokes = ["--stroke-min", "-300", "--stroke-max", "-200"]
+        args = ["analyze", "--leg-length", "310.58", *strokes, "--", "150", "0", "0"]
+        digest = self._digest(runner, args, tmp_path / "a.json")
+        assert digest == "12c4f88b63e673a56cc023f71c939d177dca47fb2aff3bf30c7bbd408b952410"
+
+    def test_analyze_synthesized_config(self, runner, tmp_path):
+        # the design comes from the full-precision "design" block of a
+        # synthesize document, and gives the bytes of analyze-generic's flags
+        synth = tmp_path / "synth.json"
+        self._digest(runner, [*SYNTH, "--grid", "11"], synth)
+        args = ["analyze", "--config", str(synth), "--", "50", "20", "-10"]
+        digest = self._digest(runner, args, tmp_path / "a.json")
+        assert digest == "941647e7ae2b6ca2e3135b47ae892482d367e0e48038a6a65e0336362ab27332"
 
     def test_oversized_cube_with_nan_rows(self, runner, tmp_path, design, proto):
         # demo 04's oversized region: 1.8x the prototype cube, partly unreachable
