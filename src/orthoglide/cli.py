@@ -45,19 +45,21 @@ def _jsonable(value, rounded: bool):
     """JSON-serializable copy of `value`: arrays become lists of floats,
     numpy scalars Python ones and non-finite floats None (JSON null); with
     `rounded`, every float is rounded to 12 significant digits, recursively,
-    for stable JSON."""
-    if isinstance(value, np.ndarray):
-        value = value.astype(float).tolist()
-    elif isinstance(value, np.generic):
-        value = value.item()
-    if isinstance(value, dict):
+    for stable JSON.  One pass: plain values dispatch on their exact type,
+    and an array or numpy scalar is made plain once, then dispatched."""
+    kind = type(value)
+    if kind is float:
+        if not math.isfinite(value):
+            return None
+        return float(f"{value:.12g}") if rounded else value
+    if kind is dict:
         return {k: _jsonable(v, rounded) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_jsonable(v, rounded) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if rounded and isinstance(value, float):
-        return float(f"{value:.12g}")
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.astype(float).tolist(), rounded)
+    if isinstance(value, np.generic):
+        return _jsonable(value.item(), rounded)
     return value
 
 
@@ -339,7 +341,7 @@ def cmd_analyze(x, y, z, **flags):
         "rho_mm": rho,
         "eta_mm": np.subtract(pose, rho),
         "within_stroke": [bool(f) for f in kinematics.within_stroke(rho, design)],
-        "jacobian_inverse": [list(row) for row in jinv],
+        "jacobian_inverse": jinv,
         "sigma_fwd": tf.sigma_fwd,
         "kappa": tf.kappa,
         "det_inv": tf.det_inv,

@@ -186,7 +186,7 @@ def singular_values3(mat: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             gram = _gram_entries(m.reshape(-1, 3, 3).transpose(1, 2, 0))
         w = _jacobi_eigenvalues(*gram)[0]
-    return np.sqrt(np.clip(w, 0.0, None)).reshape(m.shape[:-2] + (3,))
+    return np.sqrt(np.maximum(w, 0.0)).reshape(m.shape[:-2] + (3,))
 
 
 def _as_matrices(mat) -> np.ndarray:
@@ -197,11 +197,25 @@ def _as_matrices(mat) -> np.ndarray:
     return m
 
 
-def det3(mat: np.ndarray) -> np.ndarray:
-    """Determinant of a 3x3 (batched), by cofactor expansion."""
-    m = _as_matrices(mat)
+def _cofactor_det(m):
+    """Cofactor expansion along the first row, where m[i][j] is entry (i, j):
+    (...) arrays for a batch of matrices, floats for one."""
     return (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
+
+
+def det3(mat: np.ndarray):
+    """Determinant of a 3x3 (batched), by cofactor expansion.
+
+    One (3, 3) matrix runs the expansion on Python floats and gives a float;
+    a batch runs it on arrays and gives an array: the same bits, overflow
+    to inf or NaN included, silently on both routes.
+    """
+    m = _as_matrices(mat)
+    if m.shape == (3, 3):
+        return _cofactor_det(m.tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cofactor_det(np.moveaxis(m, (-2, -1), (0, 1)))

@@ -12,6 +12,7 @@ reciprocals of the singular values of Jinv, never by forming the inverse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,19 +105,20 @@ def transmission_factors(jinv, order=None) -> TransmissionReport:
     jinv = np.asarray(jinv, dtype=float)
     if jinv.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {jinv.shape}")
-    if not np.all(np.isfinite(jinv)):
+    rows = jinv.tolist()
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError("inverse Jacobian entries must be finite")
     sigma_fwd = forward_factors(jinv if order is None else jinv.take(order, 0).take(order, 1))
     kappa = float(kappa_from_factors(sigma_fwd))
-    det_inv = float(det3(jinv))
-    row_norms = np.linalg.norm(jinv, axis=1)
-    serial = tuple(bool(n >= 1.0 / SERIAL_TOL) for n in row_norms)
+    det_inv = det3(jinv)
+    # row norms as np.linalg.norm sums them: (a^2 + b^2) + c^2
+    serial = tuple(math.sqrt(a * a + b * b + c * c) >= 1.0 / SERIAL_TOL for a, b, c in rows)
     return TransmissionReport(
         sigma_fwd=sigma_fwd,
         kappa=kappa,
         det_inv=det_inv,
         serial_flags=serial,
-        parallel_flag=bool(abs(det_inv) <= DET_TOL),
+        parallel_flag=abs(det_inv) <= DET_TOL,
     )
 
 
@@ -131,10 +133,13 @@ def isotropy_residual(p, rho) -> IsotropyResidual:
     rho = kinematics.as_point(rho)
     # leg i is c_i - b_i = p - rho_i e_i, and eta_i its i-th component
     legs = kinematics._leg_vectors(p, rho)
-    norms = np.linalg.norm(legs, axis=1)
-    ratio_dev = float(np.max(np.abs(norms / np.diagonal(legs) - 1.0)))
-    ortho = [
+    rows = legs.tolist()
+    # the norms as np.linalg.norm sums them; the dot products stay numpy's,
+    # whose summation a Python sum does not reproduce bit for bit
+    norms = [math.sqrt(a * a + b * b + c * c) for a, b, c in rows]
+    ratio_dev = max(abs(n / row[i] - 1.0) for i, (n, row) in enumerate(zip(norms, rows)))
+    ortho_dev = max(
         abs(float(legs[i] @ legs[j])) / (norms[i] * norms[j])
         for i, j in ((0, 1), (1, 2), (2, 0))
-    ]
-    return IsotropyResidual(ratio_dev=ratio_dev, ortho_dev=float(max(ortho)))
+    )
+    return IsotropyResidual(ratio_dev=ratio_dev, ortho_dev=ortho_dev)

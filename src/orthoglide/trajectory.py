@@ -79,9 +79,14 @@ def _interpolant_derivatives(nodes, values, x0) -> tuple[np.ndarray, np.ndarray]
 
     Newton divided differences, then Horner's rule on the Newton form.  The
     derivatives read only differences of the values, so constant values
-    give exactly 0 at any node spacing.  Elementwise, so a batch gives the
-    bits of one call per stencil.
+    give exactly 0 at any node spacing.  A stencil spanning less than 1/2
+    runs in units of 2^e, the power of two just above its span: scaling by a
+    power of two above 1 is exact, so it moves no bit, and a higher divided
+    difference overflows only where the derivatives themselves would.
+    Elementwise, so a batch gives the bits of one call per stencil.
     """
+    e = np.minimum(np.frexp(nodes[-1] - nodes[0])[1], 0)
+    nodes, x0 = np.ldexp(nodes, -e), np.ldexp(x0, -e)
     c = list(values)
     m = len(c)
     for j in range(1, m):
@@ -95,7 +100,7 @@ def _interpolant_derivatives(nodes, values, x0) -> tuple[np.ndarray, np.ndarray]
         d1 = d1 * dx + p
         if k:
             p = p * dx + c[k]
-    return d1, d2
+    return np.ldexp(d1, -e), np.ldexp(d2, -2 * e)
 
 
 def profile_arrays(times, poses, d: DesignParams) -> PathProfile:

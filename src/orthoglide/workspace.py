@@ -312,7 +312,7 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     symmetric = _symmetric(axes, d)
     index = _node_index(axes)
     if symmetric:
-        index = index[:, _in_wedge(len(axes[0]))]
+        index = index.compress(_in_wedge(len(axes[0])), axis=1)
     n = index.shape[1]
     L = d.leg_length
     reachable = np.empty(n, dtype=bool)

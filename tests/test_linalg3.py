@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from conftest import matrices3, same_bits
+from hypothesis import example, given, settings
 
 from orthoglide import linalg3
 from orthoglide.kinematics import inverse_jacobian, leg_radicands
@@ -39,6 +41,19 @@ def test_singular_matrix_has_zero_singular_value():
 def test_det3_matches_numpy(rng):
     mats = rng.standard_normal((200, 3, 3))
     assert np.allclose(det3(mats), np.linalg.det(mats), atol=1e-12)
+
+
+@given(matrices3())
+@example(np.full((3, 3), 1e150))  # inf - inf: NaN
+@example(1e150 * np.eye(3))  # inf
+@example(np.full((3, 3), 1e-150))  # underflow to 0
+@settings(max_examples=300, deadline=None)
+def test_det3_one_matrix_route_matches_batch(m):
+    # one matrix runs the cofactor expansion on Python floats, a batch on
+    # arrays: the same bits, overflow to inf or NaN included
+    one = det3(m)
+    assert type(one) is float
+    assert same_bits(one, det3(m[None])[0])
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (2, 2), (3,), (5, 3, 4)])

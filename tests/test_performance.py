@@ -8,11 +8,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import matrices3, same_bits
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orthoglide.kinematics import DesignParams, inverse_jacobian, inverse_kinematics
-from orthoglide.performance import isotropy_residual, transmission_factors
+from orthoglide.kinematics import SERIAL_TOL, DesignParams, inverse_jacobian, inverse_kinematics
+from orthoglide.linalg3 import det3
+from orthoglide.performance import (
+    DET_TOL,
+    forward_factors,
+    isotropy_residual,
+    kappa_from_factors,
+    transmission_factors,
+)
 
 L = 310.58
 D = DesignParams(leg_length=L)
@@ -73,6 +81,24 @@ class TestTransmissionFactors:
             tf = transmission_factors(m)
             assert np.allclose(tf.sigma_fwd, svd_oracle(m), rtol=1e-9)
             assert tf.det_inv == pytest.approx(np.linalg.det(m), rel=1e-10)
+
+    @given(matrices3())
+    @example(np.full((3, 3), 1e150))  # inf - inf: NaN
+    @example(1e150 * np.eye(3))  # inf
+    @example(np.full((3, 3), 1e-150))  # underflow to 0
+    @settings(max_examples=200, deadline=None)
+    def test_one_matrix_glue_matches_batched_routes(self, m):
+        # the report's float glue against the batched det3, kappa rule and
+        # np.linalg.norm on the same matrix
+        tf = transmission_factors(m)
+        with np.errstate(all="ignore"):
+            det = det3(m[None])[0]
+            kappa = kappa_from_factors(forward_factors(m[None]))[0]
+            norms = np.linalg.norm(m, axis=1)
+        assert same_bits(tf.det_inv, det)
+        assert same_bits(tf.kappa, kappa)
+        assert tf.serial_flags == tuple(bool(n >= 1.0 / SERIAL_TOL) for n in norms)
+        assert tf.parallel_flag == bool(abs(det) <= DET_TOL)
 
     @pytest.mark.parametrize(
         "jinv, message",

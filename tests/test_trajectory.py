@@ -319,12 +319,9 @@ class TestProfilePath:
         with pytest.raises(ValueError):
             profile_arrays([0.0], [(0, 0, 0)], D)
 
-    @pytest.mark.parametrize("step", [1e-106, 1e-160, 1e-300])
-    def test_tiny_time_steps_raise(self, step):
-        # differences of equal positions are exactly zero at any step, so a
-        # path at rest passes; a path gaining 1e-3 mm a step is refused, as
-        # the third divided difference of the 4-point end stencil, about
-        # 1e-3 mm / step^3, overflows
+    @staticmethod
+    def _speeding_up(step):
+        # 4 waypoints `step` apart, at rest and gaining 1e-3 mm more each step
         times = step * np.arange(4.0)
         prof = profile_arrays(times, np.zeros((4, 3)), D)
         assert np.array_equal(prof.joint_velocities, np.zeros((4, 3)))
@@ -332,6 +329,26 @@ class TestProfilePath:
         assert not prof.any_flags
         poses = np.zeros((4, 3))
         poses[:, 0] = [0.0, 1e-3, 3e-3, 6e-3]
+        return times, poses
+
+    @pytest.mark.parametrize("step", [1e-106, 1e-108])
+    def test_tiny_time_steps_flagged(self, step):
+        # differences of equal positions are exactly zero at any step, so a
+        # path at rest passes; a path gaining 1e-3 mm a step has rates near
+        # 1e-3 mm / step and accelerations near 1e-3 mm / step^2, finite
+        # here, so it is accepted and flagged, though its third divided
+        # difference in seconds, near 1e-3 mm / step^3, would overflow
+        prof = profile_arrays(*self._speeding_up(step), D)
+        assert np.isfinite(prof.joint_velocities).all()
+        assert np.isfinite(prof.joint_accelerations).all()
+        assert prof.velocity_flags[:, 0].all() and prof.acceleration_flags[:, 0].all()
+        assert prof.joint_velocities[1, 0] == pytest.approx(3e-3 / (2 * step), rel=1e-9)
+        assert prof.joint_accelerations[1, 0] == pytest.approx(1e-3 / step**2, rel=1e-9)
+
+    @pytest.mark.parametrize("step", [1e-160, 1e-300])
+    def test_tiny_time_steps_raise(self, step):
+        # as above, but the accelerations themselves overflow
+        times, poses = self._speeding_up(step)
         with pytest.raises(ValueError) as e:
             profile_arrays(times, poses, D)
         assert str(e.value) == (
