@@ -207,7 +207,7 @@ def _cofactor_det(m):
     )
 
 
-def det3(mat: np.ndarray):
+def det3(mat: np.ndarray) -> np.ndarray | float:
     """Determinant of a 3x3 (batched), by cofactor expansion.
 
     One (3, 3) matrix runs the expansion on Python floats and gives a float;

@@ -80,9 +80,9 @@ def _interpolant_derivatives(nodes, values, x0) -> tuple[np.ndarray, np.ndarray]
     Newton divided differences, then Horner's rule on the Newton form.  The
     derivatives read only differences of the values, so constant values
     give exactly 0 at any node spacing.  A stencil spanning less than 1/2
-    runs in units of 2^e, the power of two just above its span: scaling by a
-    power of two above 1 is exact, so it moves no bit, and a higher divided
-    difference overflows only where the derivatives themselves would.
+    runs in units of 2^e, the power of two just above its span; scaling up
+    by a power of two is exact, so it moves no bit, and a higher divided
+    difference overflows only where a rate or acceleration itself would.
     Elementwise, so a batch gives the bits of one call per stencil.
     """
     e = np.minimum(np.frexp(nodes[-1] - nodes[0])[1], 0)
