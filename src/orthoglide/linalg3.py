@@ -17,6 +17,8 @@ gets the values of that matrix; exact invariance under permuting a pose's
 x, y and z is a promise of the pose routes (`kinematics.pose_order`).  No
 routine here computes eigenvectors, and no module of the package calls a
 general eigen-solver or SVD: this kernel is its one spectral routine.
+`det3` splits the same way: one cofactor expression runs on a batch's
+arrays or on one (3, 3) matrix's Python floats, with the same bits.
 
 A batch is stored axis-first: one contiguous (N,) row per matrix entry and
 per eigenvalue, read without a copy (`m.transpose(1, 2, 0)`) from the
@@ -212,10 +214,9 @@ def det3(mat: np.ndarray) -> np.ndarray | float:
 
     One (3, 3) matrix runs the expansion on Python floats and gives a float;
     a batch runs it on arrays and gives an array: the same bits, overflow
-    to inf or NaN included, silently on both routes.
+    to inf or NaN included.
     """
     m = _as_matrices(mat)
     if m.shape == (3, 3):
         return _cofactor_det(m.tolist())
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cofactor_det(np.moveaxis(m, (-2, -1), (0, 1)))
+    return _cofactor_det(np.moveaxis(m, (-2, -1), (0, 1)))
