@@ -321,7 +321,8 @@ class TestProfilePath:
 
     @staticmethod
     def _speeding_up(step):
-        # 4 waypoints `step` apart, at rest and gaining 1e-3 mm more each step
+        # 4 waypoints `step` apart: checks them at rest, then returns them
+        # gaining 1e-3 mm more each step
         times = step * np.arange(4.0)
         prof = profile_arrays(times, np.zeros((4, 3)), D)
         assert np.array_equal(prof.joint_velocities, np.zeros((4, 3)))
