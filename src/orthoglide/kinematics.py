@@ -17,6 +17,7 @@ All lengths are millimetres, speeds mm/s, accelerations mm/s^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,63 +175,50 @@ def within_stroke(rho, d: DesignParams) -> np.ndarray:
 def forward_kinematics(rho, d: DesignParams) -> np.ndarray:
     """Tool pose from slider coordinates (working-mode assembly).
 
-    Solves the sphere system through the scalar w = ||p||^2 - L^2, which the
-    pairwise sphere differences make common to all legs: w = 2 rho_i p_i -
-    rho_i^2.  Substituting p_i = (w + rho_i^2) / (2 rho_i) into the norm
-    gives a quadratic in w; among real roots with all eta_i > 0 the one with
-    smaller ||p||^2 (closer to the isotropic assembly) is returned.
+    The pairwise differences of the leg spheres ||p - rho_i e_i||^2 = L^2
+    leave 2 rho_i p_i - rho_i^2 equal for all legs, so p lies on the line
+    p = rho / 2 + t n, n = (rho_2 rho_3, rho_1 rho_3, rho_1 rho_2), and any
+    one sphere gives ||n||^2 t^2 + rho_1 rho_2 rho_3 t + ||rho||^2 / 4 - L^2
+    = 0.  Nothing divides by a slider coordinate, so a slider at the origin
+    needs no special case; two leave n = 0 and p underdetermined.  Every
+    assembly has |p_i| <= L and |p_i - rho_i| <= L, so a slider beyond 2L
+    is refused first, and the solve runs in units of 2^e, the power of two
+    just above L (an exact scaling), where |rho_i| < 2 and no product can
+    overflow.  Among real roots with all eta_i > 0 the one with smaller
+    ||p||^2 (closer to the isotropic assembly) is returned.
     """
     rho = as_point(rho)
     L = d.leg_length
 
-    zero = np.abs(rho) <= 1e-13 * L
-    n_zero = int(zero.sum())
+    n_zero = int((np.abs(rho) <= 1e-13 * L).sum())
     if n_zero >= 2:
         raise DegenerateInput(
             f"{n_zero} sliders at the axis origin: leg spheres coincide and the "
             "assembly point is underdetermined"
         )
-    if n_zero == 1:
-        p = _fk_one_zero_slider(rho, int(np.where(zero)[0][0]), L)
-        return _fk_accept([p], rho, L)
-
-    # quadratic A w^2 + B w + C = 0; A > 0 and B = 1/2 always
-    a_coef = float(np.sum(1.0 / (4.0 * rho**2)))
-    c_coef = float(np.sum(rho**2) / 4.0 - L**2)
-    disc = 0.25 - 4.0 * a_coef * c_coef
+    if (np.abs(rho) > 2.0 * L).any():
+        raise NoAssemblyMode(f"joints {_floats(rho)}: leg spheres do not intersect")
+    e = math.frexp(L)[1]
+    r, l = np.ldexp(rho, -e), math.ldexp(L, -e)
+    n = r[_J] * r[_K]
+    a, b, c = float(n @ n), float(np.prod(r)), float(r @ r) / 4.0 - l * l
+    disc = b * b - 4.0 * a * c
     if disc < 0.0:
         raise NoAssemblyMode(f"joints {_floats(rho)}: leg spheres do not intersect")
-    # cancellation-free pair of roots; q <= -1/4 so both divisions are safe
-    q = -(0.5 + np.sqrt(disc)) / 2.0
-    candidates = [(w + rho**2) / (2.0 * rho) for w in (q / a_coef, c_coef / q)]
-    return _fk_accept(candidates, rho, L)
-
-
-def _fk_one_zero_slider(rho: np.ndarray, i: int, L: float) -> np.ndarray:
-    # sphere i is centred at the origin, so ||p||^2 = L^2 exactly (w = 0)
-    p = np.zeros(3)
-    others = [k for k in range(3) if k != i]
-    for k in others:
-        p[k] = rho[k] / 2.0
-    rad = L**2 - p[others[0]] ** 2 - p[others[1]] ** 2
-    if rad < 0.0:
-        raise NoAssemblyMode(f"joints {_floats(rho)}: leg spheres do not intersect")
-    p[i] = np.sqrt(rad)  # + branch: the working mode needs eta_i = p_i > 0
-    return p
-
-
-def _fk_accept(candidates, rho: np.ndarray, L: float) -> np.ndarray:
+    # cancellation-free pair of roots; q = 0 only at the double root t = 0
+    q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
     admissible = []
-    for p in candidates:
-        if np.all(p - rho > -SERIAL_TOL * L):
-            resid = np.abs(np.linalg.norm(_leg_vectors(p, rho), axis=1) - L)
-            if np.max(resid) <= 1e-9 * L:
+    for t in (q / a, c / q if q else 0.0):
+        p = r / 2.0 + t * n
+        if np.all(p - r > -SERIAL_TOL * l):
+            resid = np.abs(np.linalg.norm(_leg_vectors(p, r), axis=1) - l)
+            if np.max(resid) <= 1e-9 * l:
                 admissible.append((float(p @ p), p))
     if not admissible:
         raise NoAssemblyMode(
             f"joints {_floats(rho)}: no assembly point in the working mode"
         )
-    return min(admissible, key=lambda sp: sp[0])[1]
+    return np.ldexp(min(admissible, key=lambda sp: sp[0])[1], e)
 
 
 def inverse_jacobian(points: np.ndarray, rho: np.ndarray) -> np.ndarray:

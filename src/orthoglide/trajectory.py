@@ -41,13 +41,15 @@ def max_feasible_tool_speed(p, direction, d: DesignParams) -> float:
     Bounds the joint-speed vector magnitude: speed = vmax / ||Jinv . dir||_2,
     which keeps every individual joint under motor_vmax as well.  Over all
     directions the worst case is vmax / sigma_max(Jinv), attained along the
-    largest-gain direction of the inverse map.
+    largest-gain direction of the inverse map.  A direction that needs no
+    joint motion (Jinv . dir = 0, at a parallel singularity) gets +inf.
     """
     direction = as_point(direction)
     nrm = float(np.linalg.norm(direction))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, got norm {nrm}")
-    return d.motor_vmax / float(np.linalg.norm(joint_velocity(p, direction, d)))
+    rate = float(np.linalg.norm(joint_velocity(p, direction, d)))
+    return d.motor_vmax / rate if rate else np.inf
 
 
 @dataclass

@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # SHA-256 of each demo's stdout
 STDOUT_SHA256 = {
-    "01_pose_analysis.py": "249bb39f1e3d80f6187c1e3544ea9ef2f1a4d1b7c5d759bb37986a47dd96d1b9",
+    "01_pose_analysis.py": "ec46753c7b2e32e1502bd36b8795a336a201cf09381555ccd2b8a671d6f94782",
     "02_conditioning_profile.py": "464d1bfad70136aeb9080ac3b06c652d8c28e83ca4842b7a89312ee6bcf42047",
     "03_prototype_synthesis.py": "ded215f42a876f80266108bdae238352d5d0736321883f66f965ab3d4b8a9aa6",
     "04_workspace_map.py": "74886af9e8e0e180d7fc350d458c7e670cad1b42ce13521e47461dbe2d614042",

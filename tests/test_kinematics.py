@@ -140,14 +140,23 @@ class TestForwardKinematics:
         assert np.all(p - rho > 0)
         assert np.allclose(inverse_kinematics(p, D), rho, rtol=0, atol=1e-9 * L)
 
+    def test_zero_slider_double_root(self):
+        # ||rho||^2 / 4 = L^2 with rho_1 = 0 leaves the double root t = 0,
+        # p = rho / 2, with eta_1 = 0 on the workspace boundary
+        d = DesignParams(leg_length=5.0)
+        assert forward_kinematics((0.0, -6.0, -8.0), d).tolist() == [0.0, -3.0, -4.0]
+
     def test_two_zero_sliders_degenerate(self):
         with pytest.raises(DegenerateInput):
             forward_kinematics((0.0, 0.0, -L), D)
 
-    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12, 1e-14])
+    @pytest.mark.parametrize(
+        "eps", [1e-6, 1e-9, 1e-12, 1e-14, 0.0, -0.0, 1e-13, -1e-13, 1e-300]
+    )
     def test_small_nonzero_slider_stays_accurate(self, eps):
         # the stable root formulas avoid the catastrophic cancellation the
-        # naive quadratic suffers as a slider coordinate approaches zero
+        # naive quadratic suffers as a slider coordinate approaches zero, on
+        # both sides of 1e-13 L and at zero itself
         rho = np.array([eps * L, -0.8 * L, -0.7 * L])
         p = forward_kinematics(rho, D)
         assert closure_residuals(p, rho, L).max() <= 1e-9 * L
@@ -156,9 +165,21 @@ class TestForwardKinematics:
     @given(poses)
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, p):
-        rho = inverse_kinematics(p, D)
-        back = forward_kinematics(rho, D)
-        assert np.allclose(back, p, rtol=0, atol=1e-9 * L)
+        # the pose scaled by leg / L, at leg lengths near both ends of the
+        # range DesignParams accepts, where squaring rho_i over- or underflows;
+        # any RuntimeWarning fails the suite
+        for leg in (L, 2e-154, 1.5e-154, 1e150, 1e154):
+            d = DesignParams(leg_length=leg)
+            pose = np.multiply(p, leg / L)
+            back = forward_kinematics(inverse_kinematics(pose, d), d)
+            assert np.allclose(back, pose, rtol=0, atol=1e-9 * leg)
+
+    @pytest.mark.parametrize("rho", [(1e200,) * 3, (-1e155, 5.0, 7.0)])
+    def test_sliders_beyond_twice_the_leg_have_no_assembly(self, rho):
+        # every assembly has |p_i| <= L and |p_i - rho_i| <= L; the suite
+        # fails on the overflow warning rho_i^2 would give
+        with pytest.raises(NoAssemblyMode):
+            forward_kinematics(rho, D)
 
     @given(st.tuples(*[st.floats(min_value=-1.3 * L, max_value=-0.5 * L)] * 3))
     @settings(max_examples=60, deadline=None)

@@ -174,6 +174,15 @@ class TestMaxFeasibleToolSpeed:
             d /= np.linalg.norm(d)
             assert max_feasible_tool_speed(p, d, D) >= floor * (1 - 1e-12)
 
+    def test_direction_needing_no_joint_motion_is_unlimited(self):
+        # a reachable parallel singularity where every entry of Jinv is 1.0,
+        # so (1, -1, 0) / sqrt(2) moves no slider at all
+        d = DesignParams(leg_length=300.0)
+        u = math.nextafter(300.0 / math.sqrt(3.0), -math.inf)
+        direction = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        assert not np.any(joint_velocity((u, u, u), direction, d))
+        assert max_feasible_tool_speed((u, u, u), direction, d) == math.inf
+
     def test_rejects_non_unit_direction(self):
         with pytest.raises(ValueError):
             max_feasible_tool_speed((0, 0, 0), (1.0, 1.0, 0.0), D)
