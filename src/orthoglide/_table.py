@@ -38,10 +38,13 @@ zero bytes are dropped all the same.
 A chunk holds `_CHUNK_CELLS` float cells, not a fixed number of rows, so a
 table with more float columns gets fewer rows per chunk (coded and bool
 columns do not count): 2048 rows of the grid CSV's 3 float columns, 1024 of
-`diag-profile`'s 6 and 472 of `traj-check`'s 13.  Every temporary of
-`_cell_words` then stays near 49 KB, below glibc's 128 KB mmap threshold,
-and is reused from the heap rather than mapped and faulted in anew for
-every chunk.
+`diag-profile`'s 6 and 472 of `traj-check`'s 13.  Each float temporary of
+`_cell_words` then holds 6,144 doubles, 48 KiB, below glibc's 128 KiB mmap
+threshold, and is reused from the heap rather than mapped and faulted in
+anew for every chunk.  Two arrays per chunk are larger than the threshold:
+the `cells` words `_cell_words` returns, 144 KiB for 6,144 cells of width 6
+and 192 KiB at width 8, and the `words` of `_format_rows`, 304 KiB for a
+2048-row chunk of the grid CSV.
 """
 
 from __future__ import annotations
@@ -53,8 +56,8 @@ import sys
 import numpy as np
 
 # float cells formatted per chunk, whatever the table's width: a budget of
-# cells, not rows, keeps each temporary of _cell_words at 49 KB, under the
-# mmap threshold, while a narrow table still spreads numpy's per-call cost
+# cells, not rows, keeps each float temporary of _cell_words at 48 KiB, under
+# the mmap threshold, while a narrow table still spreads numpy's per-call cost
 # over 2048 rows (see the module docstring)
 _CHUNK_CELLS = 6144
 # offsets of the pairs of word tables in _digit_words

@@ -212,7 +212,9 @@ def read_waypoints_csv(path) -> tuple[np.ndarray, np.ndarray]:
 def _loadtxt_rows(text: str) -> np.ndarray | None:
     """The (n, 4) rows of a waypoint file parsed by np.loadtxt, or None
     where the row loop must read it."""
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # as csv ends lines
+    if "\r" in text:  # end lines as csv does
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     if (
         any(c in text for c in _ROW_LOOP_CHARS)
         or max(map(len, lines)) > csv.field_size_limit()

@@ -5,14 +5,16 @@ the two reference points used by the synthesis.  `verify_cube` is the
 brute-force check that the whole cube, not just the diagonal, respects the
 prescribed transmission-factor bounds: every point of a closed grid goes
 through inverse kinematics and the forward-factor computation, and failures
-are reported as data rather than raised.
+are reported as data rather than raised.  A caller that reads only the
+summary gets it from a pass that skips the factor kernel on boxes of nodes
+whose Weyl bounds show they cannot change it (`_boxes_to_evaluate`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,6 +30,7 @@ from .kinematics import (
     pose_order,
     within_stroke,
 )
+from .linalg3 import singular_values3
 from .performance import _reciprocal_factors, forward_factors, kappa_from_factors
 
 #: relative slack applied to bound checks so binding points do not count.
@@ -36,6 +39,18 @@ BOUND_REL_TOL = 1e-9
 #: evaluated grid nodes per slab of `_evaluate`: the kernels' twenty or so
 #: working arrays of this many doubles stay within a 2 MB L2 cache
 _SLAB_NODES = 8192
+
+#: grid nodes per axis of the boxes the summary-only pass bounds
+_BOX_NODES = 4
+#: relative margin, far above the factor kernel's rounding, by which a box's
+#: bounds must clear the transmission bounds and the worst factors
+_BOX_MARGIN = 1e-6
+#: a box is kept whole unless its Weyl bound on the smallest singular value
+#: of Jinv exceeds this fraction of the largest one
+_BOX_CONDITION = 1e-3
+#: below this many evaluated nodes the box pass costs more than it saves,
+#: and the summary is reduced from every node's results
+_BOX_MIN_NODES = 2500
 
 
 @dataclass
@@ -113,16 +128,17 @@ class GridNodes:
     kappa: np.ndarray
 
 
-@dataclass
-class GridReport:
-    """Summary of a cube grid sweep; `nodes` holds the per-node arrays,
-    built on first read.
+class _Layout(NamedTuple):
+    """The nodes `_evaluate` evaluates: the grid's x, y and z axes, the
+    (3, n) per-axis indices of the evaluated nodes, in grid order, and
+    whether they are only the wedge of a `_symmetric` grid."""
 
-    Violations count reachable nodes only; the worst values and their
-    locations (None when no node is reachable) are over reachable nodes.
-    """
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    index: np.ndarray
+    symmetric: bool
 
-    n_per_axis: int
+
+class _Summary(NamedTuple):
     n_unreachable: int
     n_stroke_violations: int
     n_bound_violations: int
@@ -130,27 +146,72 @@ class GridReport:
     worst_sigma_min_at: tuple[float, float, float] | None
     worst_sigma_max: float
     worst_sigma_max_at: tuple[float, float, float] | None
-    # what `_evaluate` evaluated: the grid's axes, the results and whether
-    # they cover only the wedge of a symmetric grid
-    _axes: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
-    _results: tuple[np.ndarray, ...] = field(repr=False)
-    _symmetric: bool = field(repr=False)
+
+
+def _summary_field(name: str) -> property:
+    return property(lambda report: getattr(report._summary, name))
+
+
+@dataclass(repr=False)
+class GridReport:
+    """Summary of a cube grid sweep; `nodes` holds the per-node arrays.
+
+    Violations count reachable nodes only; the worst values and their
+    locations (None when no node is reachable) are over reachable nodes.
+    Both the summary and `nodes` are worked out on first read.  Once
+    `nodes` is built the summary is reduced from its results; read first,
+    on a grid of at least _BOX_MIN_NODES evaluated nodes, it comes from a
+    pass that runs the factor kernel only on the boxes of nodes that could
+    change it (`_boxes_to_evaluate`), with the same values.
+    """
+
+    n_per_axis: int
+    _design: DesignParams
+    _bounds: Bounds
+    _layout: _Layout
+
+    n_unreachable = _summary_field("n_unreachable")
+    n_stroke_violations = _summary_field("n_stroke_violations")
+    n_bound_violations = _summary_field("n_bound_violations")
+    worst_sigma_min = _summary_field("worst_sigma_min")
+    worst_sigma_min_at = _summary_field("worst_sigma_min_at")
+    worst_sigma_max = _summary_field("worst_sigma_max")
+    worst_sigma_max_at = _summary_field("worst_sigma_max_at")
 
     @property
     def n_points(self) -> int:
-        return math.prod(len(a) for a in self._axes)
+        return math.prod(len(a) for a in self._layout.axes)
+
+    @functools.cached_property
+    def _results(self) -> tuple[np.ndarray, ...]:
+        # every evaluated node's results: what `nodes` is built from
+        return _evaluate(self._design, self._layout)
 
     @functools.cached_property
     def nodes(self) -> GridNodes:
+        axes, _, symmetric = self._layout
         results = self._results
-        if self._symmetric:
-            slot = _wedge_slots(len(self._axes[0]))
+        if symmetric:
+            slot = _wedge_slots(len(axes[0]))
             results = tuple(r[slot] for r in results)
-        return GridNodes(self._axes, *results)
+        return GridNodes(axes, *results)
+
+    @functools.cached_property
+    def _summary(self) -> _Summary:
+        if "_results" in vars(self) or self._layout.index.shape[1] < _BOX_MIN_NODES:
+            results = self._results
+        else:
+            need = _boxes_to_evaluate(self._design, self._bounds, self._layout)
+            results = _evaluate(self._design, self._layout, need)
+        return _summarize(self._layout, results, self._bounds)
 
     @property
     def ok(self) -> bool:
         return not (self.n_unreachable or self.n_stroke_violations or self.n_bound_violations)
+
+    def __repr__(self) -> str:
+        fields = (f"{k}={v!r}" for k, v in zip(_Summary._fields, self._summary))
+        return f"GridReport(n_per_axis={self.n_per_axis!r}, {', '.join(fields)})"
 
 
 def diagonal_coupling(u, leg_length: float):
@@ -261,16 +322,39 @@ def _orbit_sizes(index: np.ndarray) -> np.ndarray:
     return c * (c + 1) // 2
 
 
-def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
-    """Evaluate IK + forward factors on a closed grid over the cube, on the
-    nodes that fix the results of every node.
+def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
+    """The closed grid over the cube and the nodes `_evaluate` evaluates on
+    it: every node, unless the grid is `_symmetric`; then the wedge
+    i <= j <= k, and every other node has the results of its sorted index
+    triple.
 
-    Returns `axes, index, results, symmetric`: the grid's x, y and z, the
-    (3, n) per-axis indices of the evaluated nodes, in grid order, and
-    their (n,) reachable, within_stroke, sigma_min, sigma_max and kappa
-    arrays.  That is every node of the grid, unless the grid is
-    `symmetric`: then it is the wedge i <= j <= k, and every other node
-    has the results of its sorted index triple.
+    Raises ValueError, before building anything, when n_per_axis^3 exceeds
+    numpy's index range, and MemoryError when the node indices cannot be
+    allocated.
+    """
+    if n_per_axis < 2:
+        raise ValueError("need at least 2 nodes per axis")
+    if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
+        )
+    axes = _grid_axes(cube, n_per_axis)
+    symmetric = _symmetric(axes, d)
+    index = _node_index(axes)
+    if symmetric:
+        index = index.compress(_in_wedge(len(axes[0])), axis=1)
+    return _Layout(axes, index, symmetric)
+
+
+def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
+    """Evaluate IK + forward factors on the nodes of `layout`, which fix the
+    results of every node of the grid.
+
+    Returns their (n,) reachable, within_stroke, sigma_min, sigma_max and
+    kappa arrays, in the order of `layout.index`.  With `need`, a bool
+    array over the grid's boxes of _BOX_NODES^3 nodes (`_boxes_to_evaluate`),
+    the factors are computed only at the nodes of boxes where it is True;
+    every other node keeps NaN factors, as an unreachable node does.
 
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
     coordinates, gathered from the axes by node index, the IK solve, the
@@ -298,21 +382,8 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
     its sorted index triple (`GridReport.nodes`): the same bits as
     evaluating it; a wedge node is sorted already.  Any other grid is
     evaluated node by node.
-
-    Raises ValueError, before building anything, when n_per_axis^3 exceeds
-    numpy's index range.
     """
-    if n_per_axis < 2:
-        raise ValueError("need at least 2 nodes per axis")
-    if int(n_per_axis) ** 3 > np.iinfo(np.intp).max:
-        raise ValueError(
-            f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
-        )
-    axes = _grid_axes(cube, n_per_axis)
-    symmetric = _symmetric(axes, d)
-    index = _node_index(axes)
-    if symmetric:
-        index = index.compress(_in_wedge(len(axes[0])), axis=1)
+    axes, index, symmetric = layout
     n = index.shape[1]
     L = d.leg_length
     reachable = np.empty(n, dtype=bool)
@@ -328,33 +399,164 @@ def _evaluate(d: DesignParams, cube: CubeSpec, n_per_axis: int):
         reachable[slab] = ok
         within = within_stroke(rho, d)
         stroke_ok[slab] = ok & within[:, 0] & within[:, 1] & within[:, 2]
+        if need is not None:
+            ok &= need.take(np.ravel_multi_index(index[:, slab] // _BOX_NODES, need.shape))
+        # a slab with every node selected needs no gather or scatter
+        sel = slice(None) if ok.all() else ok
+        p, rho = p[sel], rho[sel]
         if not symmetric:  # a wedge node has x <= y <= z already
             order = pose_order(p)
             p, rho = (np.take_along_axis(v.T, order, axis=0).T for v in (p, rho))
-        # a slab with every node reachable needs no gather or scatter
-        sel = slice(None) if ok.all() else ok
-        fwd = forward_factors(inverse_jacobian(p[sel], rho[sel]))
+        fwd = forward_factors(inverse_jacobian(p, rho))
         sig_min[slab][sel] = fwd[:, 0]
         sig_max[slab][sel] = fwd[:, 2]
         kappa[slab][sel] = kappa_from_factors(fwd)
-    return axes, index, (reachable, stroke_ok, sig_min, sig_max, kappa), symmetric
+    return reachable, stroke_ok, sig_min, sig_max, kappa
 
 
-def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
-    """Check the prescribed cube against the transmission bounds on a grid.
+# the six off-diagonal entries (i, j) of Jinv, and the third axis k of each
+_ROW = np.array([0, 0, 1, 1, 2, 2])
+_COL = np.array([1, 2, 0, 2, 0, 1])
+_THIRD = 3 - _ROW - _COL
 
-    Failures (unreachable nodes, stroke-limit violations, factors outside
-    [s_lo, s_hi] beyond BOUND_REL_TOL) are counted in the report, never raised.
-    Each worst case is located at its first node in grid order.
-    Deterministic for fixed inputs.
 
-    The counts and worst cases are reduced over the nodes `_evaluate`
-    evaluates.  On a symmetric grid each wedge node counts once per node
-    it stands for, and a worst wedge node is also the first of its
-    permutations in grid order, since its sorted triple comes first and
-    the wedge is in grid order; the report builds `nodes` on first read.
+class _BoxBounds(NamedTuple):
+    """Bounds on the forward factors over boxes of poses, each (n,): where
+    `valid`, every pose in box b has sigma_min in [sigma_min_lo[b],
+    sigma_min_hi[b]] and sigma_max in [sigma_max_lo[b], sigma_max_hi[b]]."""
+
+    valid: np.ndarray
+    sigma_min_lo: np.ndarray
+    sigma_min_hi: np.ndarray
+    sigma_max_lo: np.ndarray
+    sigma_max_hi: np.ndarray
+
+
+def _entry_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float):
+    """Intervals of the off-diagonal Jinv entries over n boxes of poses, the
+    box b spanning [lo[k][b], hi[k][b]] on axis k.
+
+    Returns `entry_lo, entry_hi, eta_min`: every entry (_ROW[e], _COL[e])
+    of Jinv at a pose of box b lies in [entry_lo[e][b], entry_hi[e][b]],
+    and every eta_i there is at least eta_min[b].  An entry is p_j / eta_i,
+    with eta_i = sqrt(L^2 - p_j^2 - p_k^2); it increases with p_j, and its
+    magnitude with p_k^2, so it is least at p_j = lo_j and greatest at
+    p_j = hi_j, each with the least or the greatest p_k^2 on the box (0
+    where the box straddles zero), as the sign of p_j asks.  Each float
+    step is rounded outward with `np.nextafter`, and each is a step that
+    `leg_radicands`, `_working_mode` and `inverse_jacobian` take, so the
+    intervals hold both the exact entries and the computed ones at every
+    pose of the box: rounding is monotone.
     """
-    axes, index, results, symmetric = _evaluate(d, cube, n_per_axis)
+    up, down = np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        # the least and the greatest p^2 on each axis of each box
+        sq_min = np.nextafter(np.square(np.maximum(np.maximum(lo, -hi), 0.0)), down)
+        sq_max = np.nextafter(np.square(np.maximum(-lo, hi)), up)
+        # row 0 bounds each entry from above, at p_j = hi_j, row 1 from
+        # below, at p_j = lo_j; `least` marks where that takes the least eta
+        p = np.stack([hi[_COL], lo[_COL]])
+        least = (p >= 0.0) == np.array([[[True]], [[False]]])
+        toward = np.where(least, up, down)
+        sq_k = np.where(least, sq_max[_THIRD], sq_min[_THIRD])
+        cross = np.nextafter(np.nextafter(np.square(p), toward) + sq_k, toward)
+        rad = np.nextafter(np.nextafter(leg_length**2, -toward) - cross, -toward)
+        eta = np.nextafter(np.sqrt(np.maximum(rad, 0.0)), -toward)
+        entry_hi, entry_lo = np.nextafter(p / eta, np.array([[[up]], [[down]]]))
+    # the greatest |p_j| of each axis is an end taking the least eta, so
+    # the least eta of all is eta_i at the greatest p_j^2 and p_k^2
+    return entry_lo, entry_hi, eta.min(axis=(0, 1))
+
+
+def _box_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float) -> _BoxBounds:
+    """Weyl bounds on the forward factors over n boxes of poses, the box b
+    spanning [lo[k][b], hi[k][b]] on axis k.
+
+    With C the midpoint matrix of the `_entry_bounds` (and a unit
+    diagonal) and r an upper bound on the Frobenius norm of the entrywise
+    radius, Weyl's inequality puts every singular value s_k of Jinv in the
+    box within r of s_k(C), and the forward factors, 1 / s_k, follow; each
+    float step is rounded outward.  A box is `valid` when every eta_i in it
+    exceeds 2 SERIAL_TOL L, so every node of it is reachable, and s_1(C) - r
+    exceeds _BOX_CONDITION s_3(C), so the kernel resolves every matrix of
+    the box to well under _BOX_MARGIN; s_k(C) comes from that kernel too.
+    """
+    up, down = np.inf, -np.inf
+    entry_lo, entry_hi, eta_min = _entry_bounds(lo, hi, leg_length)
+    with np.errstate(all="ignore"):
+        mid = (entry_hi + entry_lo) / 2.0
+        radius = np.maximum(np.nextafter(entry_hi - mid, up), np.nextafter(mid - entry_lo, up))
+        r2 = 0.0
+        for x in radius:
+            r2 = np.nextafter(r2 + np.nextafter(np.square(x), up), up)
+        r = np.nextafter(np.sqrt(r2), up)
+        c = np.zeros((len(r), 3, 3))
+        c[:, [0, 1, 2], [0, 1, 2]] = 1.0
+        c[:, _ROW, _COL] = mid.T
+        s = singular_values3(c)
+        # s_1 and s_3 of every matrix in the box lie in [lo1, hi1] and [lo3, hi3]
+        lo1, hi1 = np.nextafter(s[:, 0] - r, down), np.nextafter(s[:, 0] + r, up)
+        lo3, hi3 = np.nextafter(s[:, 2] - r, down), np.nextafter(s[:, 2] + r, up)
+        valid = (eta_min > 2.0 * SERIAL_TOL * leg_length) & (lo1 > _BOX_CONDITION * s[:, 2])
+        return _BoxBounds(
+            valid,
+            np.nextafter(1.0 / hi3, down),
+            np.nextafter(1.0 / lo3, up),
+            np.nextafter(1.0 / hi1, down),
+            np.nextafter(1.0 / lo1, up),
+        )
+
+
+def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> np.ndarray:
+    """Whether the summary needs the factors of the nodes of each box of
+    _BOX_NODES^3 grid nodes, as a bool array over the boxes, box (I, J, K)
+    holding the nodes i // _BOX_NODES = I, and so on.
+
+    A box is cleared, False, when its `_box_bounds` are valid and, widened
+    by the relative margin _BOX_MARGIN, lie strictly inside the bounds'
+    edges [s_lo (1 - BOUND_REL_TOL), s_hi (1 + BOUND_REL_TOL)], strictly
+    below the largest lower bound on sigma_max of a valid box, and strictly
+    above the smallest upper bound on sigma_min of one.  That box holds
+    reachable nodes, which are evaluated, so no node of a cleared box can
+    break a bound, nor be or tie a worst factor.  On a symmetric grid only
+    the boxes that meet the wedge i <= j <= k, I <= J <= K, are bounded.
+    """
+    axes, _, symmetric = layout
+    first = [np.arange(0, len(a), _BOX_NODES) for a in axes]
+    shape = tuple(len(f) for f in first)
+    box = np.indices(shape).reshape(3, -1)
+    if symmetric:
+        box = box.compress(_in_wedge(shape[0]), axis=1)
+    lo = np.stack([a[f][i] for a, f, i in zip(axes, first, box)])
+    hi = np.stack(
+        [a[np.minimum(f + _BOX_NODES, len(a)) - 1][i] for a, f, i in zip(axes, first, box)]
+    )
+    bounds = _box_bounds(lo, hi, d.leg_length)
+    need = np.ones(shape, dtype=bool)
+    valid = bounds.valid
+    if valid.any():
+        worst_max = bounds.sigma_max_lo[valid].max() * (1.0 - _BOX_MARGIN)
+        worst_min = bounds.sigma_min_hi[valid].min() * (1.0 + _BOX_MARGIN)
+        low = bounds.sigma_min_lo * (1.0 - _BOX_MARGIN)
+        high = bounds.sigma_max_hi * (1.0 + _BOX_MARGIN)
+        cleared = (
+            valid
+            & (low > b.s_lo * (1.0 - BOUND_REL_TOL))
+            & (high < b.s_hi * (1.0 + BOUND_REL_TOL))
+            & (high < worst_max)
+            & (low > worst_min)
+        )
+        need[tuple(box)] = ~cleared
+    return need
+
+
+def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _Summary:
+    """The counts and worst cases over the evaluated nodes' results, each
+    worst case at its first node in grid order.  On a symmetric grid each
+    wedge node counts once per node it stands for, and a worst wedge node
+    is also the first of its permutations in grid order, since its sorted
+    triple comes first and the wedge is in grid order."""
+    axes, index, symmetric = layout
     reach, within, sig_min, sig_max, _ = results
     weight = _orbit_sizes(index) if symmetric else None
 
@@ -366,7 +568,8 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     )
     worst_min, worst_min_at = math.nan, None
     worst_max, worst_max_at = math.nan, None
-    # NaN marks the unreachable nodes: no bound comparison or nan-reduction counts it
+    # NaN marks the unreachable and the cleared nodes: no bound comparison
+    # or nan-reduction counts it
     if reach.any():
         i = np.nanargmin(sig_min)
         j = np.nanargmax(sig_max)
@@ -376,19 +579,29 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
 
         worst_min, worst_min_at = float(sig_min[i]), at(i)
         worst_max, worst_max_at = float(sig_max[j]), at(j)
-    return GridReport(
-        n_per_axis=n_per_axis,
-        n_unreachable=count(~reach),
-        n_stroke_violations=count(reach & ~within),
-        n_bound_violations=count(out_of_bounds),
-        worst_sigma_min=worst_min,
-        worst_sigma_min_at=worst_min_at,
-        worst_sigma_max=worst_max,
-        worst_sigma_max_at=worst_max_at,
-        _axes=axes,
-        _results=results,
-        _symmetric=symmetric,
+    return _Summary(
+        count(~reach),
+        count(reach & ~within),
+        count(out_of_bounds),
+        worst_min,
+        worst_min_at,
+        worst_max,
+        worst_max_at,
     )
+
+
+def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
+    """Check the prescribed cube against the transmission bounds on a grid.
+
+    Failures (unreachable nodes, stroke-limit violations, factors outside
+    [s_lo, s_hi] beyond BOUND_REL_TOL) are counted in the report, never raised.
+    Each worst case is located at its first node in grid order.
+    Deterministic for fixed inputs.
+
+    The grid is laid out here (`_layout`), so a grid too large to index or
+    to allocate raises now; the report evaluates it on first read.
+    """
+    return GridReport(n_per_axis, d, b, _layout(d, cube, n_per_axis))
 
 
 GRID_CSV_HEADER = "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,kappa"

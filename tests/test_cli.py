@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import orthoglide
-from orthoglide import cli, kinematics, trajectory
+from orthoglide import cli, kinematics, trajectory, workspace
 from orthoglide.cli import _FLOAT_KEYS, RunConfig, main
 from orthoglide.kinematics import DesignParams
 
@@ -797,6 +797,15 @@ class TestGoldenBytes:
             runner, ["workspace-map", "--config", str(cfg)], tmp_path / "off.csv", code=2
         )
         assert digest == "f12b673de554fa46d45b0cee5d0565c0dbcde361c3631472aaaa9be45f4719b6"
+
+    def test_off_diagonal_map_runs_no_box_pass(self, runner, tmp_path, design, proto, monkeypatch):
+        # workspace-map reads the nodes before the summary: every node is
+        # evaluated in full, and the summary's box pass never runs
+        def refuse(*args):
+            raise AssertionError("the box pass ran")
+
+        monkeypatch.setattr(workspace, "_box_bounds", refuse)
+        self.test_off_diagonal_multi_slab_cube(runner, tmp_path, design, proto)
 
     def test_diag_profile(self, runner, tmp_path):
         digest = self._digest(

@@ -5,11 +5,15 @@ import io
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from conftest import grid_xyz
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthoglide import cli, workspace
 from orthoglide._table import write_table
@@ -439,7 +443,7 @@ class TestWedgeReduction:
 
     @pytest.mark.parametrize("n", [2, 3, 15, 41])
     def test_weights_count_the_nodes_each_wedge_node_fills(self, design, proto, n):
-        _, index, _, symmetric = workspace._evaluate(design, proto.cube, n)
+        _, index, symmetric = workspace._layout(design, proto.cube, n)
         assert symmetric
         weights = workspace._orbit_sizes(index)
         assert weights.sum() == n**3
@@ -449,7 +453,7 @@ class TestWedgeReduction:
     def test_other_grids_count_each_node_once(self, design, proto):
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0)
-        _, index, _, symmetric = workspace._evaluate(design, cube, 5)
+        _, index, symmetric = workspace._layout(design, cube, 5)
         assert not symmetric
         assert index.shape == (3, 5**3)
         report = verify_cube(design, cube, B, 5)
@@ -563,6 +567,205 @@ class TestSymmetricWedge:
             assert per_slab[0] > 0 and per_slab[-1] == 0
 
 
+def assert_pruned_summary_is_the_loop(d, cube, b, n):
+    """Read first, the summary takes the box-pruned route and equals the
+    reference loop over a separately built report's full nodes: counts,
+    worst values (==, or both NaN) and their locations."""
+    report = verify_cube(d, cube, b, n)
+    counts = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
+    assert "_results" not in vars(report)  # no node was evaluated in full
+    worst_min, worst_min_at = report.worst_sigma_min, report.worst_sigma_min_at
+    worst_max, worst_max_at = report.worst_sigma_max, report.worst_sigma_max_at
+    want = reference_loop(verify_cube(d, cube, b, n).nodes, b)
+    assert counts == want[0]
+    assert np.array_equal([worst_min, worst_max], [want[1], want[3]], equal_nan=True)
+    assert (worst_min_at, worst_max_at) == (want[2], want[4])
+
+
+def exactly_at_least(a, p, e2) -> bool:
+    """a <= p / sqrt(e2), decided in rationals, for e2 > 0."""
+    if a <= 0 <= p:
+        return True
+    if p < 0 <= a or p <= 0 < a:
+        return False
+    # a and p of one sign: compare (a sqrt(e2))^2 with p^2
+    return a * a * e2 <= p * p if a > 0 else a * a * e2 >= p * p
+
+
+@st.composite
+def grid_cases(draw):
+    """(design, cube, bounds, nodes per axis): a synthesis with random lw,
+    s_lo and s_hi, verified on its own cube or, under an explicit design
+    with unequal strokes, on that cube shifted or scaled about its centre;
+    grids of 2 to 45 nodes per axis."""
+    lw = draw(st.floats(20.0, 500.0))
+    s_lo = draw(st.floats(0.2, 0.95))
+    s_hi = draw(st.floats(1.05, 5.0) | st.just(1e4))
+    res = synthesize(lw, Bounds(s_lo, s_hi))
+    d, cube = res.design(), res.cube
+    kind = draw(st.sampled_from(["synthesized", "shifted", "scaled"]))
+    if kind != "synthesized":
+        lo, hi = d.stroke_min[0], d.stroke_max[0]
+        nudge = st.lists(st.floats(-0.1, 0.1), min_size=3, max_size=3)
+        d = DesignParams(
+            d.leg_length,
+            [lo + x * (hi - lo) for x in draw(nudge)],
+            [hi + x * (hi - lo) for x in draw(nudge)],
+        )
+        centre = (cube.q1 + cube.q2) / 2.0
+        if kind == "shifted":
+            shift = lw * np.array(draw(st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3)))
+            cube = CubeSpec(cube.q1 + shift, cube.q2 + shift)
+        else:
+            scale = draw(st.floats(0.5, 1.6))
+            cube = CubeSpec(centre + scale * (cube.q1 - centre), centre + scale * (cube.q2 - centre))
+    return d, cube, res.bounds, draw(st.integers(2, 45))
+
+
+class TestPrunedSummary:
+    """A summary read before `nodes` runs the factor kernel only on the
+    boxes of nodes that `_box_bounds` cannot clear, and equals the full
+    evaluation's.  The tests lower `_BOX_MIN_NODES` to 0, so that the box
+    pass runs on every grid, however small."""
+
+    @pytest.fixture()
+    def pruned(self, monkeypatch):
+        monkeypatch.setattr(workspace, "_BOX_MIN_NODES", 0)
+
+    @pytest.mark.parametrize("case", sorted(TestReferenceLoop.CASES))
+    def test_reference_loop_cases(self, pruned, design, proto, case):
+        make_cube, n, _ = TestReferenceLoop.CASES[case]
+        assert_pruned_summary_is_the_loop(design, make_cube(proto), B, n)
+
+    @pytest.mark.parametrize("case", sorted(TestSymmetricWedge.CASES))
+    def test_symmetric_wedge_cases(self, pruned, case):
+        make, n, _ = TestSymmetricWedge.CASES[case]
+        assert_pruned_summary_is_the_loop(*make(), B, n)
+
+    # design-sweep's seed-1 and seed-2 requests: lw, s_lo, s_hi, at 41^3
+    REQUESTS = [
+        (336.69159650294466, 0.5894930328274591, 2.3416515849810082),
+        (171.7197777530639, 0.4717337411617369, 1.6496086178564955),
+        (380.71205150343707, 0.6696099198946595, 1.7018885294742414),
+        (285.25287319668917, 0.6421106984654092, 2.7264626151379248),
+        (129.91621188588425, 0.4817639156168482, 2.3043290426913887),
+        (149.3474608839948, 0.46342735465325047, 2.738617350877074),
+        (298.0629106408571, 0.5930454042225923, 2.631787839813443),
+        (116.64197135694825, 0.5243987010941604, 1.5194437636190694),
+    ]
+
+    @pytest.mark.parametrize("request_", REQUESTS)
+    def test_design_sweep_requests(self, request_):
+        lw, s_lo, s_hi = request_
+        res = synthesize(lw, Bounds(s_lo, s_hi))
+        assert_pruned_summary_is_the_loop(res.design(), res.cube, res.bounds, 41)
+
+    def test_tail_bounds_cube(self):
+        # [0.5, 1e4]: sigma_max at Q2 is 10000.0000304, past the bound
+        res = synthesize(200.0, Bounds(0.5, 1e4))
+        assert_pruned_summary_is_the_loop(res.design(), res.cube, res.bounds, 41)
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid_cases())
+    def test_random_grids(self, case):
+        with mock.patch.object(workspace, "_BOX_MIN_NODES", 0):
+            assert_pruned_summary_is_the_loop(*case)
+
+    def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
+        sizes = []
+
+        def counting_factors(jinv):
+            sizes.append(len(jinv))
+            return forward_factors(jinv)
+
+        monkeypatch.setattr(workspace, "forward_factors", counting_factors)
+        report = verify_cube(design, proto.cube, B, 41)
+        assert report.ok
+        assert len(report._layout.index[0]) == 12341
+        assert 0 < sum(sizes) <= 0.05 * 12341
+
+    @staticmethod
+    def _refuse_box_pass(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the box pass ran")
+
+        monkeypatch.setattr(workspace, "_box_bounds", refuse)
+
+    def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
+        self._refuse_box_pass(monkeypatch)
+        report = verify_cube(design, proto.cube, B, 41)
+        nodes = report.nodes
+        assert report.ok
+        assert (report.worst_sigma_max, report.worst_sigma_max_at) == reference_loop(nodes, B)[3:]
+        with pytest.raises(AssertionError, match="the box pass ran"):
+            verify_cube(design, proto.cube, B, 41).ok
+
+    def test_small_grids_take_the_full_route(self, design, proto, monkeypatch):
+        # below _BOX_MIN_NODES evaluated nodes, the summary is the full
+        # evaluation's, which `nodes` then reuses
+        self._refuse_box_pass(monkeypatch)
+        report = verify_cube(design, proto.cube, B, 21)
+        assert len(report._layout.index[0]) < workspace._BOX_MIN_NODES
+        assert report.ok
+        assert "_results" in vars(report)
+
+
+def random_boxes(rng, q1, q2, n):
+    """(lo, hi), each (3, n): boxes inside [q1, q2], a third of them single
+    points and the others up to 60 mm on a side, per axis."""
+    width = rng.uniform(0.0, 60.0, (3, n)) * (np.arange(n) % 3 != 0)
+    lo = q1[:, None] + (q2 - q1)[:, None] * rng.random((3, n))
+    return lo, np.minimum(lo + width, q2[:, None])
+
+
+def box_nodes(lo, hi):
+    """(8, 3) corners and (1, 3) centre of one box."""
+    corners = grid_xyz(list(zip(lo, hi)))
+    return np.vstack([corners, (lo + hi) / 2.0])
+
+
+class TestBoxBounds:
+    """The entry intervals hold the exact and the computed Jinv entries at
+    every pose of a box, and the Weyl bounds the factors the kernel
+    gives there."""
+
+    def test_entry_intervals_hold_exact_and_computed_entries(self, design, rng):
+        # a cube straddling zero on every axis, reaching near the workspace edge
+        lo, hi = random_boxes(rng, np.full(3, -200.0), np.full(3, 200.0), 90)
+        entry_lo, entry_hi, eta_min = workspace._entry_bounds(lo, hi, design.leg_length)
+        L2 = Fraction(design.leg_length) ** 2
+        checked = 0
+        for b in range(lo.shape[1]):
+            if not eta_min[b] > 0.0:
+                continue
+            for p in box_nodes(lo[:, b], hi[:, b]):
+                q = [Fraction(float(x)) for x in p]
+                jinv = inverse_jacobian(p, inverse_kinematics(p, design))
+                for e, (i, j) in enumerate(zip(workspace._ROW, workspace._COL)):
+                    k = 3 - i - j
+                    e2 = L2 - q[j] ** 2 - q[k] ** 2
+                    assert Fraction(float(eta_min[b])) ** 2 <= e2
+                    lo_e, hi_e = Fraction(float(entry_lo[e, b])), Fraction(float(entry_hi[e, b]))
+                    assert exactly_at_least(lo_e, q[j], e2)
+                    assert exactly_at_least(-hi_e, -q[j], e2)
+                    assert entry_lo[e, b] <= jinv[i, j] <= entry_hi[e, b]
+                checked += 1
+        assert checked >= 400
+
+    def test_weyl_bounds_hold_the_node_factors(self, design, proto, rng):
+        lo, hi = random_boxes(rng, proto.q1 - 30.0, proto.q2 + 30.0, 300)
+        bounds = workspace._box_bounds(lo, hi, design.leg_length)
+        assert np.count_nonzero(bounds.valid) >= 250
+        low, high = 1.0 - workspace._BOX_MARGIN, 1.0 + workspace._BOX_MARGIN
+        for b in np.flatnonzero(bounds.valid):
+            p = box_nodes(lo[:, b], hi[:, b])
+            fwd = forward_factors(inverse_jacobian(p, inverse_kinematics(p, design)))
+            assert np.all(fwd[:, 0] >= bounds.sigma_min_lo[b] * low)
+            assert np.all(fwd[:, 0] <= bounds.sigma_min_hi[b] * high)
+            assert np.all(fwd[:, 2] >= bounds.sigma_max_lo[b] * low)
+            assert np.all(fwd[:, 2] <= bounds.sigma_max_hi[b] * high)
+
+
 class TestSlabs:
     """The grid is evaluated in slabs of `_SLAB_NODES` nodes; the Jacobian and
     factor kernels run once per slab over its reachable nodes, with the bits
@@ -607,22 +810,30 @@ class TestSlabs:
     @pytest.mark.parametrize("case", ["off-diagonal", "wedge"])
     def test_verify_cube_memory_per_node(self, design, proto, case):
         # off-diagonal: map-export's cube, no wedge, every node reachable;
-        # wedge: the prototype's own cube.  tracemalloc counts numpy's
-        # allocations, not time, so the bound does not depend on the host;
-        # a whole-grid IK and stroke pass peaks at about 183 and 113 B/node,
-        # a whole-grid (N, 3) coordinate array at about 67 and 70, and
-        # expanding the wedge to the whole grid at about 44 on the wedge
+        # wedge: the prototype's own cube.  Both routes to the summary are
+        # measured: read first, it takes the box-pruned route; the full
+        # route evaluates the results `nodes` is built from, and reduces
+        # them.  tracemalloc counts numpy's allocations, not time, so the
+        # bound does not depend on the host; a whole-grid IK and stroke pass
+        # peaks at about 183 and 113 B/node, a whole-grid (N, 3) coordinate
+        # array at about 67 and 70, and expanding the wedge to the whole
+        # grid, as reading `nodes` does, at about 44 on the wedge
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
-        verify_cube(design, cube, B, 5)  # one-time set-up is not counted
-        tracemalloc.start()
-        try:
-            verify_cube(design, cube, B, n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (50 if case == "off-diagonal" else 25) * n**3
+        verify_cube(design, cube, B, 5).ok  # one-time set-up is not counted
+        for full in (False, True):
+            tracemalloc.start()
+            try:
+                report = verify_cube(design, cube, B, n)
+                if full:
+                    report._results
+                report.ok
+                assert ("_results" in vars(report)) == full
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (50 if case == "off-diagonal" else 25) * n**3
 
 
 class TestReachableMatchesIK:
@@ -685,6 +896,13 @@ class TestOversizedGrid:
         self._forbid_building(monkeypatch)
         message = rf"^{n}\^3 nodes exceed numpy's index range"
         with pytest.raises(ValueError, match=message):
+            verify_cube(design, proto.cube, B, n)
+
+    @pytest.mark.parametrize("n, error", [(100000, MemoryError), (2**21, ValueError)])
+    def test_size_errors_raise_at_the_call(self, design, proto, n, error):
+        # the report evaluates the grid on first read, but lays it out,
+        # and so refuses it, when verify_cube is called
+        with pytest.raises(error):
             verify_cube(design, proto.cube, B, n)
 
     def test_largest_indexable_size_is_attempted(self, design, proto, monkeypatch):
