@@ -184,8 +184,9 @@ def forward_kinematics(rho, d: DesignParams) -> np.ndarray:
     assembly has |p_i| <= L and |p_i - rho_i| <= L, so a slider beyond 2L
     is refused first, and the solve runs in units of 2^e, the power of two
     just above L (an exact scaling), where |rho_i| < 2 and no product can
-    overflow.  Among real roots with all eta_i > 0 the one with smaller
-    ||p||^2 (closer to the isotropic assembly) is returned.
+    overflow.  Among real roots with all eta_i > SERIAL_TOL L, the poses
+    `inverse_kinematics` accepts, the one with smaller ||p||^2 (closer to
+    the isotropic assembly) is returned.
     """
     rho = as_point(rho)
     L = d.leg_length
@@ -210,7 +211,7 @@ def forward_kinematics(rho, d: DesignParams) -> np.ndarray:
     admissible = []
     for t in (q / a, c / q if q else 0.0):
         p = r / 2.0 + t * n
-        if np.all(p - r > -SERIAL_TOL * l):
+        if np.all(p - r > SERIAL_TOL * l):
             resid = np.abs(np.linalg.norm(_leg_vectors(p, r), axis=1) - l)
             if np.max(resid) <= 1e-9 * l:
                 admissible.append((float(p @ p), p))

@@ -48,9 +48,6 @@ _BOX_MARGIN = 1e-6
 #: a box is kept whole unless its Weyl bound on the smallest singular value
 #: of Jinv exceeds this fraction of the largest one
 _BOX_CONDITION = 1e-3
-#: below this many evaluated nodes the box pass costs more than it saves,
-#: and the summary is reduced from every node's results
-_BOX_MIN_NODES = 2500
 
 
 @dataclass
@@ -160,9 +157,8 @@ class GridReport:
     locations (None when no node is reachable) are over reachable nodes.
     Both the summary and `nodes` are worked out on first read.  Once
     `nodes` is built the summary is reduced from its results; read first,
-    on a grid of at least _BOX_MIN_NODES evaluated nodes, it comes from a
-    pass that runs the factor kernel only on the boxes of nodes that could
-    change it (`_boxes_to_evaluate`), with the same values.
+    it comes from a pass that runs the factor kernel only on the boxes of
+    nodes that could change it (`_boxes_to_evaluate`), with the same values.
     """
 
     n_per_axis: int
@@ -198,7 +194,7 @@ class GridReport:
 
     @functools.cached_property
     def _summary(self) -> _Summary:
-        if "_results" in vars(self) or self._layout.index.shape[1] < _BOX_MIN_NODES:
+        if "_results" in vars(self):
             results = self._results
         else:
             need = _boxes_to_evaluate(self._design, self._bounds, self._layout)
@@ -279,13 +275,6 @@ def _grid_axes(cube: CubeSpec, n_per_axis: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _node_index(axes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """(3, N) per-axis indices of every node in grid order, in the smallest
-    unsigned type that holds them (1 byte per axis up to 256 nodes)."""
-    shape = [len(a) for a in axes]
-    return np.indices(shape, dtype=np.min_scalar_type(max(shape) - 1)).reshape(3, -1)
-
-
 def _symmetric(axes: tuple[np.ndarray, ...], d: DesignParams) -> bool:
     """Whether the grid is symmetric in x, y and z: its three axes are equal
     element for element and the strokes are equal on the three axes."""
@@ -311,6 +300,15 @@ def _wedge_slots(m: int) -> np.ndarray:
     hi = np.maximum(np.maximum(i, j), k)
     sorted_flat = ((lo * m + (i + j + k - lo - hi)) * m + hi).ravel()
     return (np.cumsum(_in_wedge(m)) - 1)[sorted_flat]
+
+
+def _lattice(shape: tuple[int, int, int], wedge: bool = False) -> np.ndarray:
+    """(3, n) per-axis indices of the nodes of a grid of `shape`, in grid
+    order and in the smallest unsigned type that holds them (1 byte per axis
+    up to 256 nodes): every node, or with `wedge`, on an m^3 grid, the
+    nodes i <= j <= k (`_in_wedge`)."""
+    index = np.indices(shape, dtype=np.min_scalar_type(max(shape) - 1)).reshape(3, -1)
+    return index.compress(_in_wedge(shape[0]), axis=1) if wedge else index
 
 
 def _orbit_sizes(index: np.ndarray) -> np.ndarray:
@@ -340,10 +338,7 @@ def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
         )
     axes = _grid_axes(cube, n_per_axis)
     symmetric = _symmetric(axes, d)
-    index = _node_index(axes)
-    if symmetric:
-        index = index.compress(_in_wedge(len(axes[0])), axis=1)
-    return _Layout(axes, index, symmetric)
+    return _Layout(axes, _lattice(tuple(len(a) for a in axes), symmetric), symmetric)
 
 
 def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
@@ -524,9 +519,7 @@ def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> np.ndarra
     axes, _, symmetric = layout
     first = [np.arange(0, len(a), _BOX_NODES) for a in axes]
     shape = tuple(len(f) for f in first)
-    box = np.indices(shape).reshape(3, -1)
-    if symmetric:
-        box = box.compress(_in_wedge(shape[0]), axis=1)
+    box = _lattice(shape, symmetric)
     lo = np.stack([a[f][i] for a, f, i in zip(axes, first, box)])
     hi = np.stack(
         [a[np.minimum(f + _BOX_NODES, len(a)) - 1][i] for a, f, i in zip(axes, first, box)]
@@ -617,7 +610,7 @@ def write_grid_csv(nodes: GridNodes, out) -> None:
         out,
         GRID_CSV_HEADER,
         [
-            *zip(nodes.axes, _node_index(nodes.axes)),
+            *zip(nodes.axes, _lattice(tuple(len(a) for a in nodes.axes))),
             nodes.reachable,
             nodes.within_stroke,
             nodes.sigma_min,

@@ -43,7 +43,7 @@ class TestSynthesize:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 3: on the ill-conditioned tail the kernel puts "
+        reason="ROADMAP, 'Accurate factors on the ill-conditioned tail': the kernel puts "
         "worst_sigma_max at 10000.0000304, past s_hi = 1e4, on the command's own cube",
     )
     def test_wide_bounds_cube_verifies(self, runner):

@@ -142,9 +142,13 @@ class TestForwardKinematics:
 
     def test_zero_slider_double_root(self):
         # ||rho||^2 / 4 = L^2 with rho_1 = 0 leaves the double root t = 0,
-        # p = rho / 2, with eta_1 = 0 on the workspace boundary
+        # p = rho / 2, with eta_1 = 0 on the workspace boundary: a serial
+        # singularity, which inverse kinematics refuses too
         d = DesignParams(leg_length=5.0)
-        assert forward_kinematics((0.0, -6.0, -8.0), d).tolist() == [0.0, -3.0, -4.0]
+        with pytest.raises(NoAssemblyMode):
+            forward_kinematics((0.0, -6.0, -8.0), d)
+        with pytest.raises(SerialSingularity):
+            inverse_kinematics((0.0, -3.0, -4.0), d)
 
     def test_two_zero_sliders_degenerate(self):
         with pytest.raises(DegenerateInput):

@@ -6,7 +6,6 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -384,6 +383,9 @@ class TestReferenceLoop:
         "all-unreachable": (lambda r: CubeSpec((400.0, 400.0, 400.0), (410.0, 410.0, 410.0)), 3, (27, 0, 0)),
         # sigma_max is +inf at the far corner (U, U, U)
         "parallel-singular-corner": (lambda r: CubeSpec(np.full(3, U - 10.0), np.full(3, U)), 3, (0, 27, 27)),
+        # zero-side cubes: the one node at Q1 or at Q2, where the bounds bind
+        "point-at-q1": (lambda r: CubeSpec(r.q1, r.q1), 2, (0, 0, 0)),
+        "point-at-q2": (lambda r: CubeSpec(r.q2, r.q2), 2, (0, 0, 0)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -624,21 +626,16 @@ def grid_cases(draw):
 
 class TestPrunedSummary:
     """A summary read before `nodes` runs the factor kernel only on the
-    boxes of nodes that `_box_bounds` cannot clear, and equals the full
-    evaluation's.  The tests lower `_BOX_MIN_NODES` to 0, so that the box
-    pass runs on every grid, however small."""
-
-    @pytest.fixture()
-    def pruned(self, monkeypatch):
-        monkeypatch.setattr(workspace, "_BOX_MIN_NODES", 0)
+    boxes of nodes that `_box_bounds` cannot clear, on every grid however
+    small, and equals the full evaluation's."""
 
     @pytest.mark.parametrize("case", sorted(TestReferenceLoop.CASES))
-    def test_reference_loop_cases(self, pruned, design, proto, case):
+    def test_reference_loop_cases(self, design, proto, case):
         make_cube, n, _ = TestReferenceLoop.CASES[case]
         assert_pruned_summary_is_the_loop(design, make_cube(proto), B, n)
 
     @pytest.mark.parametrize("case", sorted(TestSymmetricWedge.CASES))
-    def test_symmetric_wedge_cases(self, pruned, case):
+    def test_symmetric_wedge_cases(self, case):
         make, n, _ = TestSymmetricWedge.CASES[case]
         assert_pruned_summary_is_the_loop(*make(), B, n)
 
@@ -668,8 +665,7 @@ class TestPrunedSummary:
     @settings(max_examples=200, deadline=None)
     @given(grid_cases())
     def test_random_grids(self, case):
-        with mock.patch.object(workspace, "_BOX_MIN_NODES", 0):
-            assert_pruned_summary_is_the_loop(*case)
+        assert_pruned_summary_is_the_loop(*case)
 
     def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
         sizes = []
@@ -684,30 +680,17 @@ class TestPrunedSummary:
         assert len(report._layout.index[0]) == 12341
         assert 0 < sum(sizes) <= 0.05 * 12341
 
-    @staticmethod
-    def _refuse_box_pass(monkeypatch):
+    def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
             raise AssertionError("the box pass ran")
 
         monkeypatch.setattr(workspace, "_box_bounds", refuse)
-
-    def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
-        self._refuse_box_pass(monkeypatch)
         report = verify_cube(design, proto.cube, B, 41)
         nodes = report.nodes
         assert report.ok
         assert (report.worst_sigma_max, report.worst_sigma_max_at) == reference_loop(nodes, B)[3:]
         with pytest.raises(AssertionError, match="the box pass ran"):
             verify_cube(design, proto.cube, B, 41).ok
-
-    def test_small_grids_take_the_full_route(self, design, proto, monkeypatch):
-        # below _BOX_MIN_NODES evaluated nodes, the summary is the full
-        # evaluation's, which `nodes` then reuses
-        self._refuse_box_pass(monkeypatch)
-        report = verify_cube(design, proto.cube, B, 21)
-        assert len(report._layout.index[0]) < workspace._BOX_MIN_NODES
-        assert report.ok
-        assert "_results" in vars(report)
 
 
 def random_boxes(rng, q1, q2, n):
