@@ -6,8 +6,10 @@ brute-force check that the whole cube, not just the diagonal, respects the
 prescribed transmission-factor bounds: every point of a closed grid goes
 through inverse kinematics and the forward-factor computation, and failures
 are reported as data rather than raised.  A caller that reads only the
-summary gets it from a pass that skips the factor kernel on boxes of nodes
-whose Weyl bounds show they cannot change it (`_boxes_to_evaluate`).
+summary gets it from a pass over boxes of nodes (`_boxes_to_evaluate`): a
+box whose Weyl bounds and slider range show that no node of it can change
+the summary is not evaluated at all, and the factor kernel runs only on the
+boxes whose factors could change it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from ._table import write_table
 from .errors import RangeOutsideWorkspace
 from .kinematics import (
     SERIAL_TOL,
+    _J,
+    _K,
     DesignParams,
     _working_mode,
     inverse_jacobian,
@@ -128,7 +132,8 @@ class GridNodes:
 class _Layout(NamedTuple):
     """The nodes `_evaluate` evaluates: the grid's x, y and z axes, the
     (3, n) per-axis indices of the evaluated nodes, in grid order, and
-    whether they are only the wedge of a `_symmetric` grid."""
+    whether the grid is `_symmetric`, so that they are wedge nodes
+    i <= j <= k, each standing for its permutations."""
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     index: np.ndarray
@@ -157,8 +162,10 @@ class GridReport:
     locations (None when no node is reachable) are over reachable nodes.
     Both the summary and `nodes` are worked out on first read.  Once
     `nodes` is built the summary is reduced from its results; read first,
-    it comes from a pass that runs the factor kernel only on the boxes of
-    nodes that could change it (`_boxes_to_evaluate`), with the same values.
+    it comes from a pass over boxes of nodes (`_boxes_to_evaluate`) that
+    runs the IK only on the nodes of the boxes it cannot decide, and the
+    factor kernel only on those of the boxes whose factors could change the
+    summary, with the same values.
     """
 
     n_per_axis: int
@@ -195,11 +202,9 @@ class GridReport:
     @functools.cached_property
     def _summary(self) -> _Summary:
         if "_results" in vars(self):
-            results = self._results
-        else:
-            need = _boxes_to_evaluate(self._design, self._bounds, self._layout)
-            results = _evaluate(self._design, self._layout, need)
-        return _summarize(self._layout, results, self._bounds)
+            return _summarize(self._layout, self._results, self._bounds)
+        layout, need = _boxes_to_evaluate(self._design, self._bounds, self._layout)
+        return _summarize(layout, _evaluate(self._design, layout, need), self._bounds)
 
     @property
     def ok(self) -> bool:
@@ -342,14 +347,15 @@ def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
 
 
 def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
-    """Evaluate IK + forward factors on the nodes of `layout`, which fix the
-    results of every node of the grid.
+    """Evaluate IK + forward factors on the nodes of `layout`: those of
+    `_layout` fix the results of every node of the grid, those
+    `_boxes_to_evaluate` keeps the summary's.
 
     Returns their (n,) reachable, within_stroke, sigma_min, sigma_max and
-    kappa arrays, in the order of `layout.index`.  With `need`, a bool
-    array over the grid's boxes of _BOX_NODES^3 nodes (`_boxes_to_evaluate`),
-    the factors are computed only at the nodes of boxes where it is True;
-    every other node keeps NaN factors, as an unreachable node does.
+    kappa arrays, in the order of `layout.index`.  With `need`, an (n,)
+    bool array over those nodes (`_boxes_to_evaluate`), the factors are
+    computed only at the nodes where it is True; every other node keeps NaN
+    factors, as an unreachable node does.
 
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
     coordinates, gathered from the axes by node index, the IK solve, the
@@ -395,7 +401,7 @@ def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
         within = within_stroke(rho, d)
         stroke_ok[slab] = ok & within[:, 0] & within[:, 1] & within[:, 2]
         if need is not None:
-            ok &= need.take(np.ravel_multi_index(index[:, slab] // _BOX_NODES, need.shape))
+            ok &= need[slab]
         # a slab with every node selected needs no gather or scatter
         sel = slice(None) if ok.all() else ok
         p, rho = p[sel], rho[sel]
@@ -427,6 +433,33 @@ class _BoxBounds(NamedTuple):
     sigma_max_hi: np.ndarray
 
 
+def _square_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least and the greatest computed p^2 on each axis of boxes
+    spanning [lo, hi]: at the end nearer zero, or 0 where the box straddles
+    it, and at the end farther from it.  Squaring is monotone in |p|."""
+    return np.square(np.maximum(np.maximum(lo, -hi), 0.0)), np.square(np.maximum(-lo, hi))
+
+
+def _slider_range(lo: np.ndarray, hi: np.ndarray, leg_length: float):
+    """(rho_lo, rho_hi), each (3, n): every rho_i the IK computes at a pose
+    of box b, spanning [lo[k][b], hi[k][b]] on axis k, lies in
+    [rho_lo[i][b], rho_hi[i][b]].
+
+    rho_i = p_i - sqrt(max(L^2 - (p_j^2 + p_k^2), 0)) grows with p_i and
+    shrinks as p_j^2 and p_k^2 grow, so rho_lo takes lo_i with the least
+    squares (`_square_range`) and rho_hi takes hi_i with the greatest.
+    Each end is worked out with the float steps of `leg_radicands` and
+    `_working_mode`, and rounding keeps every step monotone, so the range
+    holds the computed rho at every pose of the box, not only the exact one.
+    """
+    with np.errstate(over="ignore"):
+        near, far = _square_range(lo, hi)
+        return tuple(
+            _working_mode(p, leg_length**2 - (sq[_J] + sq[_K]), leg_length)[0]
+            for p, sq in ((lo, near), (hi, far))
+        )
+
+
 def _entry_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float):
     """Intervals of the off-diagonal Jinv entries over n boxes of poses, the
     box b spanning [lo[k][b], hi[k][b]] on axis k.
@@ -445,9 +478,8 @@ def _entry_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float):
     """
     up, down = np.inf, -np.inf
     with np.errstate(all="ignore"):
-        # the least and the greatest p^2 on each axis of each box
-        sq_min = np.nextafter(np.square(np.maximum(np.maximum(lo, -hi), 0.0)), down)
-        sq_max = np.nextafter(np.square(np.maximum(-lo, hi)), up)
+        sq_min, sq_max = _square_range(lo, hi)
+        sq_min, sq_max = np.nextafter(sq_min, down), np.nextafter(sq_max, up)
         # row 0 bounds each entry from above, at p_j = hi_j, row 1 from
         # below, at p_j = lo_j; `least` marks where that takes the least eta
         p = np.stack([hi[_COL], lo[_COL]])
@@ -502,21 +534,27 @@ def _box_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float) -> _BoxBounds
         )
 
 
-def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> np.ndarray:
-    """Whether the summary needs the factors of the nodes of each box of
-    _BOX_NODES^3 grid nodes, as a bool array over the boxes, box (I, J, K)
-    holding the nodes i // _BOX_NODES = I, and so on.
+def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> tuple[_Layout, np.ndarray]:
+    """The nodes the summary must evaluate, and which of them need their
+    factors, from bounds over the boxes of _BOX_NODES^3 grid nodes, box
+    (I, J, K) holding the nodes i // _BOX_NODES = I, and so on.
 
-    A box is cleared, False, when its `_box_bounds` are valid and, widened
-    by the relative margin _BOX_MARGIN, lie strictly inside the bounds'
-    edges [s_lo (1 - BOUND_REL_TOL), s_hi (1 + BOUND_REL_TOL)], strictly
-    below the largest lower bound on sigma_max of a valid box, and strictly
-    above the smallest upper bound on sigma_min of one.  That box holds
-    reachable nodes, which are evaluated, so no node of a cleared box can
-    break a bound, nor be or tie a worst factor.  On a symmetric grid only
+    Returns `layout` keeping only the nodes of the undecided boxes, in grid
+    order, and `need`, an (n,) bool array over those nodes, False at the
+    nodes of cleared boxes.  A box is cleared when its `_box_bounds` are
+    valid and, widened by the relative margin _BOX_MARGIN, lie strictly
+    inside the bounds' edges [s_lo (1 - BOUND_REL_TOL), s_hi (1 +
+    BOUND_REL_TOL)], strictly below the largest lower bound on sigma_max of
+    a valid box, and strictly above the smallest upper bound on sigma_min of
+    one.  That box holds reachable nodes, which are evaluated, so no node of
+    a cleared box can break a bound, nor be or tie a worst factor.  A
+    cleared box is decided when its `_slider_range` also lies within the
+    strokes on every axis: every node of it is reachable (valid bounds ask
+    every eta_i to exceed 2 SERIAL_TOL L) and within the strokes, so it
+    adds to no count and its nodes need no IK.  On a symmetric grid only
     the boxes that meet the wedge i <= j <= k, I <= J <= K, are bounded.
     """
-    axes, _, symmetric = layout
+    axes, index, symmetric = layout
     first = [np.arange(0, len(a), _BOX_NODES) for a in axes]
     shape = tuple(len(f) for f in first)
     box = _lattice(shape, symmetric)
@@ -526,6 +564,7 @@ def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> np.ndarra
     )
     bounds = _box_bounds(lo, hi, d.leg_length)
     need = np.ones(shape, dtype=bool)
+    decided = np.zeros(shape, dtype=bool)
     valid = bounds.valid
     if valid.any():
         worst_max = bounds.sigma_max_lo[valid].max() * (1.0 - _BOX_MARGIN)
@@ -539,8 +578,15 @@ def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> np.ndarra
             & (high < worst_max)
             & (low > worst_min)
         )
+        # the comparisons of `within_stroke`, at the ends of each slider range
+        rho_lo, rho_hi = _slider_range(lo, hi, d.leg_length)
+        in_stroke = (rho_lo.T >= d.stroke_min) & (rho_hi.T <= d.stroke_max)
         need[tuple(box)] = ~cleared
-    return need
+        decided[tuple(box)] = cleared & in_stroke.all(axis=1)
+    # each node's box, flat; the nodes of undecided boxes keep grid order
+    node_box = np.ravel_multi_index(index // _BOX_NODES, shape)
+    keep = ~decided.take(node_box)
+    return layout._replace(index=index.compress(keep, axis=1)), need.take(node_box[keep])
 
 
 def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _Summary:
@@ -548,7 +594,9 @@ def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _
     worst case at its first node in grid order.  On a symmetric grid each
     wedge node counts once per node it stands for, and a worst wedge node
     is also the first of its permutations in grid order, since its sorted
-    triple comes first and the wedge is in grid order."""
+    triple comes first and the wedge is in grid order.  The nodes left out
+    by `_boxes_to_evaluate` add to no count and neither are nor tie a worst
+    case, so the first among the nodes kept is the first of the grid."""
     axes, index, symmetric = layout
     reach, within, sig_min, sig_max, _ = results
     weight = _orbit_sizes(index) if symmetric else None

@@ -572,7 +572,7 @@ class TestSymmetricWedge:
 def assert_pruned_summary_is_the_loop(d, cube, b, n):
     """Read first, the summary takes the box-pruned route and equals the
     reference loop over a separately built report's full nodes: counts,
-    worst values (==, or both NaN) and their locations."""
+    worst values (==, or both NaN) and their locations.  Returns the counts."""
     report = verify_cube(d, cube, b, n)
     counts = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
     assert "_results" not in vars(report)  # no node was evaluated in full
@@ -582,6 +582,7 @@ def assert_pruned_summary_is_the_loop(d, cube, b, n):
     assert counts == want[0]
     assert np.array_equal([worst_min, worst_max], [want[1], want[3]], equal_nan=True)
     assert (worst_min_at, worst_max_at) == (want[2], want[4])
+    return counts
 
 
 def exactly_at_least(a, p, e2) -> bool:
@@ -625,9 +626,10 @@ def grid_cases(draw):
 
 
 class TestPrunedSummary:
-    """A summary read before `nodes` runs the factor kernel only on the
-    boxes of nodes that `_box_bounds` cannot clear, on every grid however
-    small, and equals the full evaluation's."""
+    """A summary read before `nodes` runs the IK only on the nodes of the
+    boxes that `_box_bounds` and `_slider_range` cannot decide, and the
+    factor kernel only on those of the boxes `_box_bounds` cannot clear, on
+    every grid however small, and equals the full evaluation's."""
 
     @pytest.mark.parametrize("case", sorted(TestReferenceLoop.CASES))
     def test_reference_loop_cases(self, design, proto, case):
@@ -667,18 +669,58 @@ class TestPrunedSummary:
     def test_random_grids(self, case):
         assert_pruned_summary_is_the_loop(*case)
 
+    # a stroke limit of axis 1 set one ulp inside the rho_1 the IK gives at
+    # a corner node of a box of the 21^3 grid: stroke_max just below it at
+    # the far corner (hi_1, the greatest |p_j| and |p_k|), stroke_min just
+    # above it at the near corner (lo_1, the least |p_j| and |p_k|), so the
+    # box's slider range only just leaves the stroke
+    BINDING_STROKES = [
+        ("stroke_max", (1, 2, 1)),
+        ("stroke_max", (0, 4, 4)),
+        ("stroke_max", (1, 1, 0)),
+        ("stroke_min", (2, 1, 3)),
+        ("stroke_min", (3, 2, 2)),
+        ("stroke_min", (1, 4, 2)),
+    ]
+
+    @pytest.mark.parametrize(
+        "limit, box",
+        BINDING_STROKES,
+        ids=[f"{limit}-{''.join(map(str, box))}" for limit, box in BINDING_STROKES],
+    )
+    def test_binding_stroke(self, design, proto, limit, box):
+        n = 21
+        size = workspace._BOX_NODES
+        axes = workspace._grid_axes(proto.cube, n)
+        nodes = [a[size * i : size * (i + 1)] for a, i in zip(axes, box)]
+        far = limit == "stroke_max"
+        pose = [x[(np.argmax if far else np.argmin)(np.abs(x))] for x in nodes]
+        pose[0] = nodes[0][-1 if far else 0]
+        rho_1 = inverse_kinematics(pose, design)[0]
+        strokes = {"stroke_min": list(design.stroke_min), "stroke_max": list(design.stroke_max)}
+        strokes[limit][0] = np.nextafter(rho_1, -np.inf if far else np.inf)
+        d = DesignParams(design.leg_length, **strokes)
+        counts = assert_pruned_summary_is_the_loop(d, proto.cube, B, n)
+        assert counts[1] > 0
+
     def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
-        sizes = []
+        # the nodes the IK and the factor kernel see on the summary's route
+        solved, sizes = [], []
+
+        def counting_radicands(p, leg_length):
+            solved.append(len(p))
+            return leg_radicands(p, leg_length)
 
         def counting_factors(jinv):
             sizes.append(len(jinv))
             return forward_factors(jinv)
 
+        monkeypatch.setattr(workspace, "leg_radicands", counting_radicands)
         monkeypatch.setattr(workspace, "forward_factors", counting_factors)
         report = verify_cube(design, proto.cube, B, 41)
         assert report.ok
         assert len(report._layout.index[0]) == 12341
-        assert 0 < sum(sizes) <= 0.05 * 12341
+        assert 0 < sum(sizes) <= sum(solved) <= 0.05 * 12341
 
     def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
@@ -709,8 +751,8 @@ def box_nodes(lo, hi):
 
 class TestBoxBounds:
     """The entry intervals hold the exact and the computed Jinv entries at
-    every pose of a box, and the Weyl bounds the factors the kernel
-    gives there."""
+    every pose of a box, the slider range the computed slider coordinates,
+    and the Weyl bounds the factors the kernel gives there."""
 
     def test_entry_intervals_hold_exact_and_computed_entries(self, design, rng):
         # a cube straddling zero on every axis, reaching near the workspace edge
@@ -734,6 +776,25 @@ class TestBoxBounds:
                     assert entry_lo[e, b] <= jinv[i, j] <= entry_hi[e, b]
                 checked += 1
         assert checked >= 400
+
+    def test_slider_range_holds_the_computed_rho(self, design, rng):
+        lo, hi = random_boxes(rng, np.full(3, -200.0), np.full(3, 200.0), 300)
+        rho_lo, rho_hi = workspace._slider_range(lo, hi, design.leg_length)
+        checked = tight = 0
+        for b in range(lo.shape[1]):
+            try:
+                rho = inverse_kinematics(box_nodes(lo[:, b], hi[:, b]), design)
+            except (Unreachable, SerialSingularity):
+                continue
+            assert np.all(rho_lo[:, b] <= rho.min(axis=0))
+            assert np.all(rho.max(axis=0) <= rho_hi[:, b])
+            checked += 1
+            # off zero, each end is the rho of a corner, which is a node
+            if np.all((lo[:, b] >= 0.0) | (hi[:, b] <= 0.0)):
+                assert np.array_equal(rho_lo[:, b], rho.min(axis=0))
+                assert np.array_equal(rho_hi[:, b], rho.max(axis=0))
+                tight += 1
+        assert checked >= 250 and tight >= 200
 
     def test_weyl_bounds_hold_the_node_factors(self, design, proto, rng):
         lo, hi = random_boxes(rng, proto.q1 - 30.0, proto.q2 + 30.0, 300)
@@ -794,13 +855,16 @@ class TestSlabs:
     def test_verify_cube_memory_per_node(self, design, proto, case):
         # off-diagonal: map-export's cube, no wedge, every node reachable;
         # wedge: the prototype's own cube.  Both routes to the summary are
-        # measured: read first, it takes the box-pruned route; the full
-        # route evaluates the results `nodes` is built from, and reduces
-        # them.  tracemalloc counts numpy's allocations, not time, so the
-        # bound does not depend on the host; a whole-grid IK and stroke pass
-        # peaks at about 183 and 113 B/node, a whole-grid (N, 3) coordinate
-        # array at about 67 and 70, and expanding the wedge to the whole
-        # grid, as reading `nodes` does, at about 44 on the wedge
+        # measured: read first, it takes the box-pruned route, which peaks
+        # at about 24 and 6 B/node with the node indices and their boxes
+        # (with the IK on every evaluated node it peaks at 39 and 11); the
+        # full route evaluates the results `nodes` is built from, and
+        # reduces them, at about 42 and 17.  tracemalloc counts numpy's
+        # allocations, not time, so the bound does not depend on the host;
+        # a whole-grid IK and stroke pass peaks at about 183 and 113
+        # B/node, a whole-grid (N, 3) coordinate array at about 67 and 70,
+        # and expanding the wedge to the whole grid, as reading `nodes`
+        # does, at about 44 on the wedge
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
@@ -816,7 +880,9 @@ class TestSlabs:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= (50 if case == "off-diagonal" else 25) * n**3
+            # B/node, read first and full
+            bound = (30, 50) if case == "off-diagonal" else (8, 25)
+            assert peak <= bound[full] * n**3
 
 
 class TestReachableMatchesIK:
