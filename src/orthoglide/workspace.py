@@ -8,8 +8,7 @@ through inverse kinematics and the forward-factor computation, and failures
 are reported as data rather than raised.  A caller that reads only the
 summary gets it from a pass over boxes of nodes (`_boxes_to_evaluate`): a
 box whose Weyl bounds and slider range show that no node of it can change
-the summary is not evaluated at all, and the factor kernel runs only on the
-boxes whose factors could change it.
+the summary is not evaluated at all, and every node of any other box is.
 """
 
 from __future__ import annotations
@@ -163,9 +162,8 @@ class GridReport:
     Both the summary and `nodes` are worked out on first read.  Once
     `nodes` is built the summary is reduced from its results; read first,
     it comes from a pass over boxes of nodes (`_boxes_to_evaluate`) that
-    runs the IK only on the nodes of the boxes it cannot decide, and the
-    factor kernel only on those of the boxes whose factors could change the
-    summary, with the same values.
+    evaluates only the nodes of the boxes it cannot decide, each with the
+    results it has in `nodes`, so the summary has the same values.
     """
 
     n_per_axis: int
@@ -203,8 +201,8 @@ class GridReport:
     def _summary(self) -> _Summary:
         if "_results" in vars(self):
             return _summarize(self._layout, self._results, self._bounds)
-        layout, need = _boxes_to_evaluate(self._design, self._bounds, self._layout)
-        return _summarize(layout, _evaluate(self._design, layout, need), self._bounds)
+        layout = _boxes_to_evaluate(self._design, self._bounds, self._layout)
+        return _summarize(layout, _evaluate(self._design, layout), self._bounds)
 
     @property
     def ok(self) -> bool:
@@ -346,16 +344,14 @@ def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
     return _Layout(axes, _lattice(tuple(len(a) for a in axes), symmetric), symmetric)
 
 
-def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
+def _evaluate(d: DesignParams, layout: _Layout):
     """Evaluate IK + forward factors on the nodes of `layout`: those of
     `_layout` fix the results of every node of the grid, those
     `_boxes_to_evaluate` keeps the summary's.
 
     Returns their (n,) reachable, within_stroke, sigma_min, sigma_max and
-    kappa arrays, in the order of `layout.index`.  With `need`, an (n,)
-    bool array over those nodes (`_boxes_to_evaluate`), the factors are
-    computed only at the nodes where it is True; every other node keeps NaN
-    factors, as an unreachable node does.
+    kappa arrays, in the order of `layout.index`; the factors are NaN
+    exactly where a node is unreachable.
 
     Every per-node stage runs in slabs of _SLAB_NODES evaluated nodes: the
     coordinates, gathered from the axes by node index, the IK solve, the
@@ -400,9 +396,7 @@ def _evaluate(d: DesignParams, layout: _Layout, need: np.ndarray | None = None):
         reachable[slab] = ok
         within = within_stroke(rho, d)
         stroke_ok[slab] = ok & within[:, 0] & within[:, 1] & within[:, 2]
-        if need is not None:
-            ok &= need[slab]
-        # a slab with every node selected needs no gather or scatter
+        # a slab with every node reachable needs no gather or scatter
         sel = slice(None) if ok.all() else ok
         p, rho = p[sel], rho[sel]
         if not symmetric:  # a wedge node has x <= y <= z already
@@ -534,25 +528,24 @@ def _box_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float) -> _BoxBounds
         )
 
 
-def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> tuple[_Layout, np.ndarray]:
-    """The nodes the summary must evaluate, and which of them need their
-    factors, from bounds over the boxes of _BOX_NODES^3 grid nodes, box
-    (I, J, K) holding the nodes i // _BOX_NODES = I, and so on.
+def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> _Layout:
+    """`layout` keeping only the nodes the summary must evaluate, in grid
+    order: those of the boxes of _BOX_NODES^3 grid nodes that bounds over
+    the box cannot decide, box (I, J, K) holding the nodes i // _BOX_NODES
+    = I, and so on.
 
-    Returns `layout` keeping only the nodes of the undecided boxes, in grid
-    order, and `need`, an (n,) bool array over those nodes, False at the
-    nodes of cleared boxes.  A box is cleared when its `_box_bounds` are
-    valid and, widened by the relative margin _BOX_MARGIN, lie strictly
-    inside the bounds' edges [s_lo (1 - BOUND_REL_TOL), s_hi (1 +
-    BOUND_REL_TOL)], strictly below the largest lower bound on sigma_max of
-    a valid box, and strictly above the smallest upper bound on sigma_min of
-    one.  That box holds reachable nodes, which are evaluated, so no node of
-    a cleared box can break a bound, nor be or tie a worst factor.  A
-    cleared box is decided when its `_slider_range` also lies within the
-    strokes on every axis: every node of it is reachable (valid bounds ask
-    every eta_i to exceed 2 SERIAL_TOL L) and within the strokes, so it
-    adds to no count and its nodes need no IK.  On a symmetric grid only
-    the boxes that meet the wedge i <= j <= k, I <= J <= K, are bounded.
+    A box is decided when its `_box_bounds` are valid and, widened by the
+    relative margin _BOX_MARGIN, lie strictly inside the bounds' edges
+    [s_lo (1 - BOUND_REL_TOL), s_hi (1 + BOUND_REL_TOL)], strictly below
+    the largest lower bound on sigma_max of a valid box, and strictly above
+    the smallest upper bound on sigma_min of one, and its `_slider_range`
+    lies within the strokes on every axis.  The box giving either worst
+    bound is not decided, so its reachable nodes are evaluated, and no node
+    of a decided box can break a bound, nor be or tie a worst factor; every
+    node of it is reachable (valid bounds ask every eta_i to exceed
+    2 SERIAL_TOL L) and within the strokes, so it adds to no count.  On a
+    symmetric grid only the boxes that meet the wedge i <= j <= k,
+    I <= J <= K, are bounded.
     """
     axes, index, symmetric = layout
     first = [np.arange(0, len(a), _BOX_NODES) for a in axes]
@@ -563,30 +556,27 @@ def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> tuple[_La
         [a[np.minimum(f + _BOX_NODES, len(a)) - 1][i] for a, f, i in zip(axes, first, box)]
     )
     bounds = _box_bounds(lo, hi, d.leg_length)
-    need = np.ones(shape, dtype=bool)
-    decided = np.zeros(shape, dtype=bool)
     valid = bounds.valid
-    if valid.any():
-        worst_max = bounds.sigma_max_lo[valid].max() * (1.0 - _BOX_MARGIN)
-        worst_min = bounds.sigma_min_hi[valid].min() * (1.0 + _BOX_MARGIN)
-        low = bounds.sigma_min_lo * (1.0 - _BOX_MARGIN)
-        high = bounds.sigma_max_hi * (1.0 + _BOX_MARGIN)
-        cleared = (
-            valid
-            & (low > b.s_lo * (1.0 - BOUND_REL_TOL))
-            & (high < b.s_hi * (1.0 + BOUND_REL_TOL))
-            & (high < worst_max)
-            & (low > worst_min)
-        )
-        # the comparisons of `within_stroke`, at the ends of each slider range
-        rho_lo, rho_hi = _slider_range(lo, hi, d.leg_length)
-        in_stroke = (rho_lo.T >= d.stroke_min) & (rho_hi.T <= d.stroke_max)
-        need[tuple(box)] = ~cleared
-        decided[tuple(box)] = cleared & in_stroke.all(axis=1)
+    # with no valid box these are -inf and inf, and no box is decided
+    worst_max = np.max(bounds.sigma_max_lo, where=valid, initial=-np.inf) * (1.0 - _BOX_MARGIN)
+    worst_min = np.min(bounds.sigma_min_hi, where=valid, initial=np.inf) * (1.0 + _BOX_MARGIN)
+    low = bounds.sigma_min_lo * (1.0 - _BOX_MARGIN)
+    high = bounds.sigma_max_hi * (1.0 + _BOX_MARGIN)
+    # the comparisons of `within_stroke`, at the ends of each slider range
+    rho_lo, rho_hi = _slider_range(lo, hi, d.leg_length)
+    in_stroke = (rho_lo.T >= d.stroke_min) & (rho_hi.T <= d.stroke_max)
+    decided = np.zeros(shape, dtype=bool)
+    decided[tuple(box)] = (
+        valid
+        & (low > b.s_lo * (1.0 - BOUND_REL_TOL))
+        & (high < b.s_hi * (1.0 + BOUND_REL_TOL))
+        & (high < worst_max)
+        & (low > worst_min)
+        & in_stroke.all(axis=1)
+    )
     # each node's box, flat; the nodes of undecided boxes keep grid order
     node_box = np.ravel_multi_index(index // _BOX_NODES, shape)
-    keep = ~decided.take(node_box)
-    return layout._replace(index=index.compress(keep, axis=1)), need.take(node_box[keep])
+    return layout._replace(index=index.compress(~decided.take(node_box), axis=1))
 
 
 def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _Summary:
@@ -596,7 +586,9 @@ def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _
     is also the first of its permutations in grid order, since its sorted
     triple comes first and the wedge is in grid order.  The nodes left out
     by `_boxes_to_evaluate` add to no count and neither are nor tie a worst
-    case, so the first among the nodes kept is the first of the grid."""
+    case, and those it keeps have the results the whole grid's evaluation
+    gives them, so the first among the nodes kept is the first of the
+    grid."""
     axes, index, symmetric = layout
     reach, within, sig_min, sig_max, _ = results
     weight = _orbit_sizes(index) if symmetric else None
@@ -609,8 +601,8 @@ def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _
     )
     worst_min, worst_min_at = math.nan, None
     worst_max, worst_max_at = math.nan, None
-    # NaN marks the unreachable and the cleared nodes: no bound comparison
-    # or nan-reduction counts it
+    # NaN marks the unreachable nodes: no bound comparison or nan-reduction
+    # counts them
     if reach.any():
         i = np.nanargmin(sig_min)
         j = np.nanargmax(sig_max)

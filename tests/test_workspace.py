@@ -626,10 +626,10 @@ def grid_cases(draw):
 
 
 class TestPrunedSummary:
-    """A summary read before `nodes` runs the IK only on the nodes of the
-    boxes that `_box_bounds` and `_slider_range` cannot decide, and the
-    factor kernel only on those of the boxes `_box_bounds` cannot clear, on
-    every grid however small, and equals the full evaluation's."""
+    """A summary read before `nodes` evaluates only the nodes of the boxes
+    that `_box_bounds` and `_slider_range` cannot decide, on every grid
+    however small; each of those nodes gets the results the full evaluation
+    gives it, and the summary equals the full evaluation's."""
 
     @pytest.mark.parametrize("case", sorted(TestReferenceLoop.CASES))
     def test_reference_loop_cases(self, design, proto, case):
@@ -683,12 +683,18 @@ class TestPrunedSummary:
         ("stroke_min", (1, 4, 2)),
     ]
 
-    @pytest.mark.parametrize(
-        "limit, box",
-        BINDING_STROKES,
-        ids=[f"{limit}-{''.join(map(str, box))}" for limit, box in BINDING_STROKES],
-    )
+    BINDING_IDS = [f"{limit}-{''.join(map(str, box))}" for limit, box in BINDING_STROKES]
+
+    @pytest.mark.parametrize("limit, box", BINDING_STROKES, ids=BINDING_IDS)
     def test_binding_stroke(self, design, proto, limit, box):
+        d, cube = self._binding_stroke(design, proto, limit, box)
+        counts = assert_pruned_summary_is_the_loop(d, cube, B, 21)
+        assert counts[1] > 0
+
+    @staticmethod
+    def _binding_stroke(design, proto, limit, box):
+        """The prototype's design with the one stroke limit of
+        BINDING_STROKES moved, and its cube."""
         n = 21
         size = workspace._BOX_NODES
         axes = workspace._grid_axes(proto.cube, n)
@@ -699,9 +705,39 @@ class TestPrunedSummary:
         rho_1 = inverse_kinematics(pose, design)[0]
         strokes = {"stroke_min": list(design.stroke_min), "stroke_max": list(design.stroke_max)}
         strokes[limit][0] = np.nextafter(rho_1, -np.inf if far else np.inf)
-        d = DesignParams(design.leg_length, **strokes)
-        counts = assert_pruned_summary_is_the_loop(d, proto.cube, B, n)
-        assert counts[1] > 0
+        return DesignParams(design.leg_length, **strokes), proto.cube
+
+    @pytest.mark.parametrize(
+        "case",
+        ["off-diagonal", "inflated-1.5x", "design-sweep", *BINDING_STROKES],
+        ids=["off-diagonal", "inflated-1.5x", "design-sweep", *BINDING_IDS],
+    )
+    def test_kept_nodes_match_the_full_route(self, design, proto, case):
+        # the nodes the box pass keeps get the full route's results, bit for
+        # bit: NaN factors mean unreachable on both routes
+        d, b, n = design, B, 41
+        if case == "off-diagonal":  # map-export's cube
+            corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
+            cube = CubeSpec(corner, corner + 230.0)
+        elif case == "inflated-1.5x":
+            cube = CubeSpec(1.5 * proto.q1, 1.5 * proto.q2)
+        elif case == "design-sweep":  # synthesized, so on the wedge
+            lw, s_lo, s_hi = self.REQUESTS[0]
+            res = synthesize(lw, Bounds(s_lo, s_hi))
+            d, cube, b = res.design(), res.cube, res.bounds
+        else:
+            d, cube = self._binding_stroke(design, proto, *case)
+            n = 21
+        report = verify_cube(d, cube, b, n)
+        layout = report._layout
+        kept = workspace._boxes_to_evaluate(d, b, layout)
+        assert 0 < kept.index.shape[1] < layout.index.shape[1]
+        shape = tuple(len(a) for a in layout.axes)
+        at = np.searchsorted(
+            np.ravel_multi_index(layout.index, shape), np.ravel_multi_index(kept.index, shape)
+        )
+        for got, full in zip(workspace._evaluate(d, kept), report._results):
+            assert np.array_equal(got, full[at], equal_nan=True)
 
     def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
         # the nodes the IK and the factor kernel see on the summary's route
@@ -720,7 +756,8 @@ class TestPrunedSummary:
         report = verify_cube(design, proto.cube, B, 41)
         assert report.ok
         assert len(report._layout.index[0]) == 12341
-        assert 0 < sum(sizes) <= sum(solved) <= 0.05 * 12341
+        # one verdict per box: every node the IK solves reaches the kernel
+        assert 0 < sum(sizes) == sum(solved) <= 0.05 * 12341
 
     def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
