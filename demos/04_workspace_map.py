@@ -13,9 +13,9 @@ import numpy as np
 from orthoglide import (
     Bounds,
     CubeSpec,
+    map_cube,
     prototype_design,
     prototype_synthesis,
-    verify_cube,
 )
 from orthoglide.workspace import write_grid_csv
 
@@ -23,7 +23,7 @@ d = prototype_design()
 res = prototype_synthesis()
 bounds = Bounds(0.5, 2.0)
 
-report = verify_cube(d, res.cube, bounds, 21)
+report = map_cube(d, res.cube, bounds, 21)
 write_grid_csv(report.nodes, "workspace_map.csv")
 print(f"wrote workspace_map.csv with {report.n_points} records")
 print(f"all reachable: {report.n_unreachable == 0}, "
@@ -38,7 +38,7 @@ for lo in np.arange(0.2, 1.0, 0.2):
 
 # an oversized region: 1.8x the cube, pushed outward
 big = CubeSpec(1.8 * res.q1, 1.8 * res.q2)
-rep2 = verify_cube(d, big, bounds, 15)
+rep2 = map_cube(d, big, bounds, 15)
 write_grid_csv(rep2.nodes, "workspace_map_oversized.csv")
 print(f"\noversized region: {rep2.n_unreachable} unreachable nodes, "
       f"{rep2.n_bound_violations} bound violations, "

@@ -50,6 +50,7 @@ from .workspace import (
     GridNodes,
     GridReport,
     diagonal_profile,
+    map_cube,
     verify_cube,
 )
 
@@ -82,6 +83,7 @@ __all__ = [
     "inverse_kinematics",
     "isotropy_residual",
     "joint_velocity",
+    "map_cube",
     "max_feasible_tool_speed",
     "profile_arrays",
     "prototype_design",

@@ -185,7 +185,10 @@ class RunConfig:
             cube = None
             if self.cube_doc:
                 try:
-                    cube = CubeSpec(self.cube_doc["q1"], self.cube_doc["q2"])
+                    corners = self.cube_doc["q1"], self.cube_doc["q2"]
+                    for corner in corners:
+                        _require_finite("bad cube in config: cube corners", corner, True)
+                    cube = CubeSpec(*corners)
                 except (KeyError, TypeError, ValueError) as e:
                     raise ConfigError(f"bad cube in config: {e}") from e
             return d, cube
@@ -269,7 +272,7 @@ def cmd_synthesize(**flags):
     cfg = RunConfig(flags)
     result = cfg.synthesis_result()
     design = result.design(**cfg.motors)
-    report = _verify_cube(design, result.cube, result.bounds, cfg.grid)
+    report = _verify_cube(workspace.verify_cube, design, result.cube, result.bounds, cfg.grid)
     doc = {
         "request": {"lw_mm": result.lw, "s_lo": result.bounds.s_lo, "s_hi": result.bounds.s_hi},
         "leg_length_mm": result.leg_length,
@@ -298,11 +301,11 @@ def cmd_synthesize(**flags):
         sys.exit(EXIT_VIOLATIONS)
 
 
-def _verify_cube(design, cube, bounds, grid: int) -> workspace.GridReport:
-    # a grid too large for memory (MemoryError) or for numpy's index range
-    # (ValueError) is a configuration error, not a crash
+def _verify_cube(run, design, cube, bounds, grid: int) -> workspace.GridReport:
+    # `run` is verify_cube or map_cube: a grid too large for memory or for
+    # numpy's index range is a configuration error, not a crash
     try:
-        return workspace.verify_cube(design, cube, bounds, grid)
+        return run(design, cube, bounds, grid)
     except (MemoryError, ValueError) as e:
         raise ConfigError(f"cannot evaluate a {grid}^3 grid: {type(e).__name__}: {e}") from e
 
@@ -360,7 +363,7 @@ def cmd_workspace_map(**flags):
     design, cube = cfg.design_and_cube()
     if cube is None:
         raise ConfigError("workspace-map needs a cube (synthesis request or config cube)")
-    report = _verify_cube(design, cube, cfg.bounds(), cfg.grid)
+    report = _verify_cube(workspace.map_cube, design, cube, cfg.bounds(), cfg.grid)
     workspace.write_grid_csv(report.nodes, cfg.out)
     if not report.ok:
         sys.exit(EXIT_VIOLATIONS)

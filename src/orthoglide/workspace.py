@@ -1,21 +1,17 @@
 """Grid-based workspace mapping and transmission-bound verification.
 
 The prescribed working volume is an axis-aligned cube whose diagonal carries
-the two reference points used by the synthesis.  `verify_cube` is the
-brute-force check that the whole cube, not just the diagonal, respects the
-prescribed transmission-factor bounds: every point of a closed grid goes
-through inverse kinematics and the forward-factor computation, and failures
-are reported as data rather than raised.  A caller that reads only the
-summary gets it from a pass over boxes of nodes (`_boxes_to_evaluate`): a
-box whose Weyl bounds and slider range show that no node of it can change
-the summary is not evaluated at all, and every node of any other box is.
+the two reference points used by the synthesis.  `verify_cube` checks that
+the whole cube, not just the diagonal, respects the prescribed
+transmission-factor bounds on a closed grid, whose nodes go through inverse
+kinematics and the forward-factor computation; failures are reported as
+data rather than raised.  `map_cube` also returns every node's results.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +112,8 @@ class GridNodes:
     `axes` holds the grid's x, y and z coordinates, and node (i, j, k) sits
     at (axes[0][i], axes[1][j], axes[2][k]); the other fields are (N,).
     sigma_min, sigma_max and kappa are NaN where a node is unreachable, and
-    within_stroke is False there.  `verify_cube(...).nodes` is the one way
-    to get them.
+    within_stroke is False there.  `map_cube(...).nodes` is the one way to
+    get them.
     """
 
     axes: tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -139,7 +135,17 @@ class _Layout(NamedTuple):
     symmetric: bool
 
 
-class _Summary(NamedTuple):
+@dataclass
+class GridReport:
+    """Summary of a cube grid sweep; `nodes` holds every node's results
+    from `map_cube`, and is None from `verify_cube`.
+
+    Violations count reachable nodes only; the worst values and their
+    locations (None when no node is reachable) are over reachable nodes.
+    """
+
+    n_per_axis: int
+    n_points: int
     n_unreachable: int
     n_stroke_violations: int
     n_bound_violations: int
@@ -147,70 +153,11 @@ class _Summary(NamedTuple):
     worst_sigma_min_at: tuple[float, float, float] | None
     worst_sigma_max: float
     worst_sigma_max_at: tuple[float, float, float] | None
-
-
-def _summary_field(name: str) -> property:
-    return property(lambda report: getattr(report._summary, name))
-
-
-@dataclass(repr=False)
-class GridReport:
-    """Summary of a cube grid sweep; `nodes` holds the per-node arrays.
-
-    Violations count reachable nodes only; the worst values and their
-    locations (None when no node is reachable) are over reachable nodes.
-    Both the summary and `nodes` are worked out on first read.  Once
-    `nodes` is built the summary is reduced from its results; read first,
-    it comes from a pass over boxes of nodes (`_boxes_to_evaluate`) that
-    evaluates only the nodes of the boxes it cannot decide, each with the
-    results it has in `nodes`, so the summary has the same values.
-    """
-
-    n_per_axis: int
-    _design: DesignParams
-    _bounds: Bounds
-    _layout: _Layout
-
-    n_unreachable = _summary_field("n_unreachable")
-    n_stroke_violations = _summary_field("n_stroke_violations")
-    n_bound_violations = _summary_field("n_bound_violations")
-    worst_sigma_min = _summary_field("worst_sigma_min")
-    worst_sigma_min_at = _summary_field("worst_sigma_min_at")
-    worst_sigma_max = _summary_field("worst_sigma_max")
-    worst_sigma_max_at = _summary_field("worst_sigma_max_at")
-
-    @property
-    def n_points(self) -> int:
-        return math.prod(len(a) for a in self._layout.axes)
-
-    @functools.cached_property
-    def _results(self) -> tuple[np.ndarray, ...]:
-        # every evaluated node's results: what `nodes` is built from
-        return _evaluate(self._design, self._layout)
-
-    @functools.cached_property
-    def nodes(self) -> GridNodes:
-        axes, _, symmetric = self._layout
-        results = self._results
-        if symmetric:
-            slot = _wedge_slots(len(axes[0]))
-            results = tuple(r[slot] for r in results)
-        return GridNodes(axes, *results)
-
-    @functools.cached_property
-    def _summary(self) -> _Summary:
-        if "_results" in vars(self):
-            return _summarize(self._layout, self._results, self._bounds)
-        layout = _boxes_to_evaluate(self._design, self._bounds, self._layout)
-        return _summarize(layout, _evaluate(self._design, layout), self._bounds)
+    nodes: GridNodes | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
         return not (self.n_unreachable or self.n_stroke_violations or self.n_bound_violations)
-
-    def __repr__(self) -> str:
-        fields = (f"{k}={v!r}" for k, v in zip(_Summary._fields, self._summary))
-        return f"GridReport(n_per_axis={self.n_per_axis!r}, {', '.join(fields)})"
 
 
 def diagonal_coupling(u, leg_length: float):
@@ -376,9 +323,8 @@ def _evaluate(d: DesignParams, layout: _Layout):
     grid axes are equal element for element and the strokes are equal on
     the three axes (every synthesized cube) only the nodes i <= j <= k,
     about a sixth, are evaluated, and every other node takes the results of
-    its sorted index triple (`GridReport.nodes`): the same bits as
-    evaluating it; a wedge node is sorted already.  Any other grid is
-    evaluated node by node.
+    its sorted index triple (`map_cube`): the same bits as evaluating it; a
+    wedge node is sorted already.  Any other grid is evaluated node by node.
     """
     axes, index, symmetric = layout
     n = index.shape[1]
@@ -579,16 +525,18 @@ def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> _Layout:
     return layout._replace(index=index.compress(~decided.take(node_box), axis=1))
 
 
-def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _Summary:
-    """The counts and worst cases over the evaluated nodes' results, each
-    worst case at its first node in grid order.  On a symmetric grid each
-    wedge node counts once per node it stands for, and a worst wedge node
-    is also the first of its permutations in grid order, since its sorted
-    triple comes first and the wedge is in grid order.  The nodes left out
-    by `_boxes_to_evaluate` add to no count and neither are nor tie a worst
-    case, and those it keeps have the results the whole grid's evaluation
-    gives them, so the first among the nodes kept is the first of the
-    grid."""
+def _summarize(
+    n_per_axis: int, layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds
+) -> GridReport:
+    """The report, with no `nodes`, of the counts and worst cases over the
+    evaluated nodes' results, each worst case at its first node in grid
+    order.  On a symmetric grid each wedge node counts once per node it
+    stands for, and a worst wedge node is also the first of its
+    permutations in grid order, since its sorted triple comes first and the
+    wedge is in grid order.  The nodes left out by `_boxes_to_evaluate` add
+    to no count and neither are nor tie a worst case, and those it keeps
+    have the results the whole grid's evaluation gives them, so the first
+    among the nodes kept is the first of the grid."""
     axes, index, symmetric = layout
     reach, within, sig_min, sig_max, _ = results
     weight = _orbit_sizes(index) if symmetric else None
@@ -612,7 +560,9 @@ def _summarize(layout: _Layout, results: tuple[np.ndarray, ...], b: Bounds) -> _
 
         worst_min, worst_min_at = float(sig_min[i]), at(i)
         worst_max, worst_max_at = float(sig_max[j]), at(j)
-    return _Summary(
+    return GridReport(
+        n_per_axis,
+        math.prod(len(a) for a in axes),
         count(~reach),
         count(reach & ~within),
         count(out_of_bounds),
@@ -631,10 +581,30 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
 
-    The grid is laid out here (`_layout`), so a grid too large to index or
-    to allocate raises now; the report evaluates it on first read.
+    Only the nodes of the boxes `_boxes_to_evaluate` cannot decide are
+    evaluated, each with the results `map_cube` gives it, so the two
+    summaries are equal.  A grid too large to index or to allocate raises
+    ValueError or MemoryError (`_layout`).
     """
-    return GridReport(n_per_axis, d, b, _layout(d, cube, n_per_axis))
+    layout = _boxes_to_evaluate(d, b, _layout(d, cube, n_per_axis))
+    return _summarize(n_per_axis, layout, _evaluate(d, layout), b)
+
+
+def map_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:
+    """`verify_cube`'s report, with `nodes` holding every node's results.
+
+    Every node is evaluated, or on a symmetric grid the wedge i <= j <= k
+    (`_layout`); the summary is reduced from those results, then the wedge
+    is expanded to the whole grid (`_wedge_slots`).
+    """
+    layout = _layout(d, cube, n_per_axis)
+    results = _evaluate(d, layout)
+    report = _summarize(n_per_axis, layout, results, b)
+    if layout.symmetric:
+        slot = _wedge_slots(len(layout.axes[0]))
+        results = tuple(r[slot] for r in results)
+    report.nodes = GridNodes(layout.axes, *results)
+    return report
 
 
 GRID_CSV_HEADER = "x_mm,y_mm,z_mm,reachable,within_stroke,sigma_min,sigma_max,kappa"

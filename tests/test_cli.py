@@ -616,6 +616,22 @@ class TestNonFiniteInput:
         assert isinstance(res.exception, SystemExit)
         assert res.output.startswith("error: bad cube in config: cube edges overflow")
 
+    @pytest.mark.parametrize(
+        "q1, q2", [(["-60", "-60", "-60"], [140, 140, 140]), ([True, 0, 0], [11, 10, 10])]
+    )
+    @pytest.mark.parametrize("command", ["workspace-map", "diag-profile"])
+    def test_config_cube_corner_not_a_json_number(self, runner, tmp_path, command, q1, q2):
+        # numpy would read both corners as a 200 mm and a 10 mm cube; a
+        # string or a boolean is refused as it is for every scalar key
+        cfg = tmp_path / "cfg.json"
+        design = {"leg_length": 310.58, "stroke_min": -383.8, "stroke_max": -126.8}
+        cfg.write_text(json.dumps({**design, "cube": {"q1": q1, "q2": q2}}))
+        res = runner.invoke(main, [command, "--config", str(cfg), "--grid", "3"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        message = f"bad cube in config: cube corners must be a number, got {q1!r}"
+        assert res.output == f"error: {message}\n"
+
     @pytest.mark.parametrize("u_min, u_max", [("nan", "10"), ("0", "nan"), ("-inf", "0")])
     def test_diag_profile_range(self, runner, u_min, u_max):
         res = runner.invoke(

@@ -21,7 +21,7 @@ from orthoglide.kinematics import (
     leg_radicands,
     within_stroke,
 )
-from orthoglide.workspace import Bounds, CubeSpec, verify_cube
+from orthoglide.workspace import Bounds, CubeSpec, map_cube
 
 L = 310.58
 D = DesignParams(leg_length=L)
@@ -355,7 +355,7 @@ class TestOnePassJacobian:
             cube = CubeSpec(corner, corner + 230.0)
         else:
             cube = CubeSpec(1.8 * proto.q1, 1.8 * proto.q2)
-        nodes = verify_cube(design, cube, Bounds(0.5, 2.0), 41).nodes
+        nodes = map_cube(design, cube, Bounds(0.5, 2.0), 41).nodes
         assert case == "map-export" or 0 < np.count_nonzero(~nodes.reachable)
         p = grid_xyz(nodes.axes)[nodes.reachable]
         self.assert_same(p, inverse_kinematics(p, design))

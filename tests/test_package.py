@@ -61,7 +61,6 @@ UNREACHED = {
     "performance:IsotropyResidual.is_isotropic": "public API: the verdict on an "
     "`isotropy_residual`",
     "workspace:CubeSpec.side": "public API: the cube's edge length",
-    "workspace:GridReport.__repr__": "a readable report in an interactive session",
     "_exact:*": "test oracle: exact singular-value counts and brackets, until the certified "
     "cube (ROADMAP, 'A certified cube') calls them",
 }

@@ -33,6 +33,7 @@ from orthoglide.workspace import (
     Bounds,
     CubeSpec,
     diagonal_profile,
+    map_cube,
     verify_cube,
     write_grid_csv,
 )
@@ -126,14 +127,14 @@ class TestVerifyCube:
             verify_cube(design, proto.cube, B, 1)
 
     def test_diagonal_within_bounds(self, design, proto):
-        report = verify_cube(design, proto.cube, B, 21)
+        report = map_cube(design, proto.cube, B, 21)
         diag = on_diagonal(report.nodes)
         assert np.count_nonzero(diag) == 21
         assert np.all(report.nodes.sigma_min[diag] >= B.s_lo * (1 - 1e-9))
         assert np.all(report.nodes.sigma_max[diag] <= B.s_hi * (1 + 1e-9))
 
     def test_worst_case_binds_at_far_corner(self, design, proto):
-        report = verify_cube(design, proto.cube, B, 21)
+        report = map_cube(design, proto.cube, B, 21)
         q1, q2 = tuple(proto.q1), tuple(proto.q2)
         assert report.worst_sigma_min == pytest.approx(0.5, abs=1e-12)
         assert report.worst_sigma_max == pytest.approx(2.0, abs=1e-12)
@@ -151,7 +152,7 @@ class TestVerifyCube:
 
     def test_zero_side_cube_is_single_isotropic_point(self, design):
         cube = CubeSpec((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        report = verify_cube(design, cube, B, 5)
+        report = map_cube(design, cube, B, 5)
         assert report.n_points == 1
         nodes = report.nodes
         assert (nodes.sigma_min[0], nodes.sigma_max[0], nodes.kappa[0]) == (1.0, 1.0, 1.0)
@@ -165,7 +166,7 @@ class TestVerifyCube:
     def test_grid_matches_scalar_route(self, design, proto):
         # vectorized node evaluation == scalar IK + factor computation of
         # the sorted pose, as `analyze` runs them, at every one of the 125 nodes
-        report = verify_cube(design, proto.cube, B, 5)
+        report = map_cube(design, proto.cube, B, 5)
         nodes = report.nodes
         assert report.n_points == 125
         for k, p in enumerate(grid_xyz(nodes.axes)):
@@ -190,7 +191,7 @@ class TestVerifyCube:
         # a grid evaluates its nodes in batches, a pose query one matrix at
         # a time, as `analyze` does: every reachable node must get the same
         # bits either way
-        nodes = verify_cube(design, make_cube(proto), B, 15).nodes
+        nodes = map_cube(design, make_cube(proto), B, 15).nodes
         xyz = grid_xyz(nodes.axes)
         reachable = np.flatnonzero(nodes.reachable)
         assert len(reachable) >= 3000
@@ -203,7 +204,7 @@ class TestVerifyCube:
             assert nodes.kappa[k] == tf.kappa
 
     def test_reachable_points_close_the_legs(self, design, proto):
-        nodes = verify_cube(design, proto.cube, B, 5).nodes
+        nodes = map_cube(design, proto.cube, B, 5).nodes
         for p, reachable in zip(grid_xyz(nodes.axes), nodes.reachable):
             assert reachable
             rho = inverse_kinematics(p, design)
@@ -217,7 +218,7 @@ class TestVerifyCube:
         # the closed-form profile and the generic grid sweep share the cube
         # diagonal nodes; they must agree to 1e-10 there
         n = 9
-        nodes = verify_cube(design, proto.cube, B, n).nodes
+        nodes = map_cube(design, proto.cube, B, n).nodes
         xyz = grid_xyz(nodes.axes)
         diag = np.flatnonzero(on_diagonal(nodes))
         profile = diagonal_profile(design, proto.q1[0], proto.q2[0], n)
@@ -238,7 +239,7 @@ class TestVerifyCube:
     def test_octant_symmetry(self, design, proto):
         # permuting a pose permutes its joints exactly, and its factors are
         # those of the sorted pose, so the map is symmetric bit for bit
-        nodes = verify_cube(design, proto.cube, B, 6).nodes
+        nodes = map_cube(design, proto.cube, B, 6).nodes
         values = zip(nodes.sigma_min.tolist(), nodes.sigma_max.tolist(), nodes.kappa.tolist())
         table = dict(zip(map(tuple, grid_xyz(nodes.axes).tolist()), values))
         for (x, y, z), vals in table.items():
@@ -269,7 +270,7 @@ class TestVerifyCube:
         for pose in poses:
             bits = set()
             for perm in itertools.permutations(pose):
-                nodes = verify_cube(design, CubeSpec(perm, perm), B, 2).nodes
+                nodes = map_cube(design, CubeSpec(perm, perm), B, 2).nodes
                 res = CliRunner().invoke(cli.main, ["analyze", *explicit, "--", *map(repr, perm)])
                 assert res.exit_code == 0, res.output
                 doc = docs.pop()
@@ -283,7 +284,7 @@ class TestVerifyCube:
 class TestWorkspaceMap:
     def test_tiny_grid_record_count(self, design):
         cube = CubeSpec((-5.0, -5.0, -5.0), (5.0, 5.0, 5.0))
-        report = verify_cube(design, cube, B, 2)
+        report = map_cube(design, cube, B, 2)
         assert report.n_points == 8
         assert np.all(report.nodes.reachable)
         assert np.all(np.abs(report.nodes.kappa - 1.0) < 0.05)
@@ -296,7 +297,7 @@ class TestWorkspaceMap:
         bufs = []
         for _ in range(2):
             buf = io.StringIO()
-            report = verify_cube(design, proto.cube, B, 4)
+            report = map_cube(design, proto.cube, B, 4)
             write_grid_csv(report.nodes, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
@@ -313,7 +314,7 @@ class TestWorkspaceMap:
         else:
             d, p, n = design, np.array([12.5, 0.0, -7.25]), 3
             cube = CubeSpec(p, p)
-        nodes = verify_cube(d, cube, B, n).nodes
+        nodes = map_cube(d, cube, B, n).nodes
         got, want = io.StringIO(), io.StringIO()
         write_grid_csv(nodes, got)
         columns = [nodes.reachable, nodes.within_stroke, nodes.sigma_min, nodes.sigma_max]
@@ -326,7 +327,7 @@ class TestWorkspaceMap:
         # GridNodes keeps the three axes and the five result arrays, and no
         # (N, 3) coordinate array, before or after the export
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
-        report = verify_cube(design, CubeSpec(corner, corner + 230.0), B, 9)
+        report = map_cube(design, CubeSpec(corner, corner + 230.0), B, 9)
         fields = ["axes", "reachable", "within_stroke", "sigma_min", "sigma_max", "kappa"]
         assert [f.name for f in dataclasses.fields(report.nodes)] == fields
         write_grid_csv(report.nodes, io.StringIO())
@@ -391,7 +392,7 @@ class TestReferenceLoop:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_reductions_equal_the_loop(self, design, proto, case):
         make_cube, n, expected = self.CASES[case]
-        report = verify_cube(design, make_cube(proto), B, n)
+        report = map_cube(design, make_cube(proto), B, n)
         counts, worst_min, worst_min_at, worst_max, worst_max_at = reference_loop(report.nodes, B)
         got = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
         assert got == counts == expected
@@ -412,31 +413,34 @@ class TestReferenceLoop:
     def test_sigma_max_tie_resolves_to_first_node(self, design, proto):
         # at 41^3 sigma_max of the prototype ties at Q1 and Q2; the report
         # names the first in x-major order, as the loop's strict > did
-        report = verify_cube(design, proto.cube, B, 41)
+        report = map_cube(design, proto.cube, B, 41)
         ties = np.flatnonzero(report.nodes.sigma_max == report.worst_sigma_max)
         assert len(ties) >= 2
         assert report.worst_sigma_max_at == tuple(grid_xyz(report.nodes.axes)[ties[0]].tolist())
 
 
+def refuse_wedge_expansion(m):
+    raise AssertionError("the wedge was expanded")
+
+
 class TestWedgeReduction:
-    """On a symmetric grid `verify_cube` reduces over the wedge nodes it
-    evaluated, each counted once per grid node it stands for, and builds
-    the whole grid's nodes only when `nodes` is first read."""
+    """On a symmetric grid `map_cube` reduces over the wedge nodes it
+    evaluated, each counted once per grid node it stands for, and then
+    expands them to the whole grid's nodes."""
 
     def test_report_equals_the_loop_without_expanding(self, design, proto, monkeypatch):
         # the oversized cube: every count is nonzero, so the weights matter
         n = 15
-
-        def refuse(m):
-            raise AssertionError("the wedge was expanded")
-
-        monkeypatch.setattr(workspace, "_wedge_slots", refuse)
-        report = verify_cube(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), B, n)
+        cube = CubeSpec(1.8 * proto.q1, 1.8 * proto.q2)
+        layout = workspace._layout(design, cube, n)
+        monkeypatch.setattr(workspace, "_wedge_slots", refuse_wedge_expansion)
+        report = workspace._summarize(n, layout, workspace._evaluate(design, layout), B)
         assert report.n_points == n**3
-        assert "nodes" not in vars(report)
+        assert report.nodes is None
         monkeypatch.undo()
-        counts, worst_min, worst_min_at, worst_max, worst_max_at = reference_loop(report.nodes, B)
-        assert "nodes" in vars(report)
+        mapped = map_cube(design, cube, B, n)
+        assert dataclasses.replace(mapped, nodes=None) == report
+        counts, worst_min, worst_min_at, worst_max, worst_max_at = reference_loop(mapped.nodes, B)
         assert all(counts)
         got = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
         assert got == counts
@@ -458,7 +462,7 @@ class TestWedgeReduction:
         _, index, symmetric = workspace._layout(design, cube, 5)
         assert not symmetric
         assert index.shape == (3, 5**3)
-        report = verify_cube(design, cube, B, 5)
+        report = map_cube(design, cube, B, 5)
         counts = reference_loop(report.nodes, B)[0]
         assert counts == (0, 46, 24)
         assert (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations) == counts
@@ -544,7 +548,7 @@ class TestSymmetricWedge:
             return leg_radicands(p, leg_length)
 
         monkeypatch.setattr(workspace, "leg_radicands", counting_radicands)
-        nodes = verify_cube(d, cube, B, n).nodes
+        nodes = map_cube(d, cube, B, n).nodes
         S = workspace._SLAB_NODES
         N = n * (n + 1) * (n + 2) // 6 if uses_wedge else n**3
         assert evaluated == [min(S, N - s) for s in range(0, N, S)]
@@ -570,15 +574,17 @@ class TestSymmetricWedge:
 
 
 def assert_pruned_summary_is_the_loop(d, cube, b, n):
-    """Read first, the summary takes the box-pruned route and equals the
-    reference loop over a separately built report's full nodes: counts,
-    worst values (==, or both NaN) and their locations.  Returns the counts."""
-    report = verify_cube(d, cube, b, n)
+    """`verify_cube`'s summary, from the box-pruned route, equals the
+    reference loop over `map_cube`'s nodes: counts, worst values (==, or
+    both NaN) and their locations.  Returns the counts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workspace, "_wedge_slots", refuse_wedge_expansion)
+        report = verify_cube(d, cube, b, n)
+    assert report.nodes is None
     counts = (report.n_unreachable, report.n_stroke_violations, report.n_bound_violations)
-    assert "_results" not in vars(report)  # no node was evaluated in full
     worst_min, worst_min_at = report.worst_sigma_min, report.worst_sigma_min_at
     worst_max, worst_max_at = report.worst_sigma_max, report.worst_sigma_max_at
-    want = reference_loop(verify_cube(d, cube, b, n).nodes, b)
+    want = reference_loop(map_cube(d, cube, b, n).nodes, b)
     assert counts == want[0]
     assert np.array_equal([worst_min, worst_max], [want[1], want[3]], equal_nan=True)
     assert (worst_min_at, worst_max_at) == (want[2], want[4])
@@ -626,7 +632,7 @@ def grid_cases(draw):
 
 
 class TestPrunedSummary:
-    """A summary read before `nodes` evaluates only the nodes of the boxes
+    """`verify_cube` evaluates only the nodes of the boxes
     that `_box_bounds` and `_slider_range` cannot decide, on every grid
     however small; each of those nodes gets the results the full evaluation
     gives it, and the summary equals the full evaluation's."""
@@ -728,15 +734,14 @@ class TestPrunedSummary:
         else:
             d, cube = self._binding_stroke(design, proto, *case)
             n = 21
-        report = verify_cube(d, cube, b, n)
-        layout = report._layout
+        layout = workspace._layout(d, cube, n)
         kept = workspace._boxes_to_evaluate(d, b, layout)
         assert 0 < kept.index.shape[1] < layout.index.shape[1]
         shape = tuple(len(a) for a in layout.axes)
         at = np.searchsorted(
             np.ravel_multi_index(layout.index, shape), np.ravel_multi_index(kept.index, shape)
         )
-        for got, full in zip(workspace._evaluate(d, kept), report._results):
+        for got, full in zip(workspace._evaluate(d, kept), workspace._evaluate(d, layout)):
             assert np.array_equal(got, full[at], equal_nan=True)
 
     def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
@@ -755,21 +760,21 @@ class TestPrunedSummary:
         monkeypatch.setattr(workspace, "forward_factors", counting_factors)
         report = verify_cube(design, proto.cube, B, 41)
         assert report.ok
-        assert len(report._layout.index[0]) == 12341
+        assert len(workspace._layout(design, proto.cube, 41).index[0]) == 12341
         # one verdict per box: every node the IK solves reaches the kernel
         assert 0 < sum(sizes) == sum(solved) <= 0.05 * 12341
 
-    def test_nodes_first_runs_no_box_pass(self, design, proto, monkeypatch):
+    def test_map_cube_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
             raise AssertionError("the box pass ran")
 
         monkeypatch.setattr(workspace, "_box_bounds", refuse)
-        report = verify_cube(design, proto.cube, B, 41)
-        nodes = report.nodes
+        report = map_cube(design, proto.cube, B, 41)
         assert report.ok
-        assert (report.worst_sigma_max, report.worst_sigma_max_at) == reference_loop(nodes, B)[3:]
+        worst_max = reference_loop(report.nodes, B)[3:]
+        assert (report.worst_sigma_max, report.worst_sigma_max_at) == worst_max
         with pytest.raises(AssertionError, match="the box pass ran"):
-            verify_cube(design, proto.cube, B, 41).ok
+            verify_cube(design, proto.cube, B, 41)
 
 
 def random_boxes(rng, q1, q2, n):
@@ -860,7 +865,7 @@ class TestSlabs:
 
     def test_slabs_equal_whole_batch(self):
         (d, cube), n = self._grid()
-        nodes = verify_cube(d, cube, B, n).nodes
+        nodes = map_cube(d, cube, B, n).nodes
         xyz, reachable, within, sigma_min, sigma_max, kappa = full_evaluation(d, cube, n)
         n_reach = np.count_nonzero(reachable)
         assert n_reach > 2 * workspace._SLAB_NODES and n_reach % workspace._SLAB_NODES
@@ -883,7 +888,7 @@ class TestSlabs:
             return forward_factors(jinv)
 
         monkeypatch.setattr(workspace, "forward_factors", counting_factors)
-        nodes = verify_cube(d, cube, B, n).nodes
+        nodes = map_cube(d, cube, B, n).nodes
         assert max(sizes) <= workspace._SLAB_NODES
         assert sum(sizes) == np.count_nonzero(nodes.reachable)
         assert len(sizes) == -(-(n**3) // workspace._SLAB_NODES)
@@ -892,32 +897,32 @@ class TestSlabs:
     def test_verify_cube_memory_per_node(self, design, proto, case):
         # off-diagonal: map-export's cube, no wedge, every node reachable;
         # wedge: the prototype's own cube.  Both routes to the summary are
-        # measured: read first, it takes the box-pruned route, which peaks
-        # at about 24 and 6 B/node with the node indices and their boxes
-        # (with the IK on every evaluated node it peaks at 39 and 11); the
-        # full route evaluates the results `nodes` is built from, and
+        # measured: `verify_cube` takes the box-pruned route, which peaks at
+        # about 21 and 6 B/node with the node indices and their boxes (with
+        # the IK on every evaluated node it peaks at 39 and 11); the full
+        # route evaluates the results `map_cube`'s nodes are built from, and
         # reduces them, at about 42 and 17.  tracemalloc counts numpy's
         # allocations, not time, so the bound does not depend on the host;
         # a whole-grid IK and stroke pass peaks at about 183 and 113
         # B/node, a whole-grid (N, 3) coordinate array at about 67 and 70,
-        # and expanding the wedge to the whole grid, as reading `nodes`
-        # does, at about 44 on the wedge
+        # and expanding the wedge to the whole grid, as `map_cube` does, at
+        # about 46 on the wedge
         corner = proto.q1 + np.array([-20.0, 10.0, 30.0])
         cube = CubeSpec(corner, corner + 230.0) if case == "off-diagonal" else proto.cube
         n = 61
-        verify_cube(design, cube, B, 5).ok  # one-time set-up is not counted
+        verify_cube(design, cube, B, 5)  # one-time set-up is not counted
         for full in (False, True):
             tracemalloc.start()
             try:
-                report = verify_cube(design, cube, B, n)
                 if full:
-                    report._results
-                report.ok
-                assert ("_results" in vars(report)) == full
+                    layout = workspace._layout(design, cube, n)
+                    workspace._summarize(n, layout, workspace._evaluate(design, layout), B)
+                else:
+                    verify_cube(design, cube, B, n)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # B/node, read first and full
+            # B/node, box-pruned and full
             bound = (30, 50) if case == "off-diagonal" else (8, 25)
             assert peak <= bound[full] * n**3
 
@@ -935,7 +940,7 @@ class TestReachableMatchesIK:
         return True
 
     def test_oversized_cube(self, design, proto):
-        report = verify_cube(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), B, 15)
+        report = map_cube(design, CubeSpec(1.8 * proto.q1, 1.8 * proto.q2), B, 15)
         nodes = report.nodes
         expected = [self._ik_succeeds(p, design) for p in grid_xyz(nodes.axes)]
         assert 0 < sum(expected) < report.n_points
@@ -957,7 +962,7 @@ class TestReachableMatchesIK:
         pose, zero_radicand = self.POSES[case]
         p = np.array(pose(design.leg_length))
         assert (0.0 in leg_radicands(p, design.leg_length)) == zero_radicand
-        report = verify_cube(design, CubeSpec(p, p), B, 2)
+        report = map_cube(design, CubeSpec(p, p), B, 2)
         nodes = report.nodes
         assert report.n_points == 1
         assert nodes.reachable.tolist() == [self._ik_succeeds(p, design)]
@@ -986,10 +991,10 @@ class TestOversizedGrid:
 
     @pytest.mark.parametrize("n, error", [(100000, MemoryError), (2**21, ValueError)])
     def test_size_errors_raise_at_the_call(self, design, proto, n, error):
-        # the report evaluates the grid on first read, but lays it out,
-        # and so refuses it, when verify_cube is called
-        with pytest.raises(error):
-            verify_cube(design, proto.cube, B, n)
+        # both calls lay the grid out first, and so refuse it
+        for run in (verify_cube, map_cube):
+            with pytest.raises(error):
+                run(design, proto.cube, B, n)
 
     def test_largest_indexable_size_is_attempted(self, design, proto, monkeypatch):
         # (2^21 - 1)^3 < 2^63 - 1: the check lets it through to the build
