@@ -29,7 +29,6 @@ from .kinematics import (
     pose_order,
     within_stroke,
 )
-from .linalg3 import singular_values3
 from .performance import _reciprocal_factors, forward_factors, kappa_from_factors
 
 #: relative slack applied to bound checks so binding points do not count.
@@ -270,15 +269,11 @@ def _orbit_sizes(index: np.ndarray) -> np.ndarray:
     return c * (c + 1) // 2
 
 
-def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
-    """The closed grid over the cube and the nodes `_evaluate` evaluates on
-    it: every node, unless the grid is `_symmetric`; then the wedge
-    i <= j <= k, and every other node has the results of its sorted index
-    triple.
+def _grid(d: DesignParams, cube: CubeSpec, n_per_axis: int):
+    """The closed grid's axes over the cube, and whether it is `_symmetric`.
 
     Raises ValueError, before building anything, when n_per_axis^3 exceeds
-    numpy's index range, and MemoryError when the node indices cannot be
-    allocated.
+    numpy's index range.
     """
     if n_per_axis < 2:
         raise ValueError("need at least 2 nodes per axis")
@@ -287,14 +282,24 @@ def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
             f"{n_per_axis}^3 nodes exceed numpy's index range ({np.iinfo(np.intp).max})"
         )
     axes = _grid_axes(cube, n_per_axis)
-    symmetric = _symmetric(axes, d)
+    return axes, _symmetric(axes, d)
+
+
+def _layout(d: DesignParams, cube: CubeSpec, n_per_axis: int) -> _Layout:
+    """The `_grid` and the nodes `_evaluate` evaluates on it to fix every
+    node's results: every node, unless the grid is `_symmetric`; then the
+    wedge i <= j <= k, and every other node has the results of its sorted
+    index triple.  Raises MemoryError when the node indices cannot be
+    allocated.
+    """
+    axes, symmetric = _grid(d, cube, n_per_axis)
     return _Layout(axes, _lattice(tuple(len(a) for a in axes), symmetric), symmetric)
 
 
 def _evaluate(d: DesignParams, layout: _Layout):
     """Evaluate IK + forward factors on the nodes of `layout`: those of
     `_layout` fix the results of every node of the grid, those
-    `_boxes_to_evaluate` keeps the summary's.
+    `_summary_nodes` keeps the summary's.
 
     Returns their (n,) reachable, within_stroke, sigma_min, sigma_max and
     kappa arrays, in the order of `layout.index`; the factors are NaN
@@ -361,18 +366,6 @@ _COL = np.array([1, 2, 0, 2, 0, 1])
 _THIRD = 3 - _ROW - _COL
 
 
-class _BoxBounds(NamedTuple):
-    """Bounds on the forward factors over boxes of poses, each (n,): where
-    `valid`, every pose in box b has sigma_min in [sigma_min_lo[b],
-    sigma_min_hi[b]] and sigma_max in [sigma_max_lo[b], sigma_max_hi[b]]."""
-
-    valid: np.ndarray
-    sigma_min_lo: np.ndarray
-    sigma_min_hi: np.ndarray
-    sigma_max_lo: np.ndarray
-    sigma_max_hi: np.ndarray
-
-
 def _square_range(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least and the greatest computed p^2 on each axis of boxes
     spanning [lo, hi]: at the end nearer zero, or 0 where the box straddles
@@ -435,20 +428,84 @@ def _entry_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float):
     return entry_lo, entry_hi, eta.min(axis=(0, 1))
 
 
-def _box_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float) -> _BoxBounds:
-    """Weyl bounds on the forward factors over n boxes of poses, the box b
-    spanning [lo[k][b], hi[k][b]] on axis k.
+def _gram_coefficients(mid: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tr, e2, det) of G = C^T C, each (2, n): row 0 their computed values
+    and row 1 their magnitudes, for the matrices C with a unit diagonal and
+    the six off-diagonal entries mid (6, n) at (_ROW, _COL).
 
-    With C the midpoint matrix of the `_entry_bounds` (and a unit
-    diagonal) and r an upper bound on the Frobenius norm of the entrywise
-    radius, Weyl's inequality puts every singular value s_k of Jinv in the
-    box within r of s_k(C), and the forward factors, 1 / s_k, follow; each
-    float step is rounded outward.  A box is `valid` when every eta_i in it
-    exceeds 2 SERIAL_TOL L, so every node of it is reachable, and s_1(C) - r
-    exceeds _BOX_CONDITION s_3(C), so the kernel resolves every matrix of
-    the box to well under _BOX_MARGIN; s_k(C) comes from that kernel too.
+    By Cauchy-Binet they are sums of squares of C itself: tr = ||C||_F^2,
+    e2 the sum of the squared 2x2 minors (the cofactors) of C, and
+    det = (det C)^2, so no rounded G enters.  The magnitudes are the same
+    float steps on |C| with each subtraction an addition: see
+    `_eigenvalues_beyond`.
     """
-    up, down = np.inf, -np.inf
+    m = np.zeros((2, 3, 3, mid.shape[1]))
+    m[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    m[0, _ROW, _COL] = mid
+    m[1, _ROW, _COL] = np.abs(mid)
+    # cofactor (i, j) is m[i+1][j+1] m[i+2][j+2] - m[i+1][j+2] m[i+2][j+1],
+    # indices mod 3; its magnitude adds the two products
+    one, two = np.array([1, 2, 0]), np.array([2, 0, 1])
+    i, j = one[:, None], two[:, None]
+    sign = np.array([-1.0, 1.0])[:, None, None, None]
+    cof = m[:, i, one] * m[:, j, two] + sign * (m[:, i, two] * m[:, j, one])
+    tr = np.square(m).sum(axis=(1, 2))
+    e2 = np.square(cof).sum(axis=(1, 2))
+    det = np.square((m[:, 0] * cof[:, 0]).sum(axis=1))
+    return tr, e2, det
+
+
+def _eigenvalues_beyond(coefficients, tau_lo, tau_hi) -> tuple[np.ndarray, np.ndarray]:
+    """(above, below), each (n,): where every eigenvalue of C^T C certainly
+    lies above tau_lo[b], and where every one certainly lies below
+    tau_hi[b], for the `_gram_coefficients` of C.  A False is no claim.
+
+    The characteristic polynomial of G - tau I is (1, -tr', e2', -det'),
+    with tr' = tr + 3s, e2' = e2 + s (2 tr + 3s) and
+    det' = det + s (e2 + s (tr + s)) at s = -tau.  G is symmetric, so its
+    roots are real, and Descartes' rule counts them exactly: every
+    eigenvalue lies above tau when tr', e2' and det' are all positive, and
+    below it when tr' < 0 < e2' and det' < 0.
+
+    A sign counts only where the computed value exceeds 2^-48 M^, M^ being
+    the computed magnitude: the same float steps, from the entries of |C|
+    and from s = +tau, with every term added.  Why that holds: each value
+    is a tree of + and * over the entries of C (exact floats) and s, and
+    M is the sum of the absolute values of its expanded terms.  With
+    fl(x o y) = (x o y)(1 + e), |e| <= u = 2^-53, an expanded term picks up
+    one factor (1 + e) per operation it passes, and at a product those of
+    both operands too: at most k = 16 (tr 9, e2 13, det 11, and det' 16 by
+    the Horner steps above).  So the computed value is within
+    g M of the exact one, g = k u / (1 - k u), and M^ >= (1 - g) M, which
+    puts the error below g / (1 - g) M^ < 16.01 u M^; 2^-48 M^ = 32 u M^.
+    The slack covers underflow: a product below 2^-1022 is off by at most
+    2^-1075 absolutely, and it is later scaled by less than 3 M, while
+    M >= 1 from the unit diagonal.  Rounding of G itself does not arise:
+    tr, e2 and det are formed from C (`_gram_coefficients`).  An inf or a
+    NaN anywhere compares False, so it claims nothing.
+    """
+    s = np.stack([tau_lo, tau_hi])[:, None] * np.array([-1.0, 1.0])[:, None]
+    tr, e2, det = coefficients
+    with np.errstate(all="ignore"):
+        shifted = np.stack(
+            [tr + 3.0 * s, e2 + s * (2.0 * tr + 3.0 * s), det + s * (e2 + s * (tr + s))]
+        )
+        value, err = shifted[:, :, 0], shifted[:, :, 1] * 2.0**-48
+        # the signs of (tr', e2', det') above tau_lo, and below tau_hi
+        sign = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, -1.0]])[:, :, None]
+        above, below = (sign * value > err).all(axis=0)
+    return above, below
+
+
+def _box_spectra(lo: np.ndarray, hi: np.ndarray, leg_length: float):
+    """(valid, coefficients, r) of n boxes of poses, the box b spanning
+    [lo[k][b], hi[k][b]] on axis k: the box is `valid` when every eta_i in
+    it exceeds 2 SERIAL_TOL L, so every node of it is reachable; every Jinv
+    at a pose of it is within r[b] in the Frobenius norm of C, the midpoint
+    matrix of the `_entry_bounds` (with a unit diagonal), whose
+    `_gram_coefficients` are `coefficients`.  Each float step of r is
+    rounded up."""
+    up = np.inf
     entry_lo, entry_hi, eta_min = _entry_bounds(lo, hi, leg_length)
     with np.errstate(all="ignore"):
         mid = (entry_hi + entry_lo) / 2.0
@@ -457,72 +514,129 @@ def _box_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float) -> _BoxBounds
         for x in radius:
             r2 = np.nextafter(r2 + np.nextafter(np.square(x), up), up)
         r = np.nextafter(np.sqrt(r2), up)
-        c = np.zeros((len(r), 3, 3))
-        c[:, [0, 1, 2], [0, 1, 2]] = 1.0
-        c[:, _ROW, _COL] = mid.T
-        s = singular_values3(c)
-        # s_1 and s_3 of every matrix in the box lie in [lo1, hi1] and [lo3, hi3]
-        lo1, hi1 = np.nextafter(s[:, 0] - r, down), np.nextafter(s[:, 0] + r, up)
-        lo3, hi3 = np.nextafter(s[:, 2] - r, down), np.nextafter(s[:, 2] + r, up)
-        valid = (eta_min > 2.0 * SERIAL_TOL * leg_length) & (lo1 > _BOX_CONDITION * s[:, 2])
-        return _BoxBounds(
-            valid,
-            np.nextafter(1.0 / hi3, down),
-            np.nextafter(1.0 / lo3, up),
-            np.nextafter(1.0 / hi1, down),
-            np.nextafter(1.0 / lo1, up),
+        coefficients = _gram_coefficients(mid)
+    return eta_min > 2.0 * SERIAL_TOL * leg_length, coefficients, r
+
+
+def _within(coefficients, r: np.ndarray, t_lo: float, t_hi: float) -> np.ndarray:
+    """Where every singular value of every matrix within r of C (`_box_spectra`)
+    certainly lies strictly between t_lo and t_hi.  By Weyl's inequality
+    each lies within r of one of C, so it suffices that every eigenvalue of
+    C^T C lies above (t_lo + r)^2, rounded up, and below (t_hi - r)^2,
+    rounded down (below a negative number where t_hi <= r)."""
+    up, down = np.inf, -np.inf
+    with np.errstate(all="ignore"):
+        tau_lo = np.nextafter(np.square(np.nextafter(t_lo + r, up)), up)
+        t = np.maximum(np.nextafter(t_hi - r, down), 0.0)
+        tau_hi = np.nextafter(np.square(t), down)
+    above, below = _eigenvalues_beyond(coefficients, tau_lo, tau_hi)
+    return above & below
+
+
+def _box_nodes(box: np.ndarray, shape: tuple[int, int, int], symmetric: bool) -> np.ndarray:
+    """(3, n) per-axis indices of the nodes of the boxes (3, nb) `box` on a
+    grid of `shape`, box (I, J, K) holding the nodes i // _BOX_NODES = I,
+    and so on; on a symmetric grid only its nodes i <= j <= k.  In grid
+    order, and in `_lattice`'s unsigned type.
+
+    The boxes are disjoint, so one sort of a flat key orders the nodes:
+    i, j and k packed in fields of `bits` bits, 32 in all up to 2^10 nodes
+    per axis, and 63 at most, as fewer than 2^21 are indexable (`_grid`).
+    """
+    bits = (max(shape) - 1).bit_length()
+    key_type = np.uint32 if 3 * bits <= 32 else np.uint64
+    offset = np.arange(_BOX_NODES, dtype=key_type)
+    i, j, k = (x.astype(key_type)[:, None] * _BOX_NODES + offset for x in box)
+    i, j, k = i[:, :, None, None], j[:, None, :, None], k[:, None, None, :]
+    keep = (i < shape[0]) & (j < shape[1]) & (k < shape[2])
+    if symmetric:
+        keep &= (i <= j) & (j <= k)
+    key = ((i << 2 * bits) | (j << bits) | k)[keep]
+    key.sort()
+    field = (1 << bits) - 1
+    index = np.stack([key >> 2 * bits, (key >> bits) & field, key & field])
+    return index.astype(np.min_scalar_type(max(shape) - 1))
+
+
+def _box_pass(d: DesignParams, b: Bounds, lo: np.ndarray, hi: np.ndarray):
+    """(passed, clear_of) of n boxes of poses, the box b spanning
+    [lo[k][b], hi[k][b]] on axis k.
+
+    A box `passed` when it is `valid` (`_box_spectra`), its `_slider_range`
+    lies within the strokes on every axis, and every singular value of
+    Jinv in it lies strictly between t_lo and t_hi (`_within`): with
+    t_hi = (1 - d) / (s_lo (1 - BOUND_REL_TOL)) and t_lo the greater of
+    (1 + d) / (s_hi (1 + BOUND_REL_TOL)) and _BOX_CONDITION t_hi, d being
+    _BOX_MARGIN, every factor in it clears the bounds' edges by d, and it
+    is conditioned well enough that the factor kernel resolves each of its
+    nodes to well under d.  `clear_of(w_max, w_min)` tells where, besides,
+    the singular values lie above (1 + d) / w_max and below
+    (1 - d) / w_min, so that every factor in the box stays below w_max and
+    above w_min by d.
+    """
+    L = d.leg_length
+    valid, coefficients, r = _box_spectra(lo, hi, L)
+    # the comparisons of `within_stroke`, at the ends of each slider range
+    rho_lo, rho_hi = _slider_range(lo, hi, L)
+    in_stroke = ((rho_lo.T >= d.stroke_min) & (rho_hi.T <= d.stroke_max)).all(axis=1)
+    # the edges `_summarize` compares each factor with
+    edge_lo, edge_hi = b.s_lo * (1.0 - BOUND_REL_TOL), b.s_hi * (1.0 + BOUND_REL_TOL)
+    t_hi = math.nextafter((1.0 - _BOX_MARGIN) / edge_lo, 0.0)
+    t_lo = math.nextafter(max((1.0 + _BOX_MARGIN) / edge_hi, _BOX_CONDITION * t_hi), math.inf)
+
+    def clear_of(w_max: float, w_min: float) -> np.ndarray:
+        return _within(
+            coefficients,
+            r,
+            max(t_lo, math.nextafter((1.0 + _BOX_MARGIN) / w_max, math.inf)),
+            min(t_hi, math.nextafter((1.0 - _BOX_MARGIN) / w_min, 0.0)),
         )
 
+    return valid & in_stroke & _within(coefficients, r, t_lo, t_hi), clear_of
 
-def _boxes_to_evaluate(d: DesignParams, b: Bounds, layout: _Layout) -> _Layout:
-    """`layout` keeping only the nodes the summary must evaluate, in grid
-    order: those of the boxes of _BOX_NODES^3 grid nodes that bounds over
-    the box cannot decide, box (I, J, K) holding the nodes i // _BOX_NODES
-    = I, and so on.
 
-    A box is decided when its `_box_bounds` are valid and, widened by the
-    relative margin _BOX_MARGIN, lie strictly inside the bounds' edges
-    [s_lo (1 - BOUND_REL_TOL), s_hi (1 + BOUND_REL_TOL)], strictly below
-    the largest lower bound on sigma_max of a valid box, and strictly above
-    the smallest upper bound on sigma_min of one, and its `_slider_range`
-    lies within the strokes on every axis.  The box giving either worst
-    bound is not decided, so its reachable nodes are evaluated, and no node
-    of a decided box can break a bound, nor be or tie a worst factor; every
-    node of it is reachable (valid bounds ask every eta_i to exceed
-    2 SERIAL_TOL L) and within the strokes, so it adds to no count.  On a
-    symmetric grid only the boxes that meet the wedge i <= j <= k,
-    I <= J <= K, are bounded.
+def _box_extent(axes, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), each (3, nb): the least and the greatest node coordinate on
+    each axis of the boxes (3, nb) `box` of _BOX_NODES^3 grid nodes, box
+    (I, J, K) holding the nodes i // _BOX_NODES = I, and so on."""
+    first = box.astype(np.intp) * _BOX_NODES
+    lo = np.stack([a[f] for a, f in zip(axes, first)])
+    hi = np.stack([a[np.minimum(f + _BOX_NODES, len(a)) - 1] for a, f in zip(axes, first)])
+    return lo, hi
+
+
+def _summary_nodes(d: DesignParams, b: Bounds, axes, symmetric: bool):
+    """The `_Layout` of the nodes the summary must evaluate, in grid order,
+    and their `_evaluate` results: those of the boxes of _BOX_NODES^3 grid
+    nodes (`_box_extent`) that `_box_pass` cannot decide.  Only the boxes
+    meeting the wedge I <= J <= K of a symmetric grid are bounded.
+
+    The nodes of the boxes that do not pass, and of the grid's corner
+    boxes, are evaluated first.  W_max and W_min, the extreme factors of
+    their reachable nodes, are references: a passed box is decided when
+    it is `clear_of` them, so that no node of it can be or tie a worst
+    factor.  The other passed boxes (all of them when no evaluated node is
+    reachable) are evaluated in a second call, and the two are merged.
+    Every node of a decided box is reachable and within the strokes, so
+    it adds to no count.
     """
-    axes, index, symmetric = layout
-    first = [np.arange(0, len(a), _BOX_NODES) for a in axes]
-    shape = tuple(len(f) for f in first)
-    box = _lattice(shape, symmetric)
-    lo = np.stack([a[f][i] for a, f, i in zip(axes, first, box)])
-    hi = np.stack(
-        [a[np.minimum(f + _BOX_NODES, len(a)) - 1][i] for a, f, i in zip(axes, first, box)]
-    )
-    bounds = _box_bounds(lo, hi, d.leg_length)
-    valid = bounds.valid
-    # with no valid box these are -inf and inf, and no box is decided
-    worst_max = np.max(bounds.sigma_max_lo, where=valid, initial=-np.inf) * (1.0 - _BOX_MARGIN)
-    worst_min = np.min(bounds.sigma_min_hi, where=valid, initial=np.inf) * (1.0 + _BOX_MARGIN)
-    low = bounds.sigma_min_lo * (1.0 - _BOX_MARGIN)
-    high = bounds.sigma_max_hi * (1.0 + _BOX_MARGIN)
-    # the comparisons of `within_stroke`, at the ends of each slider range
-    rho_lo, rho_hi = _slider_range(lo, hi, d.leg_length)
-    in_stroke = (rho_lo.T >= d.stroke_min) & (rho_hi.T <= d.stroke_max)
-    decided = np.zeros(shape, dtype=bool)
-    decided[tuple(box)] = (
-        valid
-        & (low > b.s_lo * (1.0 - BOUND_REL_TOL))
-        & (high < b.s_hi * (1.0 + BOUND_REL_TOL))
-        & (high < worst_max)
-        & (low > worst_min)
-        & in_stroke.all(axis=1)
-    )
-    # each node's box, flat; the nodes of undecided boxes keep grid order
-    node_box = np.ravel_multi_index(index // _BOX_NODES, shape)
-    return layout._replace(index=index.compress(~decided.take(node_box), axis=1))
+    shape = tuple(len(a) for a in axes)
+    box = _lattice(tuple(-(-m // _BOX_NODES) for m in shape), symmetric)
+    passed, clear_of = _box_pass(d, b, *_box_extent(axes, box))
+    corner = ((box == 0) | (box == box.max(axis=1, keepdims=True))).all(axis=0)
+    layout = _Layout(axes, _box_nodes(box[:, ~passed | corner], shape, symmetric), symmetric)
+    results = _evaluate(d, layout)
+    reach, _, sig_min, sig_max, _ = results
+    again = passed & ~corner
+    if reach.any():
+        again &= ~clear_of(float(np.nanmax(sig_max)), float(np.nanmin(sig_min)))
+    if not again.any():
+        return layout, results
+    more = layout._replace(index=_box_nodes(box[:, again], shape, symmetric))
+    index = np.concatenate([layout.index, more.index], axis=1)
+    order = np.argsort(np.ravel_multi_index(index, shape))
+    merged = tuple(np.concatenate(pair)[order] for pair in zip(results, _evaluate(d, more)))
+    return layout._replace(index=index[:, order]), merged
 
 
 def _summarize(
@@ -533,7 +647,7 @@ def _summarize(
     order.  On a symmetric grid each wedge node counts once per node it
     stands for, and a worst wedge node is also the first of its
     permutations in grid order, since its sorted triple comes first and the
-    wedge is in grid order.  The nodes left out by `_boxes_to_evaluate` add
+    wedge is in grid order.  The nodes left out by `_summary_nodes` add
     to no count and neither are nor tie a worst case, and those it keeps
     have the results the whole grid's evaluation gives them, so the first
     among the nodes kept is the first of the grid."""
@@ -581,13 +695,12 @@ def verify_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21
     Each worst case is located at its first node in grid order.
     Deterministic for fixed inputs.
 
-    Only the nodes of the boxes `_boxes_to_evaluate` cannot decide are
+    Only the nodes of the boxes `_summary_nodes` cannot decide are
     evaluated, each with the results `map_cube` gives it, so the two
-    summaries are equal.  A grid too large to index or to allocate raises
-    ValueError or MemoryError (`_layout`).
+    summaries are equal.  A grid too large to index raises ValueError
+    (`_grid`), and one whose boxes cannot be allocated MemoryError.
     """
-    layout = _boxes_to_evaluate(d, b, _layout(d, cube, n_per_axis))
-    return _summarize(n_per_axis, layout, _evaluate(d, layout), b)
+    return _summarize(n_per_axis, *_summary_nodes(d, b, *_grid(d, cube, n_per_axis)), b)
 
 
 def map_cube(d: DesignParams, cube: CubeSpec, b: Bounds, n_per_axis: int = 21) -> GridReport:

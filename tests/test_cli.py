@@ -820,7 +820,7 @@ class TestGoldenBytes:
         def refuse(*args):
             raise AssertionError("the box pass ran")
 
-        monkeypatch.setattr(workspace, "_box_bounds", refuse)
+        monkeypatch.setattr(workspace, "_entry_bounds", refuse)
         self.test_off_diagonal_multi_slab_cube(runner, tmp_path, design, proto)
 
     def test_diag_profile(self, runner, tmp_path):

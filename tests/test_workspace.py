@@ -14,7 +14,7 @@ from conftest import grid_xyz
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthoglide import cli, workspace
+from orthoglide import _exact, cli, workspace
 from orthoglide._table import write_table
 from orthoglide.errors import RangeOutsideWorkspace, SerialSingularity, Unreachable
 from orthoglide.kinematics import (
@@ -632,10 +632,11 @@ def grid_cases(draw):
 
 
 class TestPrunedSummary:
-    """`verify_cube` evaluates only the nodes of the boxes
-    that `_box_bounds` and `_slider_range` cannot decide, on every grid
-    however small; each of those nodes gets the results the full evaluation
-    gives it, and the summary equals the full evaluation's."""
+    """`verify_cube` evaluates only the nodes of the boxes that the sign
+    tests of `_box_pass`, `_slider_range` and the worst-case references of
+    `_summary_nodes` cannot decide, on every grid however small; each of
+    those nodes gets the results the full evaluation gives it, and the
+    summary equals the full evaluation's."""
 
     @pytest.mark.parametrize("case", sorted(TestReferenceLoop.CASES))
     def test_reference_loop_cases(self, design, proto, case):
@@ -715,8 +716,8 @@ class TestPrunedSummary:
 
     @pytest.mark.parametrize(
         "case",
-        ["off-diagonal", "inflated-1.5x", "design-sweep", *BINDING_STROKES],
-        ids=["off-diagonal", "inflated-1.5x", "design-sweep", *BINDING_IDS],
+        ["off-diagonal", "inflated-1.5x", "design-sweep", "wide-bounds", *BINDING_STROKES],
+        ids=["off-diagonal", "inflated-1.5x", "design-sweep", "wide-bounds", *BINDING_IDS],
     )
     def test_kept_nodes_match_the_full_route(self, design, proto, case):
         # the nodes the box pass keeps get the full route's results, bit for
@@ -731,18 +732,48 @@ class TestPrunedSummary:
             lw, s_lo, s_hi = self.REQUESTS[0]
             res = synthesize(lw, Bounds(s_lo, s_hi))
             d, cube, b = res.design(), res.cube, res.bounds
+        elif case == "wide-bounds":  # two calls, merged (`test_second_call`)
+            cube, b, n = self._shifted(proto), self.WIDE, 21
         else:
             d, cube = self._binding_stroke(design, proto, *case)
             n = 21
         layout = workspace._layout(d, cube, n)
-        kept = workspace._boxes_to_evaluate(d, b, layout)
+        kept, results = workspace._summary_nodes(d, b, *workspace._grid(d, cube, n))
         assert 0 < kept.index.shape[1] < layout.index.shape[1]
         shape = tuple(len(a) for a in layout.axes)
         at = np.searchsorted(
             np.ravel_multi_index(layout.index, shape), np.ravel_multi_index(kept.index, shape)
         )
-        for got, full in zip(workspace._evaluate(d, kept), workspace._evaluate(d, layout)):
+        assert np.array_equal(layout.index[:, at], kept.index)
+        for got, full in zip(results, workspace._evaluate(d, layout)):
             assert np.array_equal(got, full[at], equal_nan=True)
+
+    WIDE = Bounds(0.2, 5.0)
+
+    @staticmethod
+    def _shifted(proto):
+        shift = np.array([20.0, -10.0, 5.0])
+        return CubeSpec(proto.q1 + shift, proto.q2 + shift)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["prototype", "shifted"])
+    def test_second_call(self, design, proto, monkeypatch, shifted):
+        # bounds every box passes: the first call evaluates the corner boxes
+        # (and on the shifted cube the boxes that leave the strokes), and the
+        # passed boxes whose factors come near their extremes go to a second
+        # call, merged with the first in grid order
+        cube = self._shifted(proto) if shifted else proto.cube
+        sizes = []
+
+        def counting_evaluate(d, layout):
+            sizes.append(layout.index.shape[1])
+            return evaluate(d, layout)
+
+        evaluate = workspace._evaluate
+        monkeypatch.setattr(workspace, "_evaluate", counting_evaluate)
+        workspace._summary_nodes(design, self.WIDE, *workspace._grid(design, cube, 21))
+        assert len(sizes) == 2 and min(sizes) > 0
+        monkeypatch.undo()
+        assert_pruned_summary_is_the_loop(design, cube, self.WIDE, 21)
 
     def test_few_nodes_reach_the_kernel(self, design, proto, monkeypatch):
         # the nodes the IK and the factor kernel see on the summary's route
@@ -764,11 +795,31 @@ class TestPrunedSummary:
         # one verdict per box: every node the IK solves reaches the kernel
         assert 0 < sum(sizes) == sum(solved) <= 0.05 * 12341
 
+    @pytest.mark.parametrize("request_", [None, *REQUESTS])
+    def test_one_kernel_call_per_summary(self, design, proto, request_):
+        # the box pass decides its boxes with no kernel call, and its
+        # worst-case references come from the nodes the summary evaluates
+        d, cube, b = design, proto.cube, B
+        if request_ is not None:
+            res = synthesize(request_[0], Bounds(*request_[1:]))
+            d, cube, b = res.design(), res.cube, res.bounds
+        calls = []
+
+        def counting_factors(jinv):
+            calls.append(len(jinv))
+            return forward_factors(jinv)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(workspace, "forward_factors", counting_factors)
+            report = verify_cube(d, cube, b, 41)
+        assert report.ok
+        assert len(calls) == 1
+
     def test_map_cube_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
             raise AssertionError("the box pass ran")
 
-        monkeypatch.setattr(workspace, "_box_bounds", refuse)
+        monkeypatch.setattr(workspace, "_entry_bounds", refuse)
         report = map_cube(design, proto.cube, B, 41)
         assert report.ok
         worst_max = reference_loop(report.nodes, B)[3:]
@@ -791,10 +842,18 @@ def box_nodes(lo, hi):
     return np.vstack([corners, (lo + hi) / 2.0])
 
 
+def ulps_from(x: float, k: int) -> float:
+    """x moved k ulps up, or -k down."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
 class TestBoxBounds:
     """The entry intervals hold the exact and the computed Jinv entries at
     every pose of a box, the slider range the computed slider coordinates,
-    and the Weyl bounds the factors the kernel gives there."""
+    the boxes the pass decides the factors the kernel gives there, and the
+    float sign tests claim only what the exact count confirms."""
 
     def test_entry_intervals_hold_exact_and_computed_entries(self, design, rng):
         # a cube straddling zero on every axis, reaching near the workspace edge
@@ -838,18 +897,58 @@ class TestBoxBounds:
                 tight += 1
         assert checked >= 250 and tight >= 200
 
-    def test_weyl_bounds_hold_the_node_factors(self, design, proto, rng):
+    def test_passed_boxes_hold_the_node_factors(self, design, proto, rng):
+        # the strokes opened wide, so that the factor tests decide: every
+        # box `_box_pass` passes keeps the computed factors of its corner and
+        # centre nodes inside the bounds' edges by half the margin, and every
+        # box also `clear_of` (w_max, w_min) inside those, the same way
         lo, hi = random_boxes(rng, proto.q1 - 30.0, proto.q2 + 30.0, 300)
-        bounds = workspace._box_bounds(lo, hi, design.leg_length)
-        assert np.count_nonzero(bounds.valid) >= 250
-        low, high = 1.0 - workspace._BOX_MARGIN, 1.0 + workspace._BOX_MARGIN
-        for b in np.flatnonzero(bounds.valid):
-            p = box_nodes(lo[:, b], hi[:, b])
-            fwd = forward_factors(inverse_jacobian(p, inverse_kinematics(p, design)))
-            assert np.all(fwd[:, 0] >= bounds.sigma_min_lo[b] * low)
-            assert np.all(fwd[:, 0] <= bounds.sigma_min_hi[b] * high)
-            assert np.all(fwd[:, 2] >= bounds.sigma_max_lo[b] * low)
-            assert np.all(fwd[:, 2] <= bounds.sigma_max_hi[b] * high)
+        d = DesignParams(design.leg_length, stroke_min=(-1e3,) * 3, stroke_max=(1e3,) * 3)
+        b, w_max, w_min = Bounds(0.4, 2.5), 1.9, 0.6
+        passed, clear_of = workspace._box_pass(d, b, lo, hi)
+        clear = passed & clear_of(w_max, w_min)
+        assert 250 <= np.count_nonzero(passed) < len(passed)
+        assert 0 < np.count_nonzero(clear) < np.count_nonzero(passed)
+        low, high = 1.0 + workspace._BOX_MARGIN / 2.0, 1.0 - workspace._BOX_MARGIN / 2.0
+        for k in np.flatnonzero(passed):
+            p = box_nodes(lo[:, k], hi[:, k])
+            fwd = forward_factors(inverse_jacobian(p, inverse_kinematics(p, d)))
+            assert np.all(fwd[:, 0] > b.s_lo * (1.0 - BOUND_REL_TOL) * low)
+            assert np.all(fwd[:, 2] < b.s_hi * (1.0 + BOUND_REL_TOL) * high)
+            if clear[k]:
+                assert np.all(fwd[:, 0] > w_min * low)
+                assert np.all(fwd[:, 2] < w_max * high)
+
+    def test_sign_tests_agree_with_the_exact_count(self, rng):
+        # unit-diagonal C near the identity and near singular, and tau a few
+        # ulps on each side of every eigenvalue of C^T C, at zero, and far
+        # below and above the spectrum: where the float filter claims that
+        # every eigenvalue lies above or below tau, Descartes' exact count
+        # on the same C and the same tau agrees
+        n = 60
+        near_identity = 1e-3 * rng.standard_normal((6, n))
+        singular = rng.standard_normal((6, n))
+        # C = [[1, a, b], [c, 1, d], [e, f, 1]]: det C is affine in a, so
+        # solving det C = 0 for a leaves it singular up to its rounding
+        _, b_, c_, d_, e_, f_ = singular
+        singular[0] = -(1.0 - d_ * f_ + b_ * c_ * f_ - b_ * e_) / (d_ * e_ - c_)
+        mats, taus = [], []
+        for mid in np.hstack([near_identity, singular]).T:
+            m = np.eye(3)
+            m[workspace._ROW, workspace._COL] = mid
+            eigen = [lo * lo for lo, _ in _exact.brackets(m)]
+            near = [ulps_from(lam, k) for lam in eigen for k in range(-4, 5)]
+            for tau in [0.0, eigen[0] / 2.0, 2.0 * eigen[2] + 1.0, *near]:
+                mats.append(m)
+                taus.append(tau)
+        counts = np.array([_exact.count_above(m, tau) for m, tau in zip(mats, taus)])
+        mids = np.array(mats)[:, workspace._ROW, workspace._COL].T
+        taus = np.array(taus)
+        above, below = workspace._eigenvalues_beyond(workspace._gram_coefficients(mids), taus, taus)
+        assert np.all(counts[above] == 3)
+        assert np.all(counts[below] == 0)
+        # the claims are not vacuous: far from the spectrum they are made
+        assert np.count_nonzero(above) >= n and np.count_nonzero(below) >= 2 * n
 
 
 class TestSlabs:
@@ -898,8 +997,9 @@ class TestSlabs:
         # off-diagonal: map-export's cube, no wedge, every node reachable;
         # wedge: the prototype's own cube.  Both routes to the summary are
         # measured: `verify_cube` takes the box-pruned route, which peaks at
-        # about 21 and 6 B/node with the node indices and their boxes (with
-        # the IK on every evaluated node it peaks at 39 and 11); the full
+        # about 22 and 3.6 B/node, mostly the evaluated nodes' results and
+        # the box pass's arrays (21 and 6 while it mapped every node to its
+        # box, 39 and 11 with the IK on every evaluated node); the full
         # route evaluates the results `map_cube`'s nodes are built from, and
         # reduces them, at about 42 and 17.  tracemalloc counts numpy's
         # allocations, not time, so the bound does not depend on the host;
