@@ -397,32 +397,63 @@ def _entry_bounds(lo: np.ndarray, hi: np.ndarray, leg_length: float):
     """Intervals of the off-diagonal Jinv entries over n boxes of poses, the
     box b spanning [lo[k][b], hi[k][b]] on axis k.
 
-    Returns `entry_lo, entry_hi, eta_min`: every entry (_ROW[e], _COL[e])
-    of Jinv at a pose of box b lies in [entry_lo[e][b], entry_hi[e][b]],
-    and every eta_i there is at least eta_min[b].  An entry is p_j / eta_i,
-    with eta_i = sqrt(L^2 - p_j^2 - p_k^2); it increases with p_j, and its
+    Returns `entry_lo, entry_hi, eta_min`.  At every pose of box b, the
+    exact entry (_ROW[e], _COL[e]) of Jinv lies in
+    [entry_lo[e][b], entry_hi[e][b]], and so does the entry
+    `inverse_jacobian` computes there from the IK's rho, wherever the pose
+    is reachable; every eta_i there, exact or computed, is at least
+    eta_min[b].  An entry is p_j / eta_i, with
+    eta_i = sqrt(L^2 - p_j^2 - p_k^2); it increases with p_j, and its
     magnitude with p_k^2, so it is least at p_j = lo_j and greatest at
     p_j = hi_j, each with the least or the greatest p_k^2 on the box (0
-    where the box straddles zero), as the sign of p_j asks.  Each float
-    step is rounded outward with `np.nextafter`, and each is a step that
-    `leg_radicands`, `_working_mode` and `inverse_jacobian` take, so the
-    intervals hold both the exact entries and the computed ones at every
-    pose of the box: rounding is monotone.
+    where the box straddles zero), as the sign of p_j asks.
+
+    At those ends the float steps of `leg_radicands` and `_working_mode`
+    run once: cross = fl(p_j^2) + fl(p_k^2), rad = fl(L^2) - cross and
+    eta = sqrt(max(rad, 0)), then the quotient p_j / eta.  Rounding is
+    monotone, so rad bounds the radicand the IK computes at every pose of
+    the box, as the exact radicand at the ends bounds the exact ones.  Two
+    widenings, each once per interval, make the ends hold the exact and the
+    computed entries.  With u = 2^-53, fl(x o y) = (x o y)(1 + d),
+    |d| <= u, plus an absolute error of at most 2^-1075 where a product or
+    a quotient underflows; sums and differences never do.
+
+    * rad moves by 2^-49 (L^2 + cross) = 16u (L^2 + cross), absolutely:
+      cancellation near the reach boundary defeats any relative bound.
+      Against the exact radicand, the subtraction is off by u |rad|, L**2
+      by an ulp, 2u L^2, the addition by u cross, the squares by u cross
+      and 2^-1074, which is at most 2u L^2 as L^2 is normal
+      (`DesignParams`): under 5.01u (L^2 + cross) in all.  The widening's
+      own rounding takes at most 1.1u more, so the widened rad lies at
+      least 8.9u L^2 beyond every exact radicand of the box, and 13.9u L^2
+      beyond every computed one.  Every radicand is below 1.01 L^2, so
+      their square roots lie more than 8.9u L^2 / (2.02 L) > 4.4u L apart
+      (6.8u L for the computed ones).  For the exact entries that covers
+      the rounding of the square root and of the quotient, u eta <= 1.01u L
+      each.  For the computed ones it covers the square root's, and that
+      of the eta `inverse_jacobian` divides by: fl(p_i - rho_i), with
+      rho_i = fl(p_i - eta), is within u (2 + u) eta + u (1 + u) |p_i|
+      < 3.05u L of eta, as |p_i| <= (1 + 2u) L wherever every leg is
+      reachable (leg j's radicand then has fl(p_i^2) below L**2); their
+      quotient needs nothing, being monotone in both operands.
+    * the quotient moves by 2^-1074: where it underflows, its rounding is
+      an absolute 2^-1075, which no relative slack covers.
+
+    Only a box reaching the boundary has an end at eta = 0: eta_min is 0
+    there, and the interval infinite, or NaN (no claim) where p_j = 0.
     """
-    up, down = np.inf, -np.inf
+    L2 = leg_length**2
     with np.errstate(all="ignore"):
         sq_min, sq_max = _square_range(lo, hi)
-        sq_min, sq_max = np.nextafter(sq_min, down), np.nextafter(sq_max, up)
         # row 0 bounds each entry from above, at p_j = hi_j, row 1 from
         # below, at p_j = lo_j; `least` marks where that takes the least eta
         p = np.stack([hi[_COL], lo[_COL]])
         least = (p >= 0.0) == np.array([[[True]], [[False]]])
-        toward = np.where(least, up, down)
-        sq_k = np.where(least, sq_max[_THIRD], sq_min[_THIRD])
-        cross = np.nextafter(np.nextafter(np.square(p), toward) + sq_k, toward)
-        rad = np.nextafter(np.nextafter(leg_length**2, -toward) - cross, -toward)
-        eta = np.nextafter(np.sqrt(np.maximum(rad, 0.0)), -toward)
-        entry_hi, entry_lo = np.nextafter(p / eta, np.array([[[up]], [[down]]]))
+        cross = np.square(p) + np.where(least, sq_max[_THIRD], sq_min[_THIRD])
+        # toward the least eta where `least`, else away from it
+        step = np.where(least, -(2.0**-49), 2.0**-49)
+        eta = np.sqrt(np.maximum((L2 - cross) + step * (L2 + cross), 0.0))
+        entry_hi, entry_lo = p / eta + np.array([[[2.0**-1074]], [[-(2.0**-1074)]]])
     # the greatest |p_j| of each axis is an end taking the least eta, so
     # the least eta of all is eta_i at the greatest p_j^2 and p_k^2
     return entry_lo, entry_hi, eta.min(axis=(0, 1))
@@ -500,20 +531,24 @@ def _eigenvalues_beyond(coefficients, tau_lo, tau_hi) -> tuple[np.ndarray, np.nd
 def _box_spectra(lo: np.ndarray, hi: np.ndarray, leg_length: float):
     """(valid, coefficients, r) of n boxes of poses, the box b spanning
     [lo[k][b], hi[k][b]] on axis k: the box is `valid` when every eta_i in
-    it exceeds 2 SERIAL_TOL L, so every node of it is reachable; every Jinv
-    at a pose of it is within r[b] in the Frobenius norm of C, the midpoint
-    matrix of the `_entry_bounds` (with a unit diagonal), whose
-    `_gram_coefficients` are `coefficients`.  Each float step of r is
-    rounded up."""
-    up = np.inf
+    it exceeds 2 SERIAL_TOL L, so every node of it is reachable; C is the
+    midpoint matrix of the `_entry_bounds` (with a unit diagonal), whose
+    `_gram_coefficients` are `coefficients`; and r[b] >= ||Jinv - C||_F at
+    every pose of the box, for the exact Jinv and for the computed one.
+
+    Both Jinv have a unit diagonal and their entries in the intervals, so
+    ||Jinv - C||_F is at most the norm of the half-widths
+    d_e = max(hi_e - C_e, C_e - lo_e).  Each difference is computed as
+    d_e (1 + d), |d| <= u = 2^-53.  Floored at 2^-511, no square underflows,
+    so the squares, the five additions and the square root leave the
+    computed norm at least (1 - u)^5 > 1 - 5.01u times the norm of the d_e;
+    the factor 1 + 2^-49 = 1 + 16u, itself rounded, adds at least 14.9u.
+    """
     entry_lo, entry_hi, eta_min = _entry_bounds(lo, hi, leg_length)
     with np.errstate(all="ignore"):
         mid = (entry_hi + entry_lo) / 2.0
-        radius = np.maximum(np.nextafter(entry_hi - mid, up), np.nextafter(mid - entry_lo, up))
-        r2 = 0.0
-        for x in radius:
-            r2 = np.nextafter(r2 + np.nextafter(np.square(x), up), up)
-        r = np.nextafter(np.sqrt(r2), up)
+        half = np.maximum(np.maximum(entry_hi - mid, mid - entry_lo), 2.0**-511)
+        r = np.sqrt(np.square(half).sum(axis=0)) * (1.0 + 2.0**-49)
         coefficients = _gram_coefficients(mid)
     return eta_min > 2.0 * SERIAL_TOL * leg_length, coefficients, r
 

@@ -795,10 +795,26 @@ class TestPrunedSummary:
         # one verdict per box: every node the IK solves reaches the kernel
         assert 0 < sum(sizes) == sum(solved) <= 0.05 * 12341
 
-    @pytest.mark.parametrize("request_", [None, *REQUESTS])
+    # design-sweep's seed-5 requests
+    SEED_5 = [
+        (339.22651832190644, 0.41803778317466966, 1.9687909854795815),
+        (165.79405391722702, 0.489683746879316, 1.9510607031720644),
+        (189.2870923124487, 0.5841419551314022, 2.7393603693216884),
+        (366.6792223451455, 0.5099147105093044, 2.137420388572174),
+    ]
+    # the nodes the summary kept at 41^3 when every float step of the box
+    # bounds was rounded outward by an ulp: the prototype's, then those of
+    # REQUESTS and SEED_5
+    KEPT = dict(
+        zip([None, *REQUESTS, *SEED_5], [149, 39, 333, 39, 39, 69, 39, 39, 495, 149, 149, 39, 39])
+    )
+
+    @pytest.mark.parametrize("request_", list(KEPT))
     def test_one_kernel_call_per_summary(self, design, proto, request_):
         # the box pass decides its boxes with no kernel call, and its
-        # worst-case references come from the nodes the summary evaluates
+        # worst-case references come from the nodes the summary evaluates;
+        # every node is reachable, so the one call gets every node kept, and
+        # the box bounds' error terms keep no more of them than before
         d, cube, b = design, proto.cube, B
         if request_ is not None:
             res = synthesize(request_[0], Bounds(*request_[1:]))
@@ -813,7 +829,7 @@ class TestPrunedSummary:
             mp.setattr(workspace, "forward_factors", counting_factors)
             report = verify_cube(d, cube, b, 41)
         assert report.ok
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] <= self.KEPT[request_]
 
     def test_map_cube_runs_no_box_pass(self, design, proto, monkeypatch):
         def refuse(*args):
@@ -849,6 +865,90 @@ def ulps_from(x: float, k: int) -> float:
     return x
 
 
+def edge_boxes(rng, L, n):
+    """(lo, hi), each (3, n): boxes with a far corner at a distance of
+    1e-9 L down to about an ulp of L inside the reach boundary
+    p_j^2 + p_k^2 = L^2 of one leg, and the third coordinate up to 0.6 L
+    either way, axes shuffled; a third of them single points, the others
+    reaching up to 20 mm inward on each axis."""
+    gap = L * 10.0 ** rng.uniform(-15.7, -9.0, n)
+    gap[::4] = np.spacing(L) * rng.integers(1, 5, len(gap[::4]))
+    angle = rng.uniform(0.1, np.pi / 2 - 0.1, n)
+    radius = L - gap
+    far = np.stack([rng.uniform(-0.6, 0.6, n) * L, radius * np.cos(angle), radius * np.sin(angle)])
+    far[1:] *= rng.choice([-1.0, 1.0], (2, n))
+    width = rng.uniform(0.0, 20.0, (3, n)) * (np.arange(n) % 3 != 0)
+    # the box reaches from the far corner toward the origin
+    lo, hi = np.where(far > 0, far - width, far), np.where(far > 0, far, far + width)
+    order = np.argsort(rng.random((3, n)), axis=0)
+    return np.take_along_axis(lo, order, 0), np.take_along_axis(hi, order, 0)
+
+
+# zeros of either sign, subnormals and tiny normals
+TINY = [0.0, -0.0, 5e-324, -5e-324, 1.5e-323, -1e-310, 2.2250738585072014e-308, -1e-300, 1e-200]
+
+
+def tiny_boxes(rng, n):
+    """(lo, hi), each (3, n): boxes with one or two axes spanning two
+    values of TINY, and the others up to 20 mm wide in [-150, 150]."""
+    lo = rng.uniform(-150.0, 150.0, (3, n))
+    hi = lo + rng.uniform(0.0, 20.0, (3, n)) * (np.arange(n) % 3 != 0)
+    tiny = np.sort(rng.choice(TINY, (2, 3, n)), axis=0)
+    axes = rng.random((3, n)) < 0.5
+    axes[rng.integers(0, 3, n), np.arange(n)] = True
+    return np.where(axes, tiny[0], lo), np.where(axes, tiny[1], hi)
+
+
+def box_poses(rng, lo, hi, k=4):
+    """The corners and centre of one box (`box_nodes`), then k random
+    poses inside it."""
+    inside = lo + (hi - lo) * rng.random((k, 3))
+    return np.vstack([box_nodes(lo, hi), inside])
+
+
+def sqrt_bracket(x: Fraction, bits: int = 128) -> tuple[Fraction, Fraction]:
+    """Rationals a <= sqrt(x) <= b, b - a = 2^-bits / denominator(x)."""
+    n, d = x.numerator, x.denominator
+    s = math.isqrt((n * d) << 2 * bits)
+    return Fraction(s, d << bits), Fraction(s + 1, d << bits)
+
+
+def assert_entries_held(design, lo, hi, rng):
+    """Every exact and every computed off-diagonal Jinv entry, and eta, at
+    the corners, the centre and random poses of each box lies within its
+    `_entry_bounds`.  Returns the poses checked exactly, and those of them
+    with some radicand below 1e-8 L^2."""
+    L = design.leg_length
+    entry_lo, entry_hi, eta_min = workspace._entry_bounds(lo, hi, L)
+    L2 = Fraction(L) ** 2
+    checked = near = 0
+    for b in range(lo.shape[1]):
+        for p in box_poses(rng, lo[:, b], hi[:, b]):
+            q = [Fraction(float(x)) for x in p]
+            try:
+                rho = inverse_kinematics(p, design)
+            except (Unreachable, SerialSingularity):
+                rho = None
+            else:
+                jinv = inverse_jacobian(p, rho)
+                assert np.all(eta_min[b] <= p - rho)
+            e2s = []
+            for e, (i, j) in enumerate(zip(workspace._ROW, workspace._COL)):
+                if rho is not None:
+                    assert entry_lo[e, b] <= jinv[i, j] <= entry_hi[e, b]
+                e2 = L2 - q[j] ** 2 - q[3 - i - j] ** 2
+                if e2 > 0:
+                    assert Fraction(float(eta_min[b])) ** 2 <= e2
+                    # an end at eta = 0 is infinite, and holds every entry
+                    lo_e, hi_e = entry_lo[e, b], entry_hi[e, b]
+                    assert lo_e == -np.inf or exactly_at_least(Fraction(lo_e), q[j], e2)
+                    assert hi_e == np.inf or exactly_at_least(-Fraction(hi_e), -q[j], e2)
+                    e2s.append(e2)
+            checked += len(e2s) == 6
+            near += len(e2s) == 6 and min(e2s) < Fraction(1, 10**8) * L2
+    return checked, near
+
+
 class TestBoxBounds:
     """The entry intervals hold the exact and the computed Jinv entries at
     every pose of a box, the slider range the computed slider coordinates,
@@ -858,25 +958,65 @@ class TestBoxBounds:
     def test_entry_intervals_hold_exact_and_computed_entries(self, design, rng):
         # a cube straddling zero on every axis, reaching near the workspace edge
         lo, hi = random_boxes(rng, np.full(3, -200.0), np.full(3, 200.0), 90)
-        entry_lo, entry_hi, eta_min = workspace._entry_bounds(lo, hi, design.leg_length)
-        L2 = Fraction(design.leg_length) ** 2
+        checked, _ = assert_entries_held(design, lo, hi, rng)
+        assert checked >= 400
+
+    def test_entry_intervals_hold_near_the_reach_boundary(self, design, rng):
+        # rad = L^2 - cross cancels: only its absolute error term holds the
+        # exact entries; the computed ones divide by fl(p_i - rho_i), off
+        # eta by a few ulps of p_i, far more than an ulp of so small an eta
+        lo, hi = edge_boxes(rng, design.leg_length, 120)
+        checked, near = assert_entries_held(design, lo, hi, rng)
+        assert checked >= 1000 and near >= 100
+
+    def test_entry_intervals_hold_at_tiny_coordinates(self, design, rng):
+        # zeros, subnormals and tiny normals: a quotient that underflows is
+        # held only by the interval's absolute 2^-1074
+        lo, hi = tiny_boxes(rng, 90)
+        checked, _ = assert_entries_held(design, lo, hi, rng)
+        assert checked >= 1000
+
+    def test_weyl_radius_holds_exact_and_computed_jinv(self, design, rng):
+        # r bounds ||J - C||_F for every J with its entries in the intervals,
+        # in rationals, so for the exact and the computed Jinv at the
+        # corners, the centre and random poses of each box
+        L = design.leg_length
+        boxes = [
+            random_boxes(rng, np.full(3, -200.0), np.full(3, 200.0), 60),
+            edge_boxes(rng, L, 30),
+            tiny_boxes(rng, 30),
+        ]
+        lo, hi = (np.hstack(ends) for ends in zip(*boxes))
+        valid, coefficients, r = workspace._box_spectra(lo, hi, L)
+        entry_lo, entry_hi, _ = workspace._entry_bounds(lo, hi, L)
+        # the C whose coefficients the pass uses (inf - inf where an end is
+        # infinite, in a box that is not valid)
+        with np.errstate(invalid="ignore"):
+            mid = (entry_hi + entry_lo) / 2.0
+            for got, want in zip(coefficients, workspace._gram_coefficients(mid)):
+                assert np.array_equal(got, want, equal_nan=True)
+        L2 = Fraction(L) ** 2
         checked = 0
-        for b in range(lo.shape[1]):
-            if not eta_min[b] > 0.0:
-                continue
-            for p in box_nodes(lo[:, b], hi[:, b]):
+        for b in np.flatnonzero(valid):
+            c = [Fraction(float(x)) for x in mid[:, b]]
+            r2 = Fraction(float(r[b])) ** 2
+            ends = zip(entry_lo[:, b], entry_hi[:, b])
+            half = [max(Fraction(hi_e) - m, m - Fraction(lo_e)) for (lo_e, hi_e), m in zip(ends, c)]
+            assert sum(x * x for x in half) <= r2
+            for p in box_poses(rng, lo[:, b], hi[:, b]):
                 q = [Fraction(float(x)) for x in p]
                 jinv = inverse_jacobian(p, inverse_kinematics(p, design))
-                for e, (i, j) in enumerate(zip(workspace._ROW, workspace._COL)):
-                    k = 3 - i - j
-                    e2 = L2 - q[j] ** 2 - q[k] ** 2
-                    assert Fraction(float(eta_min[b])) ** 2 <= e2
-                    lo_e, hi_e = Fraction(float(entry_lo[e, b])), Fraction(float(entry_hi[e, b]))
-                    assert exactly_at_least(lo_e, q[j], e2)
-                    assert exactly_at_least(-hi_e, -q[j], e2)
-                    assert entry_lo[e, b] <= jinv[i, j] <= entry_hi[e, b]
+                pairs = list(zip(workspace._ROW, workspace._COL))
+                computed = [Fraction(float(jinv[i, j])) for i, j in pairs]
+                assert sum((x - m) ** 2 for x, m in zip(computed, c)) <= r2
+                # the exact entry lies between p_j / eta bracketed both ways
+                exact = 0
+                for (i, j), m in zip(pairs, c):
+                    eta_lo, eta_hi = sqrt_bracket(L2 - q[j] ** 2 - q[3 - i - j] ** 2)
+                    exact += max(abs(q[j] / eta_lo - m), abs(q[j] / eta_hi - m)) ** 2
+                assert exact <= r2
                 checked += 1
-        assert checked >= 400
+        assert checked >= 1000
 
     def test_slider_range_holds_the_computed_rho(self, design, rng):
         lo, hi = random_boxes(rng, np.full(3, -200.0), np.full(3, 200.0), 300)
