@@ -13,15 +13,15 @@ only the options it reads, and raises; `_Cli` maps failures to exit codes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import click
 import numpy as np
 
-from . import __version__, kinematics, performance, synthesis, trajectory, workspace
+from . import __version__, kinematics
 from ._table import open_out, write_table
 from .errors import (
     DegenerateBounds,
@@ -30,7 +30,12 @@ from .errors import (
     RangeOutsideWorkspace,
 )
 from .kinematics import DesignParams
-from .workspace import Bounds, CubeSpec
+
+# the layer modules load in the commands that run them, so that start-up
+# pays only for click parsing and the config
+if TYPE_CHECKING:
+    from .synthesis import SynthesisResult
+    from .workspace import Bounds, CubeSpec, GridReport
 
 EXIT_CONFIG = 1
 EXIT_VIOLATIONS = 2
@@ -157,6 +162,8 @@ class RunConfig:
         self.motors = dict(motor_vmax=self.vmax_m_s * 1000.0, motor_amax=self.amax_m_s2 * 1000.0)
 
     def bounds(self) -> Bounds:
+        from .workspace import Bounds
+
         s_lo = 0.5 if self.s_lo is None else self.s_lo
         s_hi = 2.0 if self.s_hi is None else self.s_hi
         try:
@@ -184,6 +191,8 @@ class RunConfig:
                 raise ConfigError(str(e)) from e
             cube = None
             if self.cube_doc:
+                from .workspace import CubeSpec
+
                 try:
                     corners = self.cube_doc["q1"], self.cube_doc["q2"]
                     for corner in corners:
@@ -197,7 +206,9 @@ class RunConfig:
             return result.design(**self.motors), result.cube
         raise ConfigError("no design: give --leg-length ... or a --lw synthesis request")
 
-    def synthesis_result(self) -> synthesis.SynthesisResult:
+    def synthesis_result(self) -> SynthesisResult:
+        from . import synthesis
+
         if self.lw is None or self.lw <= 0:
             raise ConfigError(f"--lw must be a positive cube side, got {self.lw}")
         try:
@@ -269,6 +280,8 @@ def main():
 @_options("lw", "s-lo", "s-hi", "vmax", "amax", "grid")
 def cmd_synthesize(**flags):
     """Dimension the machine for a prescribed cube, then verify it on a grid."""
+    from . import workspace
+
     cfg = RunConfig(flags)
     result = cfg.synthesis_result()
     design = result.design(**cfg.motors)
@@ -301,7 +314,7 @@ def cmd_synthesize(**flags):
         sys.exit(EXIT_VIOLATIONS)
 
 
-def _verify_cube(run, design, cube, bounds, grid: int) -> workspace.GridReport:
+def _verify_cube(run, design, cube, bounds, grid: int) -> GridReport:
     # `run` is verify_cube or map_cube: a grid too large for memory or for
     # numpy's index range is a configuration error, not a crash
     try:
@@ -310,7 +323,7 @@ def _verify_cube(run, design, cube, bounds, grid: int) -> workspace.GridReport:
         raise ConfigError(f"cannot evaluate a {grid}^3 grid: {type(e).__name__}: {e}") from e
 
 
-def _report_doc(report: workspace.GridReport) -> dict:
+def _report_doc(report: GridReport) -> dict:
     return {
         "n_per_axis": report.n_per_axis,
         "n_points": report.n_points,
@@ -331,6 +344,8 @@ def _report_doc(report: workspace.GridReport) -> dict:
 @_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max")
 def cmd_analyze(x, y, z, **flags):
     """Full kinematic/conditioning report at pose X Y Z (mm)."""
+    from . import performance
+
     cfg = RunConfig(flags)
     pose = (x, y, z)
     _require_finite("pose", pose, vector=True)
@@ -359,6 +374,8 @@ def cmd_analyze(x, y, z, **flags):
 @_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "grid")
 def cmd_workspace_map(**flags):
     """Evaluate a cube grid and export per-node records as CSV."""
+    from . import workspace
+
     cfg = RunConfig(flags)
     design, cube = cfg.design_and_cube()
     if cube is None:
@@ -375,6 +392,8 @@ def cmd_workspace_map(**flags):
 @_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "grid")
 def cmd_diag_profile(u_min, u_max, **flags):
     """Closed-form transmission profile along the cube diagonal, as CSV."""
+    from . import workspace
+
     cfg = RunConfig(flags)
     design, cube = cfg.design_and_cube()
     if u_min is None or u_max is None:
@@ -391,6 +410,10 @@ def cmd_diag_profile(u_min, u_max, **flags):
 @_options("lw", "s-lo", "s-hi", "leg-length", "stroke-min", "stroke-max", "vmax", "amax")
 def cmd_traj_check(waypoints_path, **flags):
     """Profile a waypoint CSV (t_s,x_mm,y_mm,z_mm) and flag motor-limit hits."""
+    import csv
+
+    from . import trajectory
+
     cfg = RunConfig(flags)
     design, _ = cfg.design_and_cube()
     if not waypoints_path:

@@ -1042,14 +1042,22 @@ class TestUnreadableFiles:
 
 class TestEntryPoints:
     """The console script (`CliRunner`), the in-process call the benchmark
-    makes and `python -m orthoglide.cli` give the same code and stderr."""
+    makes and `python -m orthoglide.cli` give the same code, stderr and
+    output bytes; a fresh process imports each command's modules as that
+    command first runs them."""
 
     @staticmethod
     def _cases(tmp_path, proto):
-        wp = tmp_path / "wp.csv"
+        wp, slow = tmp_path / "wp.csv", tmp_path / "slow.csv"
         write_line_waypoints(wp, proto.q1, proto.q2, 1200.0, 41)
+        write_line_waypoints(slow, proto.q1, proto.q2, 100.0, 41)
         out = str(tmp_path / "out")
         return [
+            (["synthesize", "--lw", "200", "--grid", "5", "--out", out], 0, ""),
+            (["analyze", "--lw", "200", "--out", out, "--", "10", "-20", "30"], 0, ""),
+            (["workspace-map", "--lw", "200", "--grid", "5", "--out", out], 0, ""),
+            (["diag-profile", "--lw", "200", "--out", out], 0, ""),
+            (["traj-check", "--waypoints", str(slow), "--lw", "200", "--out", out], 0, ""),
             (["analyze", "0", "0", "0", "--out", out], 1, "error: no design: give --leg-length"),
             (["traj-check", "--waypoints", str(wp), "--lw", "200", "--out", out], 2, ""),
             (
@@ -1059,21 +1067,39 @@ class TestEntryPoints:
             ),
         ]
 
+    @staticmethod
+    def _take(path: Path):
+        """The bytes of the output file, which goes, or None if none was written."""
+        if not path.exists():
+            return None
+        data = path.read_bytes()
+        path.unlink()
+        return data
+
     def test_same_code_and_stderr(self, runner, tmp_path, proto, capsys):
         src = str(Path(orthoglide.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "out"
         for args, code, prefix in self._cases(tmp_path, proto):
             res = runner.invoke(main, args)
-            with pytest.raises(SystemExit) as exc:
+            outputs = [self._take(out)]
+            try:
                 main.main(args, standalone_mode=False)
+                in_process = 0
+            except SystemExit as exc:
+                in_process = exc.code
+            outputs.append(self._take(out))
             proc = subprocess.run(
                 [sys.executable, "-m", "orthoglide.cli", *args],
                 capture_output=True, text=True, env=env, cwd=tmp_path,
             )
+            outputs.append(self._take(out))
             stderr = capsys.readouterr().err
-            assert (res.exit_code, exc.value.code, proc.returncode) == (code, code, code)
+            assert (res.exit_code, in_process, proc.returncode) == (code, code, code), args
             assert res.output == stderr == proc.stderr
-            assert stderr.startswith(prefix) and stderr.count("\n") == int(code != 2)
+            assert stderr.startswith(prefix) and stderr.count("\n") == int(code in (1, 3))
+            assert outputs[0] == outputs[1] == outputs[2]
+            assert (outputs[0] is None) == (code in (1, 3)), args
 
 
 def _private(name: str) -> bool:

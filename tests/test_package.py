@@ -10,6 +10,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import orthoglide
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -17,14 +19,101 @@ SOURCES = sorted((ROOT / "src" / "orthoglide").glob("*.py"))
 
 
 def test_all_lists_exactly_the_public_names():
+    # the names load lazily, so `dir` lists them rather than `vars`
     names = orthoglide.__all__
     assert names == sorted(set(names))
     public = {
         name
-        for name, value in vars(orthoglide).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        for name in dir(orthoglide)
+        if not name.startswith("_") and not isinstance(getattr(orthoglide, name), types.ModuleType)
     }
     assert set(names) == public
+
+
+# runs in a fresh interpreter: the orthoglide modules loaded after argv[1]
+_LOADED_MODULES = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "orthoglide")))
+"""
+
+# what the CLI loads before any command: click parsing and the config
+_CLI_BASE = ["orthoglide", "orthoglide._table", "orthoglide.cli", "orthoglide.errors",
+             "orthoglide.kinematics"]
+_KERNEL = ["orthoglide.linalg3", "orthoglide.performance"]
+_DESIGN = '"--leg-length", "310.6", "--stroke-min", "-128.5", "--stroke-max", "128.5"'
+
+
+def _run_command(args: str) -> str:
+    return f"""
+from orthoglide import cli
+try:
+    cli.main.main([{args}], standalone_mode=False)
+except SystemExit as e:
+    assert e.code in (0, 2), e.code
+"""
+
+
+def _loaded(code: str, tmp_path) -> list[str]:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _LOADED_MODULES, code],
+        capture_output=True,
+        text=True,
+        check=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    return json.loads(run.stdout)
+
+
+def test_import_loads_no_layer_module(tmp_path):
+    assert _loaded("import orthoglide", tmp_path) == ["orthoglide"]
+
+
+def test_every_public_name_resolves_lazily(tmp_path):
+    # each name is its module's own object, and `import *` binds them all
+    code = """
+import importlib, orthoglide
+for module, names in orthoglide._EXPORTS.items():
+    for name in names:
+        value = getattr(importlib.import_module(f"orthoglide.{module}"), name)
+        assert getattr(orthoglide, name) is value, name
+namespace = {}
+exec("from orthoglide import *", namespace)
+assert sorted(set(namespace) - {"__builtins__"}) == orthoglide.__all__
+"""
+    modules = [f"orthoglide.{m}" for m in orthoglide._EXPORTS]
+    assert set(_loaded(code, tmp_path)) == {"orthoglide", "orthoglide._table",
+                                            "orthoglide.linalg3", *modules}
+
+
+@pytest.mark.parametrize(
+    "code, more",
+    [
+        (
+            "from orthoglide import cli\n"
+            "cli.RunConfig(dict(leg_length=310.6, stroke_min=-128.5, stroke_max=128.5))"
+            ".design_and_cube()",
+            [],
+        ),
+        (_run_command(f'"analyze", {_DESIGN}, "--out", "out", "10", "20", "30"'), _KERNEL),
+        (_run_command(f'"traj-check", {_DESIGN}, "--waypoints", "way.csv", "--out", "out"'),
+         ["orthoglide.trajectory"]),
+        (_run_command('"workspace-map", "--config", "cube.json", "--grid", "4", "--out", "out"'),
+         [*_KERNEL, "orthoglide.workspace"]),
+        (_run_command('"synthesize", "--lw", "200", "--grid", "4", "--out", "out"'),
+         [*_KERNEL, "orthoglide.synthesis", "orthoglide.workspace"]),
+    ],
+    ids=["config", "analyze", "traj-check", "workspace-map", "synthesize"],
+)
+def test_commands_load_only_the_modules_they_run(tmp_path, code, more):
+    (tmp_path / "way.csv").write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n0.1,1,0,0\n0.2,2,0,0\n")
+    cube = {"q1": [-120, -90, -70], "q2": [110, 140, 160]}
+    (tmp_path / "cube.json").write_text(
+        json.dumps(dict(leg_length=310.6, stroke_min=-128.5, stroke_max=128.5, cube=cube))
+    )
+    assert _loaded(code, tmp_path) == sorted(_CLI_BASE + more)
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
@@ -61,6 +150,8 @@ UNREACHED = {
     "performance:IsotropyResidual.is_isotropic": "public API: the verdict on an "
     "`isotropy_residual`",
     "workspace:CubeSpec.side": "public API: the cube's edge length",
+    "__init__:__dir__": "module protocol: `dir(orthoglide)` lists the public names, which "
+    "load lazily (test_all_lists_exactly_the_public_names)",
     "_exact:*": "test oracle: exact singular-value counts and brackets, until the certified "
     "cube (ROADMAP, 'A certified cube') calls them",
 }

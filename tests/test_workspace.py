@@ -976,6 +976,21 @@ class TestBoxBounds:
         checked, _ = assert_entries_held(design, lo, hi, rng)
         assert checked >= 1000
 
+    def test_nan_interval_claims_nothing(self):
+        # p_j = 0 over a box whose far corner reaches past the boundary:
+        # 0 / 0 leaves entry (0, 1) as [-5e-324, NaN] and r NaN, and the box
+        # must read as undecided, never as passed
+        L = 310.0
+        lo, hi = np.zeros((3, 1)), np.array([[10.0], [0.0], [L]])
+        entry_lo, entry_hi, _ = workspace._entry_bounds(lo, hi, L)
+        assert (entry_lo[0, 0], workspace._ROW[0], workspace._COL[0]) == (-5e-324, 0, 1)
+        assert np.isnan(entry_hi[0, 0])
+        valid, _, r = workspace._box_spectra(lo, hi, L)
+        assert np.isnan(r[0]) and not valid[0]
+        d = DesignParams(L, stroke_min=(-1e3,) * 3, stroke_max=(1e3,) * 3)
+        passed, clear_of = workspace._box_pass(d, Bounds(0.5, 2.0), lo, hi)
+        assert not passed[0] and not clear_of(2.0, 0.5)[0]
+
     def test_weyl_radius_holds_exact_and_computed_jinv(self, design, rng):
         # r bounds ||J - C||_F for every J with its entries in the intervals,
         # in rationals, so for the exact and the computed Jinv at the
