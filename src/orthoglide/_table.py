@@ -6,13 +6,16 @@ Python's `'%.12g' % v` and bools as 0/1, so identical inputs give identical
 bytes.
 
 `write_table` formats a chunk of rows at a time in numpy, byte for byte equal
-to `%.12g`.  A float cell is a row of 4-byte words: the separator and sign,
-the integer part as three 4-digit groups with leading blanks, the dot with
-the first 3 fraction digits, and 3 more fraction groups with trailing blanks.
-The two higher integer groups are left out of a chunk whose integer parts
-are all below 10^4.  A blank is a zero byte, and the chunk's zero bytes are
-dropped at the end, so no cell needs a layout of its own.  The digits come
-from a 12-digit mantissa m and the exponent e of each cell:
+to `%.12g`.  Every column is a block of whole cells, each cell a row of
+4-byte words led by its own separator, so a chunk's rows are one `np.hstack`
+of its columns' blocks with the first byte of each row made a newline.  A
+float cell's words are the separator and sign, the integer part as three
+4-digit groups with leading blanks, the dot with the first 3 fraction
+digits, and 3 more fraction groups with trailing blanks.  The two higher
+integer groups are left out of a chunk whose integer parts are all below
+10^4.  A blank is a zero byte, and the chunk's zero bytes are dropped at the
+end, so no cell needs a layout of its own.  The digits come from a 12-digit
+mantissa m and the exponent e of each cell:
 
 * A cell with 1e-5 <= |v| < 1e12 takes e = floor(log10|v|) and y =
   |v| 10^(11-e), which must lie in [1e11, 1e12) (it does unless log10
@@ -28,12 +31,14 @@ from a 12-digit mantissa m and the exponent e of each cell:
   printed in exponent notation (exponent outside [-4, 11] after rounding)
   -- are formatted one by one with `'%.12g' % v` itself.
 
-A column whose values repeat a few levels, such as a grid coordinate, can be
-given coded, as (levels, index) for the values levels[index].  Its levels go
-through the formatter once, each into its own row of words, and each chunk
-gathers its cells' word rows by index.  A coded column keeps the word width
-of its levels, which may differ from that of the chunk's float columns; the
-zero bytes are dropped all the same.
+A bool cell is one word, its separator and digit, taken from a two-entry
+word table.  A column whose values repeat a few levels, such as a grid
+coordinate, can be given coded, as (levels, index) for the values
+levels[index]: its levels go through the formatter once, each into its own
+row of words, and each chunk takes its cells' word rows by index.  A bool
+column is coded the same way, with the word table as its levels.  A coded
+column keeps the word width of its levels, which may differ from that of
+the chunk's float columns; the zero bytes are dropped all the same.
 
 A chunk holds `_CHUNK_CELLS` float cells, not a fixed number of rows, so a
 table with more float columns gets fewer rows per chunk (coded and bool
@@ -43,8 +48,8 @@ columns do not count): 2048 rows of the grid CSV's 3 float columns, 1024 of
 threshold, and is reused from the heap rather than mapped and faulted in
 anew for every chunk.  Two arrays per chunk are larger than the threshold:
 the `cells` words `_cell_words` returns, 144 KiB for 6,144 cells of width 6
-and 192 KiB at width 8, and the `words` of `_format_rows`, 304 KiB for a
-2048-row chunk of the grid CSV.
+and 192 KiB at width 8, and the stacked `words` of `_format_rows`, 304 KiB
+for a 2048-row chunk of the grid CSV.
 """
 
 from __future__ import annotations
@@ -62,8 +67,11 @@ import numpy as np
 _CHUNK_CELLS = 6144
 # offsets of the pairs of word tables in _digit_words
 _LEAD, _LEAD0, _DOT, _TRAIL = 20000.0 * np.arange(4)
-# the sign word: "-" in its last byte
-_MINUS = np.frombuffer(b"\0\0\0-", dtype=np.uint32)[0]
+# a float cell's first word, by its sign bit: the separator, and "-" in the
+# last byte of a negative cell
+_SIGN = np.frombuffer(b",\0\0\0,\0\0-", dtype=np.uint32)
+# a bool cell's word, by its value: the separator and the digit
+_BOOL = np.frombuffer(b",\0\0" b"0" b",\0\0" b"1", dtype=np.uint32)[:, None]
 # exact powers of ten, 10^0 .. 10^16
 _P10 = np.array([float(10**k) for k in range(17)])
 
@@ -88,84 +96,46 @@ def write_table(out, header: str, columns) -> None:
     float array and an integer array, holding the values levels[index].
     """
     cols = [_column(c) for c in columns]
-    if len({len(c) for c in cols}) > 1:
-        raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
+    lengths = [len(c[1]) if isinstance(c, tuple) else len(c) for c in cols]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns differ in length: {lengths}")
     # at least one row, however many float columns
-    rows = max(1, _CHUNK_CELLS // max(1, sum(map(_is_float, cols))))
+    rows = max(1, _CHUNK_CELLS // max(1, sum(not isinstance(c, tuple) for c in cols)))
     with open_out(out) as f:
         f.write(header)
-        for start in range(0, len(cols[0]), rows):
-            f.write(_format_rows([c[start : start + rows] for c in cols]))
+        for start in range(0, lengths[0], rows):
+            f.write(_format_rows(cols, slice(start, start + rows)))
         f.write("\n")
 
 
 def _column(c):
-    """A `write_table` column as a bool or float64 array, or a `_Coded`."""
+    """A `write_table` column as a float64 array, or as a pair (words,
+    index) whose rows are words[index]: a coded column with the
+    `_cell_words` of its levels, a bool column with `_BOOL`."""
     if isinstance(c, tuple):
-        return _Coded.of(*c)
+        levels, index = c
+        return _cell_words(np.asarray(levels, dtype=float)), np.asarray(index)
     c = np.asarray(c)
-    return c if c.dtype == bool else c.astype(float, copy=False)
+    return (_BOOL, c) if c.dtype == bool else c.astype(float, copy=False)
 
 
-def _is_float(c) -> bool:
-    """Whether `_column` made `c` a plain float column."""
-    return not isinstance(c, _Coded) and c.dtype != bool
-
-
-class _Coded:
-    """Rows of a coded column: `cells` holds the `_cell_words` row of each
-    level as one opaque item, so gathering the cells of rows `index` is one
-    `take`.  Its length and slices are those of `index`."""
-
-    def __init__(self, cells: np.ndarray, index: np.ndarray):
-        self.cells, self.index = cells, index
-
-    @classmethod
-    def of(cls, levels, index) -> _Coded:
-        words = _cell_words(np.asarray(levels, dtype=float))
-        return cls(words.view(f"V{words.itemsize * words.shape[1]}")[:, 0], np.asarray(index))
-
-    def __len__(self) -> int:
-        return len(self.index)
-
-    def __getitem__(self, rows: slice) -> _Coded:
-        return _Coded(self.cells, self.index[rows])
-
-    def words(self) -> np.ndarray:
-        """(n, w) words of the n rows, w the word width of the levels."""
-        return self.cells.take(self.index).view(np.uint32).reshape(len(self.index), -1)
-
-
-def _format_rows(cols: list) -> str:
-    """CSV text of the rows of the bool, float64 and coded columns `cols`,
-    each row led by its newline."""
-    n = len(cols[0])
-    floats = [c for c in cols if _is_float(c)]
+def _format_rows(cols: list, rows: slice) -> str:
+    """CSV text of the rows `rows` of the `_column`s `cols`, each row led by
+    its newline."""
+    floats = [c[rows] for c in cols if not isinstance(c, tuple)]
     cells = _cell_words(np.concatenate(floats or [np.zeros(0)]))
-    float_cells = iter(cells.reshape(-1, n, cells.shape[1]))
-    # each column's (n, w) words, or its bools
-    blocks = [
-        c.words() if isinstance(c, _Coded) else c if c.dtype == bool else next(float_cells)
-        for c in cols
-    ]
-    width = [1 if b.dtype == bool else b.shape[1] for b in blocks]
-    first = np.cumsum([0] + width[:-1]).tolist()
-    words = np.zeros((n, sum(width)), dtype=np.uint32)
-    text = words.view(np.uint8)
-    for k, b in enumerate(blocks):
-        # a bool cell is one word: its separator and digit
-        if b.dtype == bool:
-            text[:, 4 * first[k] + 3] = b + ord("0")
-        else:
-            words[:, first[k] : first[k] + width[k]] = b
-        text[:, 4 * first[k]] = ord(",") if k else ord("\n")
+    # one block per float column (a table with none splits no cells)
+    float_cells = iter(np.split(cells, len(floats) or 1))
+    words = np.hstack(
+        [c[0].take(c[1][rows], axis=0) if isinstance(c, tuple) else next(float_cells) for c in cols]
+    )
+    words.view(np.uint8)[:, 0] = ord("\n")
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _cell_words(x: np.ndarray) -> np.ndarray:
     """(n, w) words of the n floats `x`, one row per cell (w = 6, or 8 when
-    an integer part reaches 10^4); the first byte of each row is left for
-    the cell's separator."""
+    an integer part reaches 10^4), each led by the cell's separator."""
     a = np.abs(x)
     zero = a == 0.0
     fast = (a >= 1e-5) & (a < 1e12)  # False for NaN
@@ -211,7 +181,7 @@ def _cell_words(x: np.ndarray) -> np.ndarray:
         index[:0] = [i0 + _LEAD, i1 + _LEAD + 1e4 * (i0 > 0)]
     lut = _digit_words()
     cells = np.empty(x.shape + (1 + len(index),), dtype=np.uint32)
-    cells[..., 0] = np.signbit(x) * _MINUS
+    cells[..., 0] = _SIGN.take(np.signbit(x))
     for w, entry in enumerate(index, 1):
         cells[..., w] = lut[entry.astype(np.intp)]
     slow = np.nonzero(~fast)
@@ -223,7 +193,7 @@ def _cell_words(x: np.ndarray) -> np.ndarray:
         s[v == -np.inf] = b"-inf"
         rest = np.flatnonzero(np.isfinite(v))
         s[rest] = _fallback(v[rest])
-        cells[slow + (0,)] = 0
+        cells[slow + (0,)] = _SIGN[0]
         cells[slow + (slice(1, None),)] = s.view(np.uint32).reshape(len(v), -1)
     return cells
 

@@ -186,7 +186,9 @@ def forward_kinematics(rho, d: DesignParams) -> np.ndarray:
     just above L (an exact scaling), where |rho_i| < 2 and no product can
     overflow.  Among real roots with all eta_i > SERIAL_TOL L, the poses
     `inverse_kinematics` accepts, the one with smaller ||p||^2 (closer to
-    the isotropic assembly) is returned.
+    the isotropic assembly) is returned.  Both roots can be such poses, so
+    FK(IK(p)) need not be p: for some reachable p it is the other assembly
+    of the same sliders.
     """
     rho = as_point(rho)
     L = d.leg_length

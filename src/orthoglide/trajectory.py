@@ -186,15 +186,16 @@ _ROW_LOOP_CHARS = '"\x1c\x1d\x1e\x1f'
 def read_waypoints_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read timed waypoints (header t_s,x_mm,y_mm,z_mm) as times (n,) and poses (n, 3).
 
-    The file is read as csv.reader reads it: the last of duplicate columns
-    wins, blank lines are skipped, extra cells are ignored, and every cell
-    is parsed as float() parses it.  A plain file is parsed in one
-    np.loadtxt pass.  A file that pass may read differently (quotes, cells
-    longer than csv's field limit, U+001C-U+001F) or refuses (a short row,
-    a cell loadtxt cannot parse) goes through the csv row loop, which
-    raises `bad waypoint row k` for the first bad row.
+    The file is read as UTF-8, after a byte order mark if it has one (as
+    spreadsheets save "CSV UTF-8"), and as csv.reader reads it: the last of
+    duplicate columns wins, blank lines are skipped, extra cells are
+    ignored, and every cell is parsed as float() parses it.  A plain file is
+    parsed in one np.loadtxt pass.  A file that pass may read differently
+    (quotes, cells longer than csv's field limit, U+001C-U+001F) or refuses
+    (a short row, a cell loadtxt cannot parse) goes through the csv row
+    loop, which raises `bad waypoint row k` for the first bad row.
     """
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         try:
             text = f.read()
         except UnicodeDecodeError:  # the row loop raises it where it occurs

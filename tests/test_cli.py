@@ -415,6 +415,31 @@ class TestTrajCheck:
         assert isinstance(res.exception, SystemExit), res.exception
         assert res.output == "error: cannot read waypoints: field larger than field limit (131072)\n"
 
+    def test_byte_order_mark_gives_the_same_profile(self, runner, tmp_path):
+        from orthoglide.synthesis import prototype_synthesis
+
+        proto = prototype_synthesis()
+        wp, bom = tmp_path / "wp.csv", tmp_path / "bom.csv"
+        write_line_waypoints(wp, proto.q1, proto.q2, 200.0, 21)
+        bom.write_bytes(b"\xef\xbb\xbf" + wp.read_bytes())
+        outs = []
+        for path in (wp, bom):
+            out = tmp_path / f"profile-{path.stem}.csv"
+            res = runner.invoke(
+                main, ["traj-check", "--waypoints", str(path), "--lw", "200", "--out", str(out)]
+            )
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_undecodable_waypoint_file_exit_one(self, runner, tmp_path):
+        wp = tmp_path / "wp.csv"
+        wp.write_bytes(b"t_s,x_mm,y_mm,z_mm\n" + b"0,0,0,0\n" * 2000 + b"1,0,0,\xff\n")
+        res = runner.invoke(main, ["traj-check", "--waypoints", str(wp), "--lw", "200"])
+        assert res.exit_code == 1, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.startswith("error: cannot read waypoints: 'utf-8' codec can't decode")
+
     def test_unreachable_waypoint_exit_three(self, runner, tmp_path):
         wp = tmp_path / "wp.csv"
         wp.write_text("t_s,x_mm,y_mm,z_mm\n0,0,0,0\n1,0,280,280\n")

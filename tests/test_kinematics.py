@@ -21,6 +21,7 @@ from orthoglide.kinematics import (
     leg_radicands,
     within_stroke,
 )
+from orthoglide.synthesis import prototype_design
 from orthoglide.workspace import Bounds, CubeSpec, map_cube
 
 L = 310.58
@@ -124,6 +125,17 @@ class TestForwardKinematics:
         # larger ||p||^2 and must be rejected
         p = forward_kinematics((-L, -L, -L), D)
         assert np.allclose(p, 0.0, atol=1e-9)
+
+    def test_round_trip_can_give_the_other_assembly(self):
+        # both roots are working-mode poses of the same sliders, and the one
+        # with the smaller ||p||^2 is returned, not the pose IK started from
+        d = prototype_design()
+        p = np.array([-208.40, -77.55, -113.84])
+        rho = inverse_kinematics(p, d)
+        back = forward_kinematics(rho, d)
+        assert np.allclose(back, [-200.344, -63.430, -101.981], rtol=0, atol=1e-3)
+        assert inverse_kinematics(back, d).tobytes() == rho.tobytes()
+        assert back @ back < p @ p
 
     def test_far_sliders_have_no_assembly(self):
         with pytest.raises(NoAssemblyMode):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orthoglide import _table
 from orthoglide._table import write_table
@@ -318,3 +320,47 @@ class TestCodedColumns:
     def test_length_is_that_of_the_index(self):
         with pytest.raises(ValueError, match="differ in length"):
             write_table(io.StringIO(), "a,b", [(np.zeros(3), np.zeros(3, dtype=int)), np.zeros(2)])
+
+
+# +-0, +-inf, NaN, ties at the 12th digit (the first two exactly halfway),
+# the edges of fixed notation and cells printed in exponent notation
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 100000000000.5, -(1e11 + 0.5) / 2**20,
+           0.30000000000005, 1e-5, 9.999999999995e-5, 1e-4, 999999999999.5, 1e12,
+           1.5e-7, -2e13, 3.25e100, 5e-324]
+cell_values = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.floats(-1e5, 1e5))
+
+
+class TestAnyColumns:
+    """Any mix of float, bool and coded columns, in any order, over 0 to 3
+    chunks: every cell carries its own separator, and the first byte of each
+    row becomes its newline, whatever the kind of the first column."""
+
+    @given(
+        kinds=st.text("fbc", min_size=1, max_size=6),
+        pools=st.lists(st.lists(cell_values, min_size=1, max_size=12), min_size=6, max_size=6),
+        chunks=st.integers(0, 3),
+        offset=st.integers(-2, 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kinds="bf", pools=[SPECIAL] * 6, chunks=1, offset=1, seed=0)
+    @example(kinds="cfb", pools=[SPECIAL] * 6, chunks=2, offset=-1, seed=1)
+    @example(kinds="bbb", pools=[SPECIAL] * 6, chunks=3, offset=0, seed=2)
+    @example(kinds="cc", pools=[SPECIAL, [1e4, -0.5]] * 3, chunks=1, offset=2, seed=3)
+    @settings(max_examples=60, deadline=None)
+    def test_same_as_row_loop(self, kinds, pools, chunks, offset, seed):
+        rng = np.random.default_rng(seed)
+        rows = chunk_rows(kinds.count("f"))
+        n = min(max(0, chunks * rows + offset), 3 * rows)
+        columns = []
+        for kind, pool in zip(kinds, pools):
+            pool = np.array(pool)
+            if kind == "b":
+                columns.append(rng.random(n) < rng.random())
+            elif kind == "c":
+                index = rng.integers(0, len(pool), n)
+                columns.append((pool, index.astype(rng.choice([np.uint8, np.int64]))))
+            else:
+                # the pool's values among ordinary ones of every magnitude
+                x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 13, n)
+                columns.append(np.where(rng.random(n) < 0.5, pool[rng.integers(0, len(pool), n)], x))
+        assert_same(columns)

@@ -547,7 +547,7 @@ class TestErrorParity:
 def reference_read(path):
     """The csv.reader row loop, one float() per cell: the reader's oracle."""
     out = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         col = {name: i for i, name in enumerate(next(reader, []))}
         missing = {"t_s", "x_mm", "y_mm", "z_mm"} - set(col)
@@ -637,9 +637,13 @@ class TestReaderParity:
         self.check(f)
 
     def test_undecodable_byte_after_bad_row(self, tmp_path):
+        # the invalid UTF-8 byte lies in a later 8 KiB block than the bad
+        # number of row 3, and the first fault in file order wins
         f = tmp_path / "wp.csv"
         f.write_bytes((H + "0,1,2,3\n0.5,x,5,6\n").encode() + b"1,2,3,4\n" * 2000 + b"\xff\n")
         self.check(f)
+        with pytest.raises(ValueError, match="^bad waypoint row 3: could not convert string"):
+            read_waypoints_csv(f)
         f.write_bytes((H + "0,1,2,3\n").encode() + b"1,2,3,4\n" * 2000 + b"\xff\n")
         self.check(f)
 
@@ -676,6 +680,26 @@ class TestCsv:
         with pytest.raises(ValueError) as e:
             read_waypoints_csv(f)
         assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            (H + "0,1,2,3\n0.5,4,5,6\n").encode(),
+            (H + '0,"1",2,3\r\n0.5,4,5,6\r\n').encode(),
+            (H + "0,1,2,3\n0.5,x,5,6\n").encode() + b"1,2,3,4\n" * 2000 + b"\xff\n",
+        ],
+        ids=["plain", "quoted-cell", "undecodable"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, data):
+        # spreadsheets save "CSV UTF-8" with a BOM before the header; the
+        # plain file takes the np.loadtxt pass, the quoted one the row loop,
+        # and the undecodable one the row loop after a rewind
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(data)
+        bom.write_bytes(b"\xef\xbb\xbf" + data)
+        outcome = TestReaderParity.outcome
+        assert outcome(read_waypoints_csv, bom) == outcome(read_waypoints_csv, plain)
+        assert outcome(read_waypoints_csv, plain)[0] in (np.float64, ValueError)
 
     def test_waypoint_reader_rejects_bad_header(self, tmp_path):
         f = tmp_path / "wp.csv"
